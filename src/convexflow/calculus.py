@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .sets import DEFAULT_TOL, FlowSet, Support, as_vector, scaled_tol
 
@@ -49,6 +48,8 @@ def direction_fan(dim: int, count: int = FAN_SIZE) -> np.ndarray:
         angles = (np.arange(count) + 0.5) * (0.5 * math.pi / count)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
+        from scipy.stats import qmc  # 1.3 s to import; only fans of dim >= 3 need it
+
         sampler = qmc.Halton(d=dim, scramble=False)
         pts = sampler.random(count)[1:]  # first Halton point is the origin
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-12]

@@ -127,13 +127,16 @@ def brute_force_optimum(instance: Instance, max_edges: int = 20,
     Every subset S of edges is charged its fees and the fee-free convex
     flow problem restricted to S is solved with the regular solver, so a
     disagreement with the dual heuristic isolates the rounding logic
-    rather than solver drift.  Ties between patterns break toward the
-    earlier pattern in mask order.
+    rather than solver drift.  Only the minimized dual value of each
+    pattern is taken (``minimize_dual(...).g``, the ``dual_value`` that
+    ``solve`` would report); no primal point is recovered.  Ties between
+    patterns break toward the earlier pattern in mask order.
     """
     m = instance.m
     if m > max_edges:
         raise EnumerationBudgetError(f"{m} edges exceed the {max_edges}-edge budget")
     opts = opts or SolverOptions()
+    zero_fee = [replace(edge, fee=0.0) for edge in instance.edges]
     best = -math.inf
     best_pattern: tuple[int, ...] = ()
     evaluated = 0
@@ -143,12 +146,10 @@ def brute_force_optimum(instance: Instance, max_edges: int = 20,
         if not pattern:
             value = instance.utility.value(np.zeros(instance.n))
         else:
-            sub = Instance(n=instance.n,
-                           edges=tuple(replace(instance.edges[i], fee=0.0)
-                                       for i in pattern),
+            sub = Instance(n=instance.n, edges=tuple(zero_fee[i] for i in pattern),
                            utility=instance.utility)
             try:
-                value = _solver.solve(sub, opts).dual_value
+                value = _solver.minimize_dual(sub, opts).g
             except InfeasibleProblemError:
                 continue
         evaluated += 1

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,7 +48,11 @@ class LinearUtility:
         return self.c.size
 
     def value(self, y) -> float:
-        return float(self.c @ as_vector(y, self.dim))
+        return float(self.values(as_vector(y, self.dim)[None])[0])
+
+    def values(self, ys: np.ndarray) -> np.ndarray:
+        """U at each row of ys."""
+        return ys @ self.c
 
     def conjugate(self, nu) -> tuple[float, np.ndarray | None]:
         """sup_y U(y) - nu @ y: 0 on nu = c, +inf elsewhere (no unique maximizer)."""
@@ -77,8 +83,11 @@ class QuadraticUtility:
         return self.c.size
 
     def value(self, y) -> float:
-        v = as_vector(y, self.dim)
-        return float(self.c @ v - 0.5 * self.mu * (v @ v))
+        return float(self.values(as_vector(y, self.dim)[None])[0])
+
+    def values(self, ys: np.ndarray) -> np.ndarray:
+        """U at each row of ys."""
+        return ys @ self.c - 0.5 * self.mu * np.einsum("ij,ij->i", ys, ys)
 
     def conjugate(self, nu) -> tuple[float, np.ndarray]:
         v = as_vector(nu, self.dim)
@@ -102,10 +111,11 @@ class ThresholdUtility:
         return 1
 
     def value(self, y) -> float:
-        v = as_vector(y, 1)
-        if v[0] >= self.b - scaled_tol(1e-9, self.b):
-            return 0.0
-        return -math.inf
+        return float(self.values(as_vector(y, 1)[None])[0])
+
+    def values(self, ys: np.ndarray) -> np.ndarray:
+        """U at each row of ys."""
+        return np.where(ys[:, 0] >= self.b - scaled_tol(1e-9, self.b), 0.0, -math.inf)
 
     def conjugate(self, nu) -> tuple[float, np.ndarray | None]:
         v = as_vector(nu, 1)
@@ -115,6 +125,21 @@ class ThresholdUtility:
 
 
 Utility = LinearUtility | QuadraticUtility | ThresholdUtility
+
+
+def _index(value, what: str) -> int:
+    """A nonnegative integer count or node index; bools, floats and
+    strings are refused."""
+    if type(value) is not bool:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if value < 0:
+                raise ValueError(f"{what} must be nonnegative, got {value}")
+            return value
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +157,18 @@ class Edge:
     edge_utility: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
+        object.__setattr__(self, "nodes", tuple(_index(v, "edge node") for v in self.nodes))
         if len(self.nodes) != self.flow_set.dim:
             raise ValueError("need one node per flow-set coordinate")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("edge nodes must be distinct")
-        if self.fee < 0.0:
-            raise ValueError("fee must be nonnegative")
+        # a float fee, the usual case, skips the much slower abstract-class check
+        if type(self.fee) is not float:
+            if isinstance(self.fee, bool) or not isinstance(self.fee, numbers.Real):
+                raise TypeError(f"fee must be a real number, got {self.fee!r}")
+            object.__setattr__(self, "fee", float(self.fee))
+        if not 0.0 <= self.fee < math.inf:
+            raise ValueError(f"fee must be finite and nonnegative, got {self.fee!r}")
         if self.edge_utility is not None:
             coeffs = tuple(float(v) for v in self.edge_utility)
             if len(coeffs) != self.flow_set.dim:
@@ -162,6 +192,7 @@ class Instance:
     utility: Utility
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "n"))
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.n < 1:
             raise ValueError("need at least one node")
@@ -291,7 +322,7 @@ def _decode_set(kind: str, params: dict) -> FlowSet:
             return ProductMarketEdge(params["reserves"])
         if kind == "half_line":
             return HalfLineEdge(params["cap"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad parameters for set kind {kind!r}: {exc}") from exc
     raise SchemaError(f"unknown set kind: {kind!r}")
 
@@ -316,7 +347,7 @@ def _decode_utility(doc: dict) -> Utility:
             return QuadraticUtility(doc["c"], doc["mu"])
         if kind == "threshold":
             return ThresholdUtility(doc["b"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad parameters for utility kind {kind!r}: {exc}") from exc
     raise SchemaError(f"unknown utility kind: {kind!r}")
 
@@ -352,21 +383,18 @@ def from_document(doc: dict) -> Instance:
     for i, edge_doc in enumerate(doc["edges"]):
         if not isinstance(edge_doc, dict):
             raise SchemaError(f"edge {i}: must be an object")
-        fee = edge_doc.get("fee", 0.0)
-        if fee < 0.0:
-            raise SchemaError(f"edge {i}: fee must be nonnegative")
         the_set = _decode_set(edge_doc.get("kind"), edge_doc.get("params", {}))
         utility = edge_doc.get("edge_utility")
         try:
             edges.append(Edge(flow_set=the_set, nodes=tuple(edge_doc["nodes"]),
-                              fee=float(fee),
+                              fee=edge_doc.get("fee", 0.0),
                               edge_utility=None if utility is None else tuple(utility)))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"edge {i}: {exc}") from exc
     try:
-        return Instance(n=int(doc["n"]), edges=tuple(edges),
+        return Instance(n=doc["n"], edges=tuple(edges),
                         utility=_decode_utility(doc["utility"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
 
 

@@ -39,7 +39,7 @@ from .conic import ClippedCone, ConicInstance
 from .errors import (EdgeUtilityNotSupported, InfeasibleProblemError,
                      UnboundedProblemError)
 from .model import (Instance, LinearUtility, QuadraticUtility, ThresholdUtility,
-                    Utility, net_flow)
+                    Utility)
 from .sets import FlowSet, as_vector
 
 
@@ -377,23 +377,6 @@ def _minimize_terms(instance: Instance, utility: Utility,
     raise TypeError(f"unsupported utility type: {type(utility).__name__}")
 
 
-def _primal_candidate(instance: Instance, state: DualState,
-                      active: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
-    flows = []
-    for i, (edge, record) in enumerate(zip(instance.edges, state.records)):
-        if active[i]:
-            point = record.maximizer
-            if point is None:
-                point = _fallback_maximizer(edge.flow_set, state.xi[i])
-            flows.append(point)
-        else:
-            flows.append(np.zeros(edge.degree))
-    y_hat = net_flow(instance, flows)
-    fees = sum(edge.fee for edge, on in zip(instance.edges, active) if on)
-    value = instance.utility.value(y_hat) - fees
-    return value, flows, y_hat
-
-
 def recover_primal(state: DualState, instance: Instance,
                    opts: SolverOptions | None = None) -> SolveReport:
     """Assemble a feasible primal point from the edge subproblem maximizers.
@@ -402,31 +385,58 @@ def recover_primal(state: DualState, instance: Instance,
     to the fee within tolerance) are enumerated up to ``max_tie_enum``
     and the best-valued primal kept; beyond the cap the active branch is
     kept, which is always feasible by the dominating-point property.
+
+    The 2^t patterns of t enumerated ties are valued in one pass: with
+    ``bits`` the (2^t, t) 0/1 pattern matrix, the net flows are
+    ``y_base + bits @ C_tied`` and the fees ``fee_base + bits @ q_tied``,
+    where row k of ``C_tied`` is tied edge k's maximizer scattered to its
+    nodes.  The base pattern (every tied edge active, the last row) is
+    kept unless another pattern is strictly better; among equally good
+    patterns the first in mask order wins.
     """
     opts = opts or SolverOptions()
-    base_active = np.array([r.active for r in state.records], dtype=bool)
-    tied = [i for i, r in enumerate(state.records) if r.tied]
-    best = _primal_candidate(instance, state, base_active)
-    best_active = base_active
-    if 0 < len(tied) <= opts.max_tie_enum:
-        for mask in range(2 ** len(tied)):
-            active = base_active.copy()
-            for bit, i in enumerate(tied):
-                active[i] = bool(mask >> bit & 1)
-            candidate = _primal_candidate(instance, state, active)
-            if candidate[0] > best[0]:
-                best = candidate
-                best_active = active
-    value, flows, y_hat = best
-    activations = np.where(best_active, -1.0, 0.0)
+    records = state.records
+    tied = [i for i, r in enumerate(records) if r.tied]
+    enumerated = tied if len(tied) <= opts.max_tie_enum else []
+    row = {i: k for k, i in enumerate(enumerated)}
+    y_base, fee_base = np.zeros(instance.n), 0.0
+    c_tied = np.zeros((len(enumerated), instance.n))
+    q_tied = np.zeros(len(enumerated))
+    points = {}
+    for i, (edge, record) in enumerate(zip(instance.edges, records)):
+        if not record.active:
+            continue
+        point = record.maximizer
+        if point is None:
+            point = _fallback_maximizer(edge.flow_set, state.xi[i])
+        points[i] = point
+        nodes = list(edge.nodes)
+        if i in row:
+            c_tied[row[i], nodes] = point
+            q_tied[row[i]] = edge.fee
+        else:
+            y_base[nodes] += point
+            fee_base += edge.fee
+    bits = (np.arange(2 ** len(enumerated))[:, None] >> np.arange(len(enumerated))) & 1
+    ys = y_base + bits @ c_tied
+    values = instance.utility.values(ys) - (fee_base + bits @ q_tied)
+    best = int(np.argmax(values))
+    if not values[best] > values[-1]:
+        best = len(values) - 1  # the base pattern: every tied edge active
+    active = np.array([r.active for r in records], dtype=bool)
+    active[enumerated] = bits[best].astype(bool)
+    flows = [points[i] if on else np.zeros(edge.degree)
+             for i, (edge, on) in enumerate(zip(instance.edges, active))]
+    value = float(values[best])
+    activations = np.where(active, -1.0, 0.0)
     gap = state.g - value
     rel_gap = gap / (1.0 + abs(state.g)) if math.isfinite(gap) else math.inf
     return SolveReport(dual_value=state.g, primal_value=value, flows=flows,
-                       activations=activations, y_hat=y_hat, nu=state.nu.copy(),
+                       activations=activations, y_hat=ys[best].copy(), nu=state.nu.copy(),
                        gap=gap, rel_gap=rel_gap, tie_count=len(tied),
                        iterations=state.iterations, converged=state.converged,
-                       edge_values=[r.value for r in state.records],
-                       edge_tied=[r.tied for r in state.records])
+                       edge_values=[r.value for r in records],
+                       edge_tied=[r.tied for r in records])
 
 
 def verify_optimality(report: SolveReport, tol: float = 1e-8) -> VerifyResult:

@@ -23,6 +23,24 @@ def builtin_families():
     }
 
 
+def invalid_document_edits():
+    """Edits that make a valid instance document invalid, by name, each with
+    the words its error message must hold.
+
+    Each applies to a document with at least one edge on nodes other than
+    (-1, 0).
+    """
+    def edge_field(key, value):
+        return lambda doc: doc["edges"][0].__setitem__(key, value)
+
+    return {
+        "string_fee": (edge_field("fee", "0.5"), "fee must be a real number"),
+        "nan_fee": (edge_field("fee", float("nan")), "fee must be finite"),
+        "negative_node": (edge_field("nodes", [-1, 0]), "edge node must be nonnegative"),
+        "fractional_n": (lambda doc: doc.__setitem__("n", 2.7), "n must be an integer"),
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240913)

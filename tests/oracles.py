@@ -7,11 +7,17 @@ the closed forms it is checking.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
+from convexflow.errors import InfeasibleProblemError
+from convexflow.model import Instance, net_flow
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
                              LinearTickEdge, ProductMarketEdge, as_vector,
                              scaled_tol)
+from convexflow.solver import _fallback_maximizer, solve
 
 
 def _frontier_max(xs: np.ndarray, ys: np.ndarray, xi) -> float:
@@ -150,3 +156,55 @@ def sample_cone_points(the_set: FlowSet, rng: np.random.Generator, count: int,
             point[:-1] -= rng.exponential(0.2, size=the_set.dim)
         out.append(point)
     return out
+
+
+def brute_force_reference(instance, opts=None):
+    """(value, pattern, evaluated) of the best activation pattern, with a
+    full ``solve`` (primal recovery included) of every fee-free pattern."""
+    best, best_pattern, evaluated = -math.inf, (), 0
+    for mask in range(2 ** instance.m):
+        pattern = tuple(i for i in range(instance.m) if mask >> i & 1)
+        fee_total = sum(instance.edges[i].fee for i in pattern)
+        if not pattern:
+            value = instance.utility.value(np.zeros(instance.n))
+        else:
+            sub = Instance(n=instance.n,
+                           edges=tuple(replace(instance.edges[i], fee=0.0) for i in pattern),
+                           utility=instance.utility)
+            try:
+                value = solve(sub, opts).dual_value
+            except InfeasibleProblemError:
+                continue
+        evaluated += 1
+        if value - fee_total > best:
+            best, best_pattern = value - fee_total, pattern
+    return best, best_pattern, evaluated
+
+
+def recover_primal_reference(state, instance, max_tie_enum: int):
+    """(value, activations, y_hat) of the best tie pattern, one pattern at a
+    time: the base pattern first, then masks 0 .. 2^t - 1, first best kept."""
+    def candidate(active):
+        flows = []
+        for i, (edge, record) in enumerate(zip(instance.edges, state.records)):
+            point = record.maximizer
+            if active[i] and point is None:
+                point = _fallback_maximizer(edge.flow_set, state.xi[i])
+            flows.append(point if active[i] else np.zeros(edge.degree))
+        y = net_flow(instance, flows)
+        fees = sum(edge.fee for edge, on in zip(instance.edges, active) if on)
+        return instance.utility.value(y) - fees, active, y
+
+    base = np.array([r.active for r in state.records], dtype=bool)
+    tied = [i for i, r in enumerate(state.records) if r.tied]
+    best = candidate(base)
+    if 0 < len(tied) <= max_tie_enum:
+        for mask in range(2 ** len(tied)):
+            active = base.copy()
+            for bit, i in enumerate(tied):
+                active[i] = bool(mask >> bit & 1)
+            trial = candidate(active)
+            if trial[0] > best[0]:
+                best = trial
+    value, active, y = best
+    return value, np.where(active, -1.0, 0.0), y

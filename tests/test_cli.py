@@ -6,6 +6,8 @@ import pytest
 import convexflow.model as model
 from convexflow.cli import main
 
+from conftest import invalid_document_edits
+
 
 def run(args):
     return main(args)
@@ -43,6 +45,18 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 9}')
         assert run(["solve", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize("name", sorted(invalid_document_edits()))
+    def test_invalid_value_is_exit_2(self, tmp_path, capsys, name):
+        inst = tmp_path / "i.json"
+        run(["generate", "--n", "4", "--seed", "0", "--out", str(inst)])
+        doc = json.loads(inst.read_text())
+        edit, message = invalid_document_edits()[name]
+        edit(doc)
+        inst.write_text(json.dumps(doc))
+        assert run(["solve", "--input", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestRoundCommand:

@@ -12,7 +12,7 @@ from convexflow.sets import CappedConcaveEdge, HalfLineEdge, ProductMarketEdge
 from convexflow.solver import SolverOptions, solve
 
 from conftest import builtin_families
-from oracles import sample_members, subset_sum_reachable
+from oracles import brute_force_reference, sample_members, subset_sum_reachable
 
 
 def capped_fee_instance(fee):
@@ -152,6 +152,38 @@ class TestBruteForce:
         result = brute_force_optimum(gen_knapsack_instance([1], 0))
         assert result.value == 0.0
         assert result.pattern == ()
+
+
+class TestBruteForceMatchesFullSolves:
+    """The dual value of each pattern equals a full solve's dual_value."""
+
+    def assert_same(self, inst, opts=None):
+        result = brute_force_optimum(inst, opts=opts)
+        assert (result.value, result.pattern, result.evaluated) == \
+            brute_force_reference(inst, opts)
+
+    def test_random_knapsacks(self, rng):
+        for _ in range(12):
+            weights = [int(w) for w in rng.integers(1, 21, size=int(rng.integers(3, 7)))]
+            self.assert_same(gen_knapsack_instance(weights, int(rng.integers(0, sum(weights) + 1))))
+
+    def test_capped_and_product_market_fees(self, rng):
+        for _ in range(4):
+            n = 3
+            edges = [Edge(CappedConcaveEdge(capacity=float(rng.uniform(0.5, 2.0))), (0, 1),
+                          fee=float(rng.uniform(0.0, 0.6))),
+                     Edge(ProductMarketEdge(rng.uniform(1.0, 4.0, size=2)), (1, 2),
+                          fee=float(rng.uniform(0.0, 0.6))),
+                     Edge(ProductMarketEdge(rng.uniform(1.0, 4.0, size=2)), (0, 2),
+                          fee=float(rng.uniform(0.0, 0.6))),
+                     Edge(HalfLineEdge(float(rng.uniform(0.5, 2.0))), (2,), fee=0.25)]
+            inst = Instance(n=n, edges=tuple(edges),
+                            utility=QuadraticUtility(rng.uniform(0.5, 1.5, n), 0.2))
+            self.assert_same(inst, SolverOptions())
+
+    def test_linear_capped_fee(self):
+        for fee in (0.5, 1.0, 2.0):
+            self.assert_same(capped_fee_instance(fee))
 
 
 class TestKnapsackSoundness:

@@ -14,6 +14,7 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
 
+from conftest import invalid_document_edits
 from oracles import OrthantBoxSet, central_difference, dense_degree
 
 
@@ -207,6 +208,36 @@ class TestEdgeValidation:
             Instance(n=2, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 2)),),
                      utility=LinearUtility([1.0, 1.0]))
 
+    @pytest.mark.parametrize("fee", [math.nan, math.inf])
+    def test_nonfinite_fee_rejected(self, fee):
+        with pytest.raises(ValueError):
+            Edge(CappedConcaveEdge(capacity=1.0), (0, 1), fee=fee)
+
+    @pytest.mark.parametrize("fee", ["0.5", True, None])
+    def test_nonnumeric_fee_rejected(self, fee):
+        with pytest.raises(TypeError):
+            Edge(CappedConcaveEdge(capacity=1.0), (0, 1), fee=fee)
+
+    def test_negative_node_rejected(self):
+        with pytest.raises(ValueError):
+            Edge(CappedConcaveEdge(capacity=1.0), (-1, 0))
+
+    def test_fractional_node_rejected(self):
+        with pytest.raises(TypeError):
+            Edge(CappedConcaveEdge(capacity=1.0), (0, 1.5))
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, "2"])
+    def test_nonintegral_node_count_rejected(self, n):
+        with pytest.raises(TypeError):
+            Instance(n=n, edges=(), utility=LinearUtility([1.0, 1.0]))
+
+    def test_numpy_scalars_accepted(self):
+        edge = Edge(CappedConcaveEdge(capacity=1.0), tuple(np.arange(2)),
+                    fee=np.float64(0.5))
+        inst = Instance(n=np.int64(2), edges=(edge,), utility=LinearUtility([1.0, 1.0]))
+        assert inst.n == 2 and type(inst.n) is int
+        assert edge.nodes == (0, 1) and type(edge.fee) is float
+
     def test_edge_utility_carried_but_flagged(self):
         edge = Edge(CappedConcaveEdge(capacity=1.0), (0, 1), edge_utility=(0.5, 0.0))
         assert not edge.has_zero_utility()
@@ -262,6 +293,20 @@ class TestSerialization:
     def test_negative_fee_rejected(self):
         doc = model.to_document(self.build())
         doc["edges"][0]["fee"] = -0.5
+        with pytest.raises(SchemaError):
+            model.from_document(doc)
+
+    @pytest.mark.parametrize("name", sorted(invalid_document_edits()))
+    def test_invalid_value_rejected(self, name):
+        doc = model.to_document(self.build())
+        edit, message = invalid_document_edits()[name]
+        edit(doc)
+        with pytest.raises(SchemaError, match=message):
+            model.from_document(doc)
+
+    def test_invalid_set_parameter_rejected(self):
+        doc = model.to_document(self.build())
+        doc["edges"][0]["params"]["reserves"] = [-1.0, 2.0]
         with pytest.raises(SchemaError):
             model.from_document(doc)
 

@@ -13,7 +13,7 @@ from convexflow.solver import (SolveReport, SolverOptions, dual_value_and_gradie
                                minimize_dual, recover_primal, report_to_document,
                                solve, verify_optimality)
 
-from oracles import central_difference
+from oracles import central_difference, recover_primal_reference
 
 
 def capped_instance(fee, c=(1.0, 4.0), mu=None):
@@ -183,6 +183,58 @@ class TestRecoverPrimal:
             report = solve(random_instance(rng, n_max=5, m_max=8))
             assert report.primal_value <= report.dual_value + 1e-8 * (
                 1 + abs(report.dual_value))
+
+
+class TestTieEnumerationMatchesPerMaskLoop:
+    """The one-pass enumeration picks what a per-pattern loop picks."""
+
+    def assert_same(self, inst, max_tie_enum=12):
+        opts = SolverOptions(max_tie_enum=max_tie_enum)
+        state = minimize_dual(inst, opts)
+        report = recover_primal(state, inst, opts)
+        value, activations, y_hat = recover_primal_reference(state, inst, max_tie_enum)
+        assert report.primal_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert np.array_equal(report.activations, activations)
+        assert report.y_hat == pytest.approx(y_hat, rel=1e-12, abs=1e-12)
+        return report
+
+    def test_no_ties(self, rng):
+        for _ in range(6):
+            assert self.assert_same(random_instance(rng, n_max=5, m_max=8)).tie_count == 0
+
+    def test_one_tie(self):
+        assert self.assert_same(capped_instance(1.0)).tie_count == 1
+
+    def test_several_ties_better_pattern_found(self, rng):
+        # knapsacks: every item is tied at nu = 1 and the best subset is
+        # usually not the base pattern of all items
+        from convexflow.bench import gen_knapsack_instance
+
+        for _ in range(8):
+            weights = [int(w) for w in rng.integers(1, 21, size=int(rng.integers(3, 7)))]
+            inst = gen_knapsack_instance(weights, int(rng.integers(1, sum(weights) + 1)))
+            assert self.assert_same(inst).tie_count == len(weights)
+
+    def test_several_equal_ties_keep_base_pattern(self):
+        # fees equal to each tick's support at nu = c, in exact binary
+        # arithmetic: every pattern is worth the same, so the base stays
+        c = np.array([1.0, 2.0, 1.5])
+        ticks = [(LinearTickEdge(price=1.0, cap=1.0), (0, 1)),
+                 (LinearTickEdge(price=2.0, cap=0.5), (0, 2)),
+                 (LinearTickEdge(price=2.0, cap=0.5), (1, 2))]
+        edges = [Edge(t, nodes, fee=t.support(c[list(nodes)]).value) for t, nodes in ticks]
+        edges.append(Edge(HalfLineEdge(1.0), (2,), fee=0.25))
+        inst = Instance(n=3, edges=tuple(edges), utility=LinearUtility(c))
+        report = self.assert_same(inst)
+        assert report.tie_count == 3
+        assert np.all(report.activations == -1.0)
+
+    def test_more_ties_than_cap(self):
+        from convexflow.bench import gen_knapsack_instance
+
+        report = self.assert_same(gen_knapsack_instance([2, 3, 4, 5, 6], 9), max_tie_enum=3)
+        assert report.tie_count == 5
+        assert np.all(report.activations == -1.0)
 
 
 class TestVerifyOptimality:
