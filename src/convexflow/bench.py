@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,7 +31,6 @@ from .sets import HalfLineEdge, ProductMarketEdge
 
 RESERVE_RANGE = (1.0, 100.0)
 WEIGHT_RANGE = (0.5, 1.5)
-THREAD_ENV_VAR = "CONVEXFLOW_THREADS"
 
 CSV_COLUMNS = ("n", "m", "mu", "q0", "seed", "dual_opt", "primal_heur",
                "rel_gap", "tie_count", "runtime_ms", "status")
@@ -171,22 +168,10 @@ def run_cell(config: BenchConfig, opts: solver.SolverOptions | None = None) -> R
                      status=status)
 
 
-def _pool_size() -> int:
-    env = os.environ.get(THREAD_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def run_bench(configs: Sequence[BenchConfig], csv_path: str | None = None,
               opts: solver.SolverOptions | None = None) -> list[ReportRow]:
-    """Run every grid cell (in a thread pool) and assemble rows in grid order."""
-    workers = _pool_size()
-    if workers == 1 or len(configs) == 1:
-        rows = [run_cell(cfg, opts) for cfg in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda cfg: run_cell(cfg, opts), configs))
+    """Run every grid cell in grid order, one after another."""
+    rows = [run_cell(cfg, opts) for cfg in configs]
     if csv_path is not None:
         write_csv(rows, csv_path)
     return rows

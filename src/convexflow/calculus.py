@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sets import DEFAULT_TOL, FlowSet, Support, as_vector, scaled_tol
+from .sets import (DEFAULT_TOL, FlowSet, Support, as_vector, scaled_tol,
+                   support_from_kernel)
 
 FAN_SIZE = 720
 
@@ -214,19 +215,19 @@ class MinkowskiSumSet(FlowSet):
         return _fan_contains(self, as_vector(x, self.dim), tol)
 
     def support(self, price) -> Support:
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(math.inf, None)
+        return support_from_kernel(self, price)
+
+    def kernel(self, xi):
         total = 0.0
-        point: np.ndarray | None = np.zeros(self.dim)
+        point: list[float] | None = [0.0] * self.dim
         for part in self.parts:
-            value, maximizer = part.support(xi)
+            value, maximizer = part.kernel(xi)
             total += value
             if point is not None and maximizer is not None:
-                point = point + maximizer
+                point = [a + b for a, b in zip(point, maximizer)]
             else:
                 point = None
-        return Support(total, point)
+        return total, None if point is None else tuple(point)
 
 
 class IntersectionSet(FlowSet):

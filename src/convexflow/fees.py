@@ -128,28 +128,30 @@ def brute_force_optimum(instance: Instance, max_edges: int = 20,
     flow problem restricted to S is solved with the regular solver, so a
     disagreement with the dual heuristic isolates the rounding logic
     rather than solver drift.  Only the minimized dual value of each
-    pattern is taken (``minimize_dual(...).g``, the ``dual_value`` that
-    ``solve`` would report); no primal point is recovered.  Ties between
+    pattern is taken (the ``dual_value`` that ``solve`` would report on
+    the instance of S); no primal point is recovered.  The solver's
+    program is built once, and each pattern masks off the edges outside
+    S, which evaluates exactly as the instance of S would.  Ties between
     patterns break toward the earlier pattern in mask order.
     """
     m = instance.m
     if m > max_edges:
         raise EnumerationBudgetError(f"{m} edges exceed the {max_edges}-edge budget")
+    _solver._check_solvable(instance)
     opts = opts or SolverOptions()
-    zero_fee = [replace(edge, fee=0.0) for edge in instance.edges]
+    program = _solver._program([replace(edge, fee=0.0) for edge in instance.edges])
     best = -math.inf
     best_pattern: tuple[int, ...] = ()
     evaluated = 0
     for mask in range(2 ** m):
-        pattern = tuple(i for i in range(m) if mask >> i & 1)
+        on = [bool(mask >> i & 1) for i in range(m)]
+        pattern = tuple(i for i in range(m) if on[i])
         fee_total = sum(instance.edges[i].fee for i in pattern)
         if not pattern:
             value = instance.utility.value(np.zeros(instance.n))
         else:
-            sub = Instance(n=instance.n, edges=tuple(zero_fee[i] for i in pattern),
-                           utility=instance.utility)
             try:
-                value = _solver.minimize_dual(sub, opts).g
+                value = _solver._minimize(instance.utility, program, opts, on).g
             except InfeasibleProblemError:
                 continue
         evaluated += 1

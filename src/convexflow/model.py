@@ -35,13 +35,21 @@ from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
 SCHEMA_VERSION = 1
 
 
+def _weights(c: Sequence[float]) -> np.ndarray:
+    """Utility weights as a vector of finite floats."""
+    v = np.asarray(c, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("c must be a vector")
+    if not all(map(math.isfinite, v.tolist())):
+        raise ValueError("c must hold finite numbers")
+    return v
+
+
 class LinearUtility:
     """U(y) = c @ y."""
 
     def __init__(self, c: Sequence[float]):
-        self.c = np.asarray(c, dtype=float)
-        if self.c.ndim != 1:
-            raise ValueError("c must be a vector")
+        self.c = _weights(c)
 
     @property
     def dim(self) -> int:
@@ -71,11 +79,9 @@ class QuadraticUtility:
     """
 
     def __init__(self, c: Sequence[float], mu: float):
-        self.c = np.asarray(c, dtype=float)
-        if self.c.ndim != 1:
-            raise ValueError("c must be a vector")
-        if mu <= 0.0:
-            raise ValueError("mu must be positive")
+        self.c = _weights(c)
+        if not 0.0 < mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         self.mu = float(mu)
 
     @property
@@ -105,6 +111,8 @@ class ThresholdUtility:
 
     def __init__(self, b: float):
         self.b = float(b)
+        if not math.isfinite(self.b):
+            raise ValueError("b must be finite")
 
     @property
     def dim(self) -> int:
@@ -173,6 +181,8 @@ class Edge:
             coeffs = tuple(float(v) for v in self.edge_utility)
             if len(coeffs) != self.flow_set.dim:
                 raise ValueError("edge utility length must match the flow set")
+            if not all(map(math.isfinite, coeffs)):
+                raise ValueError("edge utility must hold finite numbers")
             object.__setattr__(self, "edge_utility", coeffs)
 
     @property
@@ -249,17 +259,16 @@ class DualInstanceView:
     polar_oracles: tuple[Callable[..., bool], ...] = field(repr=False)
 
     def dual_objective(self, nu) -> float:
-        """Ubar(nu) + sum_i max(f_i(nu[nodes_i]) - q_i, 0)."""
+        """Ubar(nu) + sum_i max(f_i(nu[nodes_i]) - q_i, 0), by the solver's
+        evaluator; ``inf`` when any price is negative, since every node
+        lies on an edge and every support is infinite there."""
+        from .solver import _evaluate, _program  # local import: solver depends on model
+
         v = as_vector(nu, self.instance.n)
-        total, _ = self.conjugate(v)
-        if not math.isfinite(total):
+        if (v < 0.0).any():
             return math.inf
-        for edge in self.instance.edges:
-            value = edge.flow_set.support(v[list(edge.nodes)]).value
-            if not math.isfinite(value):
-                return math.inf
-            total += max(value - edge.fee, 0.0)
-        return total
+        # the tie tolerance moves activations only, never g
+        return _evaluate(self.instance.utility, _program(self.instance.edges), v, 0.0).g
 
 
 def build_dual_view(instance: Instance) -> DualInstanceView:

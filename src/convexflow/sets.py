@@ -16,10 +16,16 @@ unused.  Each set is exposed through three oracles:
 Downward closure makes the support infinite as soon as any price
 component is negative, and makes ``contains(x / lam)`` monotone in
 ``lam``, which is what the generic gauge bisection relies on.
+
+The dual solver evaluates supports through ``kernel(xi)``, the same
+supremum on prices already known to be nonnegative, taken and returned
+as Python floats.  Each built-in family computes its support in its
+kernel alone, and its ``support`` only adapts the vector interface.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple, Sequence
 
@@ -71,6 +77,16 @@ class FlowSet:
     def support(self, price) -> Support:
         raise NotImplementedError
 
+    def kernel(self, xi: Sequence[float]) -> tuple[float, tuple[float, ...] | None]:
+        """``support`` at prices ``xi >= 0`` given as Python floats, with the
+        maximizer as a tuple of floats (or None when unattained).
+
+        This default goes through ``support``; the built-in families
+        override it with their closed forms.
+        """
+        value, point = self.support(xi)
+        return value, None if point is None else tuple(point.tolist())
+
     def gauge(self, x, tol: float = DEFAULT_TOL) -> float:
         """Minkowski functional by bisection over the membership oracle.
 
@@ -102,6 +118,15 @@ class FlowSet:
             else:
                 lo = mid
         return 0.5 * (lo + hi)
+
+
+def support_from_kernel(the_set: FlowSet, price) -> Support:
+    """``support`` through ``kernel``: infinite at any negative price."""
+    xi = as_vector(price, the_set.dim)
+    if (xi < 0.0).any():
+        return Support(math.inf, None)
+    value, point = the_set.kernel(xi.tolist())
+    return Support(value, None if point is None else np.array(point))
 
 
 class RationalGain:
@@ -142,6 +167,8 @@ class PiecewiseLinearGain:
             raise ValueError("piecewise gain needs at least one breakpoint")
         ws = [0.0] + [p[0] for p in pts]
         hs = [0.0] + [p[1] for p in pts]
+        if not all(map(math.isfinite, ws + hs)):
+            raise ValueError("breakpoints must be finite numbers")
         for a, b in zip(ws, ws[1:]):
             if b <= a:
                 raise ValueError("breakpoint inputs must be strictly increasing and positive")
@@ -149,28 +176,33 @@ class PiecewiseLinearGain:
         for a, b in zip(slopes, slopes[1:]):
             if b >= a:
                 raise ValueError("segment slopes must be strictly decreasing")
-        self.inputs = np.array(ws)
-        self.outputs = np.array(hs)
-        self.slopes = np.array(slopes)
+        self.inputs, self.outputs, self.slopes = ws, hs, slopes
+        self._segments = list(zip(ws, ws[1:], slopes))
         # input beyond which extra flow no longer raises the output
-        nonpos = np.nonzero(self.slopes <= 0.0)[0]
-        self._peak = float(self.inputs[nonpos[0]]) if nonpos.size else float(self.inputs[-1])
+        self._peak = next((w for w, s in zip(ws, slopes) if s <= 0.0), ws[-1])
 
     @property
     def last_input(self) -> float:
-        return float(self.inputs[-1])
+        return self.inputs[-1]
 
     def value(self, w: float) -> float:
-        if w > self.inputs[-1] + 1e-12:
+        """Linear interpolation between breakpoints; 0 for w <= 0."""
+        ws = self.inputs
+        if w > ws[-1] + 1e-12:
             raise ValueError("input beyond the tabulated range")
-        return float(np.interp(w, self.inputs, self.outputs))
+        if w <= 0.0:
+            return 0.0
+        k = bisect.bisect_right(ws, w) - 1
+        if k == len(self.slopes):
+            return self.outputs[-1]
+        return self.outputs[k] + self.slopes[k] * (w - ws[k])
 
     def best_output(self, w: float) -> float:
-        return self.value(min(w, float(self._peak)))
+        return self.value(min(w, self._peak))
 
     def best_input(self, price_in: float, price_out: float, cap: float) -> float:
         w = 0.0
-        for lo, hi, s in zip(self.inputs, self.inputs[1:], self.slopes):
+        for lo, hi, s in self._segments:
             if lo >= cap:
                 break
             if -price_in + price_out * s > 0.0:
@@ -195,8 +227,8 @@ class CappedConcaveEdge(FlowSet):
 
     def __init__(self, gain: RationalGain | PiecewiseLinearGain | None = None,
                  capacity: float = 1.0):
-        if capacity <= 0.0:
-            raise ValueError("capacity must be positive")
+        if not 0.0 < capacity < math.inf:
+            raise ValueError("capacity must be positive and finite")
         gain = RationalGain() if gain is None else gain
         if isinstance(gain, PiecewiseLinearGain) and gain.last_input < capacity:
             raise ValueError("tabulated gain must cover [0, capacity]")
@@ -213,15 +245,16 @@ class CappedConcaveEdge(FlowSet):
         return v[1] <= bound + scaled_tol(tol, bound)
 
     def support(self, price) -> Support:
-        xi = as_vector(price, 2)
-        if xi[0] < 0.0 or xi[1] < 0.0:
-            return Support(math.inf, None)
-        w = self.gain.best_input(xi[0], xi[1], self.capacity)
+        return support_from_kernel(self, price)
+
+    def kernel(self, xi):
+        price_in, price_out = xi
+        w = self.gain.best_input(price_in, price_out, self.capacity)
         out = self.gain.value(w)
-        value = -xi[0] * w + xi[1] * out
+        value = -price_in * w + price_out * out
         if value <= 0.0:
-            return Support(0.0, np.zeros(2))
-        return Support(float(value), np.array([-w, out]))
+            return 0.0, (0.0, 0.0)
+        return value, (-w, out)
 
 
 class LinearTickEdge(FlowSet):
@@ -234,11 +267,12 @@ class LinearTickEdge(FlowSet):
     dim = 2
 
     def __init__(self, price: float, cap: float):
-        if price <= 0.0 or cap <= 0.0:
-            raise ValueError("price and cap must be positive")
+        if not (0.0 < price < math.inf and 0.0 < cap < math.inf):
+            raise ValueError("price and cap must be positive and finite")
         self.price = float(price)
         self.cap = float(cap)
-        self.upper_bound = np.array([0.0, self.price * self.cap])
+        self._out = self.price * self.cap
+        self.upper_bound = np.array([0.0, self._out])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         v = as_vector(x, 2)
@@ -248,14 +282,13 @@ class LinearTickEdge(FlowSet):
         return v[1] <= bound + scaled_tol(tol, bound)
 
     def support(self, price) -> Support:
-        xi = as_vector(price, 2)
-        if xi[0] < 0.0 or xi[1] < 0.0:
-            return Support(math.inf, None)
+        return support_from_kernel(self, price)
+
+    def kernel(self, xi):
         unit = self.price * xi[1] - xi[0]
         if unit <= 0.0:
-            return Support(0.0, np.zeros(2))
-        return Support(float(self.cap * unit),
-                       np.array([-self.cap, self.price * self.cap]))
+            return 0.0, (0.0, 0.0)
+        return self.cap * unit, (-self.cap, self._out)
 
 
 class ProductMarketEdge(FlowSet):
@@ -277,10 +310,11 @@ class ProductMarketEdge(FlowSet):
 
     def __init__(self, reserves: Sequence[float]):
         r = np.asarray(reserves, dtype=float)
-        if r.shape != (2,) or np.any(r <= 0.0):
-            raise ValueError("reserves must be two positive numbers")
+        if r.shape != (2,) or not all(0.0 < v < math.inf for v in r.tolist()):
+            raise ValueError("reserves must be two positive finite numbers")
         self.reserves = r
-        self.invariant = float(r[0] * r[1])
+        self._r1, self._r2 = r.tolist()
+        self.invariant = self._r1 * self._r2
         self.upper_bound = r.copy()
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
@@ -294,19 +328,19 @@ class ProductMarketEdge(FlowSet):
         return prod >= self.invariant - scaled_tol(tol, self.invariant)
 
     def support(self, price) -> Support:
-        xi = as_vector(price, 2)
-        if xi[0] < 0.0 or xi[1] < 0.0:
-            return Support(math.inf, None)
-        r, k = self.reserves, self.invariant
-        if xi[0] == 0.0 and xi[1] == 0.0:
-            return Support(0.0, np.zeros(2))
-        if xi[0] == 0.0 or xi[1] == 0.0:
+        return support_from_kernel(self, price)
+
+    def kernel(self, xi):
+        x1, x2 = xi
+        r1, r2, k = self._r1, self._r2, self.invariant
+        if x1 == 0.0 or x2 == 0.0:
+            if x1 == x2:  # both prices zero
+                return 0.0, (0.0, 0.0)
             # the free coordinate runs to -inf along the reserve curve
-            return Support(float(xi @ r), None)
-        value = float(xi @ r) - 2.0 * math.sqrt(k * xi[0] * xi[1])
-        point = np.array([r[0] - math.sqrt(k * xi[1] / xi[0]),
-                          r[1] - math.sqrt(k * xi[0] / xi[1])])
-        return Support(max(value, 0.0), point)
+            return x1 * r1 + x2 * r2, None
+        value = x1 * r1 + x2 * r2 - 2.0 * math.sqrt(k * x1 * x2)
+        point = (r1 - math.sqrt(k * x2 / x1), r2 - math.sqrt(k * x1 / x2))
+        return max(value, 0.0), point
 
 
 class HalfLineEdge(FlowSet):
@@ -319,7 +353,7 @@ class HalfLineEdge(FlowSet):
     dim = 1
 
     def __init__(self, cap: float):
-        if cap < 0.0:
+        if not cap >= 0.0:  # NaN fails too; +inf is a valid cap
             raise ValueError("cap must be nonnegative")
         self.cap = float(cap)
         self.upper_bound = np.array([self.cap])
@@ -329,14 +363,15 @@ class HalfLineEdge(FlowSet):
         return v[0] <= self.cap + scaled_tol(tol, self.cap)
 
     def support(self, price) -> Support:
-        xi = as_vector(price, 1)
-        if xi[0] < 0.0:
-            return Support(math.inf, None)
-        if xi[0] == 0.0:
-            return Support(0.0, np.zeros(1))
-        if not math.isfinite(self.cap):
-            return Support(math.inf, None)
-        return Support(float(xi[0] * self.cap), np.array([self.cap]))
+        return support_from_kernel(self, price)
+
+    def kernel(self, xi):
+        price = xi[0]
+        if price == 0.0:
+            return 0.0, (0.0,)
+        if self.cap == math.inf:
+            return math.inf, None
+        return price * self.cap, (self.cap,)
 
     def gauge(self, x, tol: float = DEFAULT_TOL) -> float:
         v = as_vector(x, 1)

@@ -9,6 +9,15 @@ the support of the nonconvex fee set Q_i = {0} ∪ (T_i × {-1}) at the
 pulled price, so the edge subproblems decide activation on their own:
 lambda_i = -1 exactly when f_i >= q_i, with ties recorded.
 
+One evaluator, ``_evaluate``, computes g and a supergradient for every
+caller: the minimizers below, ``solve_conic`` (whose clipped-cone support
+at price (xi_i, q_i) is the same edge term), ``DualInstanceView`` and the
+brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
+fee)`` triples built once per instance, where ``kernel`` is the edge
+set's float support oracle (``FlowSet.kernel``); prices, maximizers and
+the gradient stay Python floats until the gradient is returned, and an
+optional edge mask evaluates a sub-instance without building it.
+
 Utility branches:
 
 * quadratic  -- smooth conjugate; g is minimized by a projected
@@ -35,12 +44,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conic import ClippedCone, ConicInstance
+from .conic import ConicInstance
 from .errors import (EdgeUtilityNotSupported, InfeasibleProblemError,
                      UnboundedProblemError)
-from .model import (Instance, LinearUtility, QuadraticUtility, ThresholdUtility,
-                    Utility)
-from .sets import FlowSet, as_vector
+from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
+                    ThresholdUtility, Utility)
+from .sets import as_vector
+
+# one entry per edge: (the flow set's kernel, the edge's nodes, its fee)
+Program = list[tuple[Callable, tuple[int, ...], float]]
 
 
 @dataclass
@@ -59,24 +71,23 @@ class SolverOptions:
 
 
 @dataclass
-class EdgeRecord:
-    """One edge subproblem at a fixed price: support value, maximizer,
-    integral activation, and whether the activation decision was a tie."""
-
-    value: float
-    term: float
-    maximizer: np.ndarray | None
-    active: bool
-    tied: bool
-
-
-@dataclass
 class DualState:
+    """The dual at one price vector, with each edge subproblem's outcome.
+
+    Per edge i: ``values[i]`` is the support f_i at the pulled price (nan
+    when not evaluated), ``points[i]`` its maximizer as a tuple (for an
+    active edge whose supremum is unattained, a feasible near-maximizer;
+    otherwise None when unattained), ``active[i]`` the integral
+    activation and ``tied[i]`` whether that decision was a tie.
+    """
+
     nu: np.ndarray
-    xi: list[np.ndarray]
-    records: list[EdgeRecord]
     g: float
     gradient: np.ndarray | None
+    values: list[float]
+    points: list[tuple[float, ...] | None]
+    active: list[bool]
+    tied: list[bool]
     conjugate_value: float = 0.0
     conjugate_maximizer: np.ndarray | None = None
     iterations: int = 0
@@ -108,70 +119,17 @@ class VerifyResult:
     bracket: tuple[float, float]
 
 
-class _EdgeTerm:
-    """Edge dual term evaluated through the flow set: max(f(xi) - q, 0)."""
-
-    def __init__(self, flow_set: FlowSet, fee: float, nodes: Sequence[int]):
-        self.flow_set = flow_set
-        self.fee = float(fee)
-        self.nodes = list(nodes)
-
-    def evaluate(self, xi: np.ndarray, tie_tol: float) -> EdgeRecord:
-        value, point = self.flow_set.support(xi)
-        return _record_from_support(value, point, self.fee, tie_tol)
-
-    def feasible_maximizer(self, xi: np.ndarray) -> np.ndarray:
-        return _fallback_maximizer(self.flow_set, xi)
-
-
-class _ConeTerm(_EdgeTerm):
-    """Edge dual term evaluated through the clipped flow cone.
-
-    The cone support at price (xi, q) is max(f(xi) - q, 0) with an
-    integral activation coordinate, so the conic form reuses the same
-    solver loop while genuinely exercising the cone oracles.
-    """
-
-    def __init__(self, clipped: ClippedCone, fee: float, nodes: Sequence[int]):
-        super().__init__(clipped.base, fee, nodes)
-        self.clipped = clipped
-
-    def evaluate(self, xi: np.ndarray, tie_tol: float) -> EdgeRecord:
-        term_value, point = self.clipped.support(np.append(xi, self.fee))
-        if not math.isfinite(term_value):
-            return EdgeRecord(math.inf, math.inf, None, True, False)
-        if point is not None and point[-1] < -0.5:
-            value = term_value + self.fee
-            maximizer = point[:-1]
-        else:
-            # inactive branch: still fetch the set's own maximizer so a
-            # tie flip can fall back on it
-            value, maximizer = self.flow_set.support(xi)
-        return _record_from_support(value, maximizer, self.fee, tie_tol)
-
-
-def _record_from_support(value: float, point: np.ndarray | None, fee: float,
-                         tie_tol: float) -> EdgeRecord:
-    if not math.isfinite(value):
-        return EdgeRecord(math.inf, math.inf, None, True, False)
-    scale = max(1.0, abs(value), abs(fee))
-    active = value >= fee - tie_tol * scale
-    tied = abs(value - fee) <= tie_tol * scale
-    term = max(value - fee, 0.0)
-    return EdgeRecord(value, term, point, active, tied)
-
-
-def _fallback_maximizer(flow_set: FlowSet, xi: np.ndarray) -> np.ndarray:
+def _fallback_maximizer(kernel: Callable, xi: list[float]) -> tuple[float, ...]:
     """Feasible near-maximizer at prices where the supremum is unattained.
 
     Flooring zero price components keeps the returned point inside the
     set; it is used only for supergradient directions and heuristic
     primal points, never for the dual value itself.
     """
-    floor = 1e-12 * max(1.0, float(np.max(xi, initial=0.0)))
-    point = flow_set.support(np.maximum(xi, floor)).point
+    floor = 1e-12 * max(1.0, *xi)
+    point = kernel([max(x, floor) for x in xi])[1]
     if point is None:
-        return np.zeros(flow_set.dim)
+        return (0.0,) * len(xi)
     return point
 
 
@@ -183,56 +141,66 @@ def _check_solvable(instance: Instance):
                 "the zero-edge-utility case only")
 
 
-def _terms_for(instance: Instance) -> list[_EdgeTerm]:
-    return [_EdgeTerm(e.flow_set, e.fee, e.nodes) for e in instance.edges]
+def _program(edges: Sequence[Edge]) -> Program:
+    return [(edge.flow_set.kernel, edge.nodes, edge.fee) for edge in edges]
 
 
-def _terms_for_conic(conic: ConicInstance) -> list[_EdgeTerm]:
-    base = conic.base
-    return [_ConeTerm(clipped, edge.fee, edge.nodes)
-            for clipped, edge in zip(conic.clipped, base.edges)]
+def _evaluate(utility: Utility, program: Program, nu, tie_tol: float,
+              on: Sequence[bool] | None = None) -> DualState:
+    """g and a supergradient at nu (clamped to >= 0), over the edges of
+    ``program`` for which ``on`` is true (all of them by default).
 
-
-def _evaluate_dual(utility: Utility, terms: list[_EdgeTerm], n: int,
-                   nu, tie_tol: float) -> DualState:
-    v = np.maximum(as_vector(nu, n), 0.0)
+    An edge is active when f_i >= q_i - tie_tol * scale and tied when
+    |f_i - q_i| <= tie_tol * scale, with scale = max(1, |f_i|, q_i).
+    The evaluation stops at the first infinite term, with g = inf.
+    """
+    v = np.maximum(as_vector(nu, utility.dim), 0.0)
     conj_value, conj_max = utility.conjugate(v)
-    xi = [v[term.nodes] for term in terms]
+    m = len(program)
+    state = DualState(nu=v, g=math.inf, gradient=None, values=[math.nan] * m,
+                      points=[None] * m, active=[False] * m, tied=[False] * m,
+                      conjugate_value=conj_value, conjugate_maximizer=conj_max)
     if not math.isfinite(conj_value):
-        records = [EdgeRecord(math.nan, math.nan, None, False, False) for _ in terms]
-        return DualState(nu=v, xi=xi, records=records, g=math.inf, gradient=None,
-                         conjugate_value=conj_value)
+        return state
+    values, points, active, tied = state.values, state.points, state.active, state.tied
+    prices = v.tolist()
+    grad = [0.0] * len(prices)
     g = conj_value
-    grad = np.zeros(n)
-    records = []
-    for term, price in zip(terms, xi):
-        record = term.evaluate(price, tie_tol)
-        records.append(record)
-        if not math.isfinite(record.term):
-            return DualState(nu=v, xi=xi, records=records, g=math.inf,
-                             gradient=None, conjugate_value=conj_value)
-        g += record.term
-        if record.active:
-            point = record.maximizer
+    for i, (kernel, nodes, fee) in enumerate(program):
+        if on is not None and not on[i]:
+            continue
+        xi = [prices[j] for j in nodes]
+        value, point = kernel(xi)
+        values[i] = value
+        if not math.isfinite(value):
+            active[i] = True
+            return state
+        scale = max(1.0, abs(value), fee)
+        tied[i] = abs(value - fee) <= tie_tol * scale
+        if value > fee:
+            g += value - fee
+        if value >= fee - tie_tol * scale:
+            active[i] = True
             if point is None:
-                point = term.feasible_maximizer(price)
-            grad[term.nodes] += point
-    if conj_max is not None:
-        grad -= conj_max
-    else:
+                point = _fallback_maximizer(kernel, xi)
+            for j, x in zip(nodes, point):
+                grad[j] += x
+        points[i] = point
+    state.g = g
+    if conj_max is None:
         # linear utility: any y maximizes at nu = c; completing with the
         # scattered edge flows gives the zero supergradient
-        grad = np.zeros(n)
-    return DualState(nu=v, xi=xi, records=records, g=g, gradient=grad,
-                     conjugate_value=conj_value, conjugate_maximizer=conj_max)
+        state.gradient = np.zeros(len(prices))
+    else:
+        state.gradient = np.array(grad) - conj_max
+    return state
 
 
 def dual_value_and_gradient(instance: Instance, nu,
                             tie_tol: float = 1e-7) -> tuple[float, np.ndarray | None, DualState]:
     """Evaluate the dual function and a supergradient at nu (clamped to >= 0)."""
     _check_solvable(instance)
-    state = _evaluate_dual(instance.utility, _terms_for(instance), instance.n,
-                           nu, tie_tol)
+    state = _evaluate(instance.utility, _program(instance.edges), nu, tie_tol)
     return state.g, state.gradient, state
 
 
@@ -253,10 +221,10 @@ def _two_loop(history, grad: np.ndarray) -> np.ndarray:
     return q
 
 
-def _minimize_projected_lbfgs(evaluate: Callable[[np.ndarray], DualState],
-                              start: np.ndarray, opts: SolverOptions) -> DualState:
+def _minimize_projected_lbfgs(utility: Utility, program: Program, start: np.ndarray,
+                              opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
     nu = np.maximum(np.asarray(start, dtype=float), 0.0)
-    state = evaluate(nu)
+    state = _evaluate(utility, program, nu, opts.tie_tol, on)
     if not math.isfinite(state.g):
         raise UnboundedProblemError("dual function is infinite at the starting point")
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -282,7 +250,7 @@ def _minimize_projected_lbfgs(evaluate: Callable[[np.ndarray], DualState],
             if not np.any(delta):
                 break
             if slope < 0.0:
-                trial_state = evaluate(trial)
+                trial_state = _evaluate(utility, program, trial, opts.tie_tol, on)
                 if (math.isfinite(trial_state.g)
                         and trial_state.g <= state.g + opts.armijo * slope):
                     accepted = (trial, trial_state)
@@ -314,18 +282,17 @@ def _minimize_projected_lbfgs(evaluate: Callable[[np.ndarray], DualState],
     return state
 
 
-def _minimize_threshold(instance: Instance, terms: list[_EdgeTerm],
-                        opts: SolverOptions) -> DualState:
+def _minimize_threshold(utility: ThresholdUtility, program: Program,
+                        opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
     """Exact minimizer of the 1-D piecewise-linear threshold dual.
 
     g(nu) = -b * nu + sum_i max(h_i * nu - q_i, 0) with h_i the edge
     supply at unit price; the slope only changes at nu = q_i / h_i.
     """
-    utility = instance.utility
-    assert isinstance(utility, ThresholdUtility)
     b = utility.b
-    heights = np.array([term.flow_set.support(np.ones(1)).value for term in terms])
-    fees = np.array([term.fee for term in terms])
+    kept = [entry for i, entry in enumerate(program) if on is None or on[i]]
+    heights = np.array([kernel([1.0])[0] for kernel, _, _ in kept])
+    fees = np.array([fee for _, _, fee in kept])
     if np.any(~np.isfinite(heights)):
         raise UnboundedProblemError("an edge has unbounded supply at unit price")
     breakpoints = sorted({0.0} | {float(q / h) for q, h in zip(fees, heights) if h > 0.0})
@@ -343,8 +310,7 @@ def _minimize_threshold(instance: Instance, terms: list[_EdgeTerm],
         raise InfeasibleProblemError(
             "threshold dual decreases without bound; total edge supply "
             "cannot reach the demanded net flow")
-    state = _evaluate_dual(utility, terms, instance.n, np.array([minimizer]),
-                           opts.tie_tol)
+    state = _evaluate(utility, program, [minimizer], opts.tie_tol, on)
     state.iterations = 1
     return state
 
@@ -352,15 +318,15 @@ def _minimize_threshold(instance: Instance, terms: list[_EdgeTerm],
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:
     """Minimize the dual over nu >= 0 and return the final dual state."""
     _check_solvable(instance)
-    opts = opts or SolverOptions()
-    terms = _terms_for(instance)
-    return _minimize_terms(instance, instance.utility, terms, opts)
+    return _minimize(instance.utility, _program(instance.edges), opts or SolverOptions())
 
 
-def _minimize_terms(instance: Instance, utility: Utility,
-                    terms: list[_EdgeTerm], opts: SolverOptions) -> DualState:
+def _minimize(utility: Utility, program: Program, opts: SolverOptions,
+              on: Sequence[bool] | None = None) -> DualState:
+    """``minimize_dual`` over the edges of ``program`` for which ``on`` is
+    true, with the same result as on the instance of those edges alone."""
     if isinstance(utility, LinearUtility):
-        state = _evaluate_dual(utility, terms, instance.n, utility.c, opts.tie_tol)
+        state = _evaluate(utility, program, utility.c, opts.tie_tol, on)
         if not math.isfinite(state.g):
             raise UnboundedProblemError(
                 "the dual is infinite at nu = c, so the linear-utility "
@@ -368,12 +334,11 @@ def _minimize_terms(instance: Instance, utility: Utility,
         state.iterations = 1
         return state
     if isinstance(utility, ThresholdUtility):
-        return _minimize_threshold(instance, terms, opts)
+        return _minimize_threshold(utility, program, opts, on)
     if isinstance(utility, QuadraticUtility):
         start = opts.start if opts.start is not None else utility.c
-        return _minimize_projected_lbfgs(
-            lambda nu: _evaluate_dual(utility, terms, instance.n, nu, opts.tie_tol),
-            np.asarray(start, dtype=float), opts)
+        return _minimize_projected_lbfgs(utility, program, np.asarray(start, dtype=float),
+                                         opts, on)
     raise TypeError(f"unsupported utility type: {type(utility).__name__}")
 
 
@@ -395,21 +360,15 @@ def recover_primal(state: DualState, instance: Instance,
     patterns the first in mask order wins.
     """
     opts = opts or SolverOptions()
-    records = state.records
-    tied = [i for i, r in enumerate(records) if r.tied]
+    tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= opts.max_tie_enum else []
     row = {i: k for k, i in enumerate(enumerated)}
     y_base, fee_base = np.zeros(instance.n), 0.0
     c_tied = np.zeros((len(enumerated), instance.n))
     q_tied = np.zeros(len(enumerated))
-    points = {}
-    for i, (edge, record) in enumerate(zip(instance.edges, records)):
-        if not record.active:
+    for i, (edge, on, point) in enumerate(zip(instance.edges, state.active, state.points)):
+        if not on:
             continue
-        point = record.maximizer
-        if point is None:
-            point = _fallback_maximizer(edge.flow_set, state.xi[i])
-        points[i] = point
         nodes = list(edge.nodes)
         if i in row:
             c_tied[row[i], nodes] = point
@@ -423,10 +382,10 @@ def recover_primal(state: DualState, instance: Instance,
     best = int(np.argmax(values))
     if not values[best] > values[-1]:
         best = len(values) - 1  # the base pattern: every tied edge active
-    active = np.array([r.active for r in records], dtype=bool)
+    active = np.array(state.active, dtype=bool)
     active[enumerated] = bits[best].astype(bool)
-    flows = [points[i] if on else np.zeros(edge.degree)
-             for i, (edge, on) in enumerate(zip(instance.edges, active))]
+    flows = [np.array(point) if on else np.zeros(edge.degree)
+             for edge, on, point in zip(instance.edges, active, state.points)]
     value = float(values[best])
     activations = np.where(active, -1.0, 0.0)
     gap = state.g - value
@@ -435,8 +394,7 @@ def recover_primal(state: DualState, instance: Instance,
                        activations=activations, y_hat=ys[best].copy(), nu=state.nu.copy(),
                        gap=gap, rel_gap=rel_gap, tie_count=len(tied),
                        iterations=state.iterations, converged=state.converged,
-                       edge_values=[r.value for r in records],
-                       edge_tied=[r.tied for r in records])
+                       edge_values=list(state.values), edge_tied=list(state.tied))
 
 
 def verify_optimality(report: SolveReport, tol: float = 1e-8) -> VerifyResult:
@@ -459,18 +417,22 @@ def solve(instance: Instance, opts: SolverOptions | None = None) -> SolveReport:
 
 
 def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> SolveReport:
-    """Solve the conic form of an instance through its clipped-cone oracles.
+    """Solve the conic form of an instance through its clipped cones.
 
     The shared activation node carries price zero (the network objective
     ignores it), so the dual lives on the original n coordinates and each
-    edge term is the clipped-cone support at (xi_i, q_i).
+    edge term is the clipped-cone support at (xi_i, q_i),
+    max(f_i(xi_i) - q_i, 0): the evaluator's edge term with the fee as the
+    cone's last price coordinate, read from the kernel of the cone's base
+    set.  ``ClippedCone.support`` is the per-edge reference for it.
     """
     instance = conic.base
     _check_solvable(instance)
     opts = opts or SolverOptions()
     started = time.perf_counter()
-    terms = _terms_for_conic(conic)
-    state = _minimize_terms(instance, instance.utility, terms, opts)
+    program = [(clipped.base.kernel, edge.nodes, edge.fee)
+               for clipped, edge in zip(conic.clipped, instance.edges)]
+    state = _minimize(instance.utility, program, opts)
     report = recover_primal(state, instance, opts)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report
@@ -485,11 +447,10 @@ def report_to_document(report: SolveReport) -> dict:
         "objective_dual": _num(report.dual_value),
         "objective_primal": _num(report.primal_value),
         "gap": _num(report.gap),
-        "nu": [float(v) for v in report.nu],
+        "nu": report.nu.tolist(),
         "edges": [
-            {"x": [float(v) for v in x], "lambda": float(lam),
-             "value": _num(value), "tied": bool(tied)}
-            for x, lam, value, tied in zip(report.flows, report.activations,
+            {"x": x.tolist(), "lambda": lam, "value": _num(value), "tied": bool(tied)}
+            for x, lam, value, tied in zip(report.flows, report.activations.tolist(),
                                            report.edge_values, report.edge_tied)
         ],
     }

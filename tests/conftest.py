@@ -27,17 +27,52 @@ def invalid_document_edits():
     """Edits that make a valid instance document invalid, by name, each with
     the words its error message must hold.
 
-    Each applies to a document with at least one edge on nodes other than
-    (-1, 0).
+    Each applies to a document with at least two nodes and at least one
+    edge on nodes other than (-1, 0).
     """
+    nan, inf = float("nan"), float("inf")
+
     def edge_field(key, value):
         return lambda doc: doc["edges"][0].__setitem__(key, value)
 
+    def first_edge(kind, params, nodes=(0, 1)):
+        return lambda doc: doc["edges"].__setitem__(
+            0, {"kind": kind, "params": params, "nodes": list(nodes), "fee": 0.0})
+
+    def utility(make):
+        return lambda doc: doc.__setitem__("utility", make(doc["n"]))
+
+    def capped(capacity, points=((0.5, 0.6), (2.0, 1.0))):
+        return first_edge("capped_concave", {
+            "capacity": capacity,
+            "gain": {"kind": "piecewise_linear", "points": [list(p) for p in points]}})
+
     return {
         "string_fee": (edge_field("fee", "0.5"), "fee must be a real number"),
-        "nan_fee": (edge_field("fee", float("nan")), "fee must be finite"),
+        "nan_fee": (edge_field("fee", nan), "fee must be finite"),
         "negative_node": (edge_field("nodes", [-1, 0]), "edge node must be nonnegative"),
         "fractional_n": (lambda doc: doc.__setitem__("n", 2.7), "n must be an integer"),
+        "nan_reserve": (first_edge("product_market", {"reserves": [nan, 1.0]}),
+                        "reserves must be two positive finite numbers"),
+        "inf_reserve": (first_edge("product_market", {"reserves": [1.0, inf]}),
+                        "reserves must be two positive finite numbers"),
+        "nan_weight": (utility(lambda n: {"kind": "linear", "c": [nan] + [1.0] * (n - 1)}),
+                       "c must hold finite numbers"),
+        "nan_mu": (utility(lambda n: {"kind": "quadratic", "c": [1.0] * n, "mu": nan}),
+                   "mu must be positive and finite"),
+        "inf_mu": (utility(lambda n: {"kind": "quadratic", "c": [1.0] * n, "mu": inf}),
+                   "mu must be positive and finite"),
+        "nan_edge_utility": (edge_field("edge_utility", [nan, 0.0]),
+                             "edge utility must hold finite numbers"),
+        "nan_tick_price": (first_edge("linear_tick", {"price": nan, "cap": 1.0}),
+                           "price and cap must be positive and finite"),
+        "nan_capacity": (capped(nan), "capacity must be positive and finite"),
+        "nan_half_line_cap": (first_edge("half_line", {"cap": nan}, nodes=(0,)),
+                              "cap must be nonnegative"),
+        "nan_threshold": (utility(lambda n: {"kind": "threshold", "b": nan}),
+                          "b must be finite"),
+        "nan_gain_point": (capped(1.0, points=((0.5, nan), (2.0, 1.0))),
+                           "breakpoints must be finite numbers"),
     }
 
 

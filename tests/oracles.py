@@ -17,7 +17,7 @@ from convexflow.model import Instance, net_flow
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
                              LinearTickEdge, ProductMarketEdge, as_vector,
                              scaled_tol)
-from convexflow.solver import _fallback_maximizer, solve
+from convexflow.solver import solve
 
 
 def _frontier_max(xs: np.ndarray, ys: np.ndarray, xi) -> float:
@@ -181,22 +181,65 @@ def brute_force_reference(instance, opts=None):
     return best, best_pattern, evaluated
 
 
+def fallback_maximizer_reference(flow_set: FlowSet, xi: np.ndarray) -> np.ndarray:
+    """A point of the set near the supremum at prices where it is unattained:
+    the maximizer at the prices with zero components floored."""
+    floor = 1e-12 * max(1.0, float(np.max(xi, initial=0.0)))
+    point = flow_set.support(np.maximum(xi, floor)).point
+    if point is None:
+        return np.zeros(flow_set.dim)
+    return point
+
+
+def evaluate_dual_reference(instance, nu, tie_tol: float = 1e-7):
+    """The dual at nu, one edge at a time through ``flow_set.support``:
+    (g, gradient, values, active, tied), with the solver's rule (scale =
+    max(1, |f|, q); active when f >= q - tie_tol * scale, tied when
+    |f - q| <= tie_tol * scale) and g = inf at the first infinite term."""
+    v = np.maximum(as_vector(nu, instance.n), 0.0)
+    conj_value, conj_max = instance.utility.conjugate(v)
+    m = instance.m
+    values, active, tied = [math.nan] * m, [False] * m, [False] * m
+    if not math.isfinite(conj_value):
+        return math.inf, None, values, active, tied
+    g, grad = conj_value, np.zeros(instance.n)
+    for i, edge in enumerate(instance.edges):
+        xi = v[list(edge.nodes)]
+        value, point = edge.flow_set.support(xi)
+        values[i] = value
+        if not math.isfinite(value):
+            active[i] = True
+            return math.inf, None, values, active, tied
+        scale = max(1.0, abs(value), abs(edge.fee))
+        active[i] = value >= edge.fee - tie_tol * scale
+        tied[i] = abs(value - edge.fee) <= tie_tol * scale
+        g += max(value - edge.fee, 0.0)
+        if active[i]:
+            if point is None:
+                point = fallback_maximizer_reference(edge.flow_set, xi)
+            grad[list(edge.nodes)] += point
+    if conj_max is None:
+        return g, np.zeros(instance.n), values, active, tied
+    return g, grad - conj_max, values, active, tied
+
+
 def recover_primal_reference(state, instance, max_tie_enum: int):
     """(value, activations, y_hat) of the best tie pattern, one pattern at a
     time: the base pattern first, then masks 0 .. 2^t - 1, first best kept."""
     def candidate(active):
         flows = []
-        for i, (edge, record) in enumerate(zip(instance.edges, state.records)):
-            point = record.maximizer
+        for i, edge in enumerate(instance.edges):
+            point = state.points[i]
             if active[i] and point is None:
-                point = _fallback_maximizer(edge.flow_set, state.xi[i])
+                point = fallback_maximizer_reference(edge.flow_set,
+                                                     state.nu[list(edge.nodes)])
             flows.append(point if active[i] else np.zeros(edge.degree))
         y = net_flow(instance, flows)
         fees = sum(edge.fee for edge, on in zip(instance.edges, active) if on)
         return instance.utility.value(y) - fees, active, y
 
-    base = np.array([r.active for r in state.records], dtype=bool)
-    tied = [i for i, r in enumerate(state.records) if r.tied]
+    base = np.array(state.active, dtype=bool)
+    tied = [i for i, t in enumerate(state.tied) if t]
     best = candidate(base)
     if 0 < len(tied) <= max_tie_enum:
         for mask in range(2 ** len(tied)):

@@ -174,18 +174,18 @@ def test_criterion_2_gradient_and_weak_duality(rng):
         inst = mixed_random_instance(rng, n_max=8, m_max=16, fee_hi=1.0)
         nu = rng.uniform(0.2, 2.0, size=inst.n)
         g, grad, state = dual_value_and_gradient(inst, nu)
-        if min(abs(r.value - e.fee) for r, e in
-               zip(state.records, inst.edges)) <= 1e-4:
+        if min(abs(v - e.fee) for v, e in
+               zip(state.values, inst.edges)) <= 1e-4:
             continue  # tie-free points only
         numeric = central_difference(
             lambda v: dual_value_and_gradient(inst, v)[0], nu, h=1e-6)
         scale = max(1.0, float(np.abs(grad).max()))
         worst_grad = max(worst_grad, float(np.abs(grad - numeric).max()) / scale)
         # weak duality at this dual point against a feasible primal
-        flows = [r.maximizer if (r.active and r.maximizer is not None)
+        flows = [p if (a and p is not None)
                  else np.zeros(e.degree)
-                 for r, e in zip(state.records, inst.edges)]
-        active = [r.active and r.maximizer is not None for r in state.records]
+                 for a, p, e in zip(state.active, state.points, inst.edges)]
+        active = [a and p is not None for a, p in zip(state.active, state.points)]
         primal = inst.utility.value(net_flow(inst, flows)) - sum(
             e.fee for e, on in zip(inst.edges, active) if on)
         assert primal <= g + 1e-9 * (1.0 + abs(g))

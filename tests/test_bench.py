@@ -120,12 +120,3 @@ class TestSweep:
             row = run_cell(BenchConfig(n=10, mu=0.0, q0=0.01, seed=seed))
             assert row.status == "ok"
             assert row.rel_gap <= 1e-6
-
-    def test_thread_cap_env_var(self, monkeypatch):
-        import convexflow.bench as bench_mod
-
-        monkeypatch.setenv("CONVEXFLOW_THREADS", "2")
-        assert bench_mod._pool_size() == 2
-        monkeypatch.setenv("CONVEXFLOW_THREADS", "1")
-        rows = run_bench(grid_configs([4], [0.0], [0.01], [0, 1]))
-        assert [r.seed for r in rows] == [0, 1]

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from convexflow.calculus import intersection, minkowski_sum
+from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import (EdgeUtilityNotSupported, InfeasibleProblemError,
                                UnboundedProblemError)
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
-                              ThresholdUtility)
+                              ThresholdUtility, build_dual_view)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
-                             ProductMarketEdge)
-from convexflow.solver import (SolveReport, SolverOptions, dual_value_and_gradient,
-                               minimize_dual, recover_primal, report_to_document,
-                               solve, verify_optimality)
+                             PiecewiseLinearGain, ProductMarketEdge)
+from convexflow.solver import (SolveReport, SolverOptions, _evaluate, _program,
+                               dual_value_and_gradient, minimize_dual,
+                               recover_primal, report_to_document, solve,
+                               verify_optimality)
 
-from oracles import central_difference, recover_primal_reference
+from conftest import builtin_families
+from oracles import (central_difference, evaluate_dual_reference,
+                     recover_primal_reference)
 
 
 def capped_instance(fee, c=(1.0, 4.0), mu=None):
@@ -51,13 +56,13 @@ class TestDualValueAndGradient:
         inst = capped_instance(0.5)
         g, grad, state = dual_value_and_gradient(inst, [1.0, 4.0])
         assert g == pytest.approx(0.5)
-        assert state.records[0].active and not state.records[0].tied
+        assert state.active[0] and not state.tied[0]
 
     def test_inactive_edge_term(self):
         inst = capped_instance(2.0)
         g, grad, state = dual_value_and_gradient(inst, [1.0, 4.0])
         assert g == 0.0
-        assert not state.records[0].active
+        assert not state.active[0]
 
     def test_gradient_reduces_to_conjugate_part(self):
         # fee too high for any activation: only the network term varies
@@ -84,6 +89,149 @@ class TestDualValueAndGradient:
                         utility=LinearUtility([1.0, 4.0]))
         with pytest.raises(EdgeUtilityNotSupported):
             dual_value_and_gradient(inst, [1.0, 4.0])
+
+
+def every_kind_instance(rng, n, utility, with_intersection=False):
+    """One edge of every built-in family, a Minkowski sum and, optionally,
+    an intersection (the default kernel, through ``support``), on random
+    nodes with random fees."""
+    def pair():
+        return tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+
+    def uniform(lo=0.5, hi=2.0):
+        return float(rng.uniform(lo, hi))
+
+    sets = [CappedConcaveEdge(capacity=uniform()),
+            CappedConcaveEdge(gain=PiecewiseLinearGain([(0.4, 0.5), (1.0, 0.8), (2.0, 1.0)]),
+                              capacity=2.0),
+            LinearTickEdge(price=uniform(), cap=uniform()),
+            ProductMarketEdge(rng.uniform(1.0, 5.0, size=2)),
+            ProductMarketEdge(rng.uniform(1.0, 5.0, size=2)),
+            minkowski_sum(CappedConcaveEdge(capacity=uniform()),
+                          LinearTickEdge(price=uniform(), cap=uniform()))]
+    if with_intersection:
+        sets.append(intersection(LinearTickEdge(price=uniform(), cap=uniform()),
+                                 CappedConcaveEdge(capacity=uniform())))
+    edges = [Edge(s, pair(), fee=uniform(0.0, 0.6)) for s in sets]
+    edges.append(Edge(HalfLineEdge(uniform()), (int(rng.integers(0, n)),), fee=uniform(0.0, 0.6)))
+    order = rng.permutation(len(edges))
+    return Instance(n=n, edges=tuple(edges[i] for i in order), utility=utility)
+
+
+def prices_with_zeros(rng, n):
+    nu = rng.uniform(0.0, 2.0, size=n)
+    nu[rng.random(n) < 0.3] = 0.0
+    return nu
+
+
+class TestEvaluatorMatchesReference:
+    """The single evaluator against a per-edge loop through ``support``."""
+
+    def assert_same(self, inst, nu):
+        g, grad, state = dual_value_and_gradient(inst, nu)
+        ref_g, ref_grad, values, active, tied = evaluate_dual_reference(inst, nu)
+        if ref_g == math.inf:
+            assert g == math.inf and grad is None
+            return state
+        assert g == pytest.approx(ref_g, rel=1e-12, abs=1e-12)
+        assert grad == pytest.approx(ref_grad, rel=1e-12, abs=1e-12)
+        assert state.values == pytest.approx(values, rel=1e-12, abs=1e-12, nan_ok=True)
+        assert state.active == active and state.tied == tied
+        return state
+
+    def test_every_family_at_prices_with_zeros(self, rng):
+        unattained = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            utility = QuadraticUtility(rng.uniform(0.5, 1.5, size=n), float(rng.uniform(0.1, 1.0)))
+            inst = every_kind_instance(rng, n, utility)
+            for _ in range(5):
+                nu = prices_with_zeros(rng, n)
+                state = self.assert_same(inst, nu)
+                unattained += sum(
+                    e.flow_set.kernel(nu[list(e.nodes)].tolist())[1] is None
+                    for e in inst.edges)
+        assert unattained > 0  # product markets with one zero price were hit
+
+    def test_intersection_set_default_kernel(self, rng):
+        for _ in range(3):
+            utility = QuadraticUtility(rng.uniform(0.5, 1.5, size=3), 0.3)
+            inst = every_kind_instance(rng, 3, utility, with_intersection=True)
+            self.assert_same(inst, rng.uniform(0.1, 2.0, size=3))
+
+    def test_linear_and_threshold_utilities(self, rng):
+        for _ in range(10):
+            c = rng.uniform(0.5, 1.5, size=4)
+            inst = every_kind_instance(rng, 4, LinearUtility(c))
+            self.assert_same(inst, c)
+            self.assert_same(inst, c + 0.1)  # off the conjugate's domain: g = inf
+        for _ in range(10):
+            edges = tuple(Edge(HalfLineEdge(float(w)), (0,), fee=float(q))
+                          for w, q in rng.uniform(0.5, 3.0, size=(4, 2)))
+            inst = Instance(n=1, edges=edges, utility=ThresholdUtility(4.0))
+            for nu in (0.0, 1.0, float(rng.uniform(0.0, 3.0))):
+                self.assert_same(inst, [nu])
+
+    def test_near_ties(self, rng):
+        # fees within a few tie tolerances of the support at nu = 1, on
+        # supports of 5 to 20, where the scaled and the unscaled rule differ
+        for _ in range(10):
+            weights = rng.uniform(5.0, 20.0, size=8)
+            offsets = rng.choice([0.0, 5e-8, -5e-8, 5e-7, -5e-7, 5e-6, -5e-6], size=8)
+            edges = tuple(Edge(HalfLineEdge(float(w)), (0,), fee=float(w * (1.0 + d)))
+                          for w, d in zip(weights, offsets))
+            inst = Instance(n=1, edges=edges, utility=ThresholdUtility(30.0))
+            state = self.assert_same(inst, [1.0])
+            assert 0 < sum(state.tied) < inst.m
+
+    def test_unbounded_half_line_is_infinite(self, rng):
+        edges = (Edge(ProductMarketEdge([2.0, 3.0]), (0, 1), fee=0.1),
+                 Edge(HalfLineEdge(math.inf), (1,), fee=0.2))
+        inst = Instance(n=2, edges=edges, utility=QuadraticUtility([1.0, 1.0], 0.5))
+        assert self.assert_same(inst, [0.5, 0.7]).g == math.inf
+        assert self.assert_same(inst, [0.5, 0.0]).g < math.inf  # zero price: finite
+
+    def test_conic_terms_and_dual_view_agree(self, rng):
+        # ClippedCone.support at (xi, q) is each edge term of solve_conic
+        for _ in range(20):
+            utility = QuadraticUtility(rng.uniform(0.5, 1.5, size=4), 0.4)
+            inst = every_kind_instance(rng, 4, utility)
+            nu = prices_with_zeros(rng, 4)
+            g = dual_value_and_gradient(inst, nu)[0]
+            conic_g = utility.conjugate(nu)[0] + sum(
+                ClippedCone(FlowCone(e.flow_set)).support(np.append(nu[list(e.nodes)], e.fee)).value
+                for e in inst.edges)
+            assert g == pytest.approx(conic_g, rel=1e-12, abs=1e-12)
+            if np.all(np.isin(np.arange(4), [v for e in inst.edges for v in e.nodes])):
+                view = build_dual_view(inst)
+                assert view.dual_objective(nu) == g
+                assert view.dual_objective(nu - 1.0) == math.inf
+
+    def test_masked_edges_evaluate_as_the_sub_instance(self, rng):
+        for _ in range(20):
+            utility = QuadraticUtility(rng.uniform(0.5, 1.5, size=4), 0.4)
+            inst = every_kind_instance(rng, 4, utility)
+            on = [bool(b) for b in rng.integers(0, 2, size=inst.m)]
+            sub = Instance(n=4, edges=tuple(e for e, k in zip(inst.edges, on) if k),
+                           utility=utility)
+            nu = prices_with_zeros(rng, 4)
+            masked = _evaluate(utility, _program(inst.edges), nu, 1e-7, on)
+            alone = _evaluate(utility, _program(sub.edges), nu, 1e-7)
+            assert masked.g == alone.g
+            assert np.array_equal(masked.gradient, alone.gradient)
+            assert [a for a, k in zip(masked.active, on) if k] == alone.active
+
+
+@pytest.mark.parametrize("name", sorted(builtin_families()) + ["minkowski_sum"])
+def test_support_equals_kernel(name, rng):
+    summed = minkowski_sum(ProductMarketEdge([2.0, 3.0]), CappedConcaveEdge(capacity=1.0))
+    the_set = {**builtin_families(), "minkowski_sum": summed}[name]
+    for _ in range(50):
+        xi = prices_with_zeros(rng, the_set.dim)
+        value, point = the_set.support(xi)
+        k_value, k_point = the_set.kernel(xi.tolist())
+        assert value == k_value
+        assert (point is None and k_point is None) or point.tolist() == list(k_point)
 
 
 class TestMinimizeDual:
@@ -138,7 +286,7 @@ class TestMinimizeDual:
         state = minimize_dual(inst)
         assert state.nu == pytest.approx([1.0])
         assert state.g == pytest.approx(-5.0)
-        assert all(r.tied for r in state.records)
+        assert all(state.tied)
 
     def test_threshold_infeasible(self):
         inst = Instance(n=1, edges=(Edge(HalfLineEdge(2.0), (0,), fee=2.0),),
@@ -274,7 +422,7 @@ class TestInvariants:
             nu = rng.uniform(0.2, 2.0, size=inst.n)
             g, grad, state = dual_value_and_gradient(inst, nu)
             # tie-free points only: the dual is differentiable there
-            if min(abs(r.value - e.fee) for r, e in zip(state.records, inst.edges)) <= 1e-4:
+            if min(abs(v - e.fee) for v, e in zip(state.values, inst.edges)) <= 1e-4:
                 continue
             numeric = central_difference(
                 lambda v: dual_value_and_gradient(inst, v)[0], nu)
@@ -302,12 +450,9 @@ class TestInvariants:
                             utility=inst.utility)
         _, _, state2 = dual_value_and_gradient(shuffled, nu)
         for k, i in enumerate(perm):
-            a, b = state.records[i], state2.records[k]
-            assert a.value == b.value and a.active == b.active
-            if a.maximizer is None:
-                assert b.maximizer is None
-            else:
-                assert np.array_equal(a.maximizer, b.maximizer)
+            assert state.values[i] == state2.values[k]
+            assert state.active[i] == state2.active[k]
+            assert state.points[i] == state2.points[k]
 
     def test_repeat_evaluation_bit_identical(self, rng):
         inst = random_instance(rng)
