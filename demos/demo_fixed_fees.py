@@ -9,8 +9,7 @@ primal value and the dual bound, within (n + 1) max fee of each other.
 
 import numpy as np
 
-from convexflow import (CappedConcaveEdge, Edge, FeeProblem, Instance,
-                        ProductMarketEdge, QuadraticUtility,
+from convexflow import (Edge, Instance, ProductMarketEdge, QuadraticUtility,
                         brute_force_optimum, gap_bounds, round_relaxation,
                         solve)
 from convexflow.bench import gen_knapsack_instance
@@ -25,8 +24,7 @@ edges = tuple(
 inst = Instance(n=3, edges=edges,
                 utility=QuadraticUtility(rng.uniform(0.8, 1.4, size=3), 0.2))
 
-problem = FeeProblem(inst)
-report = problem.relax()
+report = solve(inst)
 bounds = gap_bounds(report, inst)
 reference = brute_force_optimum(inst)
 print("fixed-fee instance with 6 markets on 3 assets")

@@ -12,7 +12,7 @@ from .conic import ClippedCone, ConicInstance, FlowCone, conic_rewrite
 from .errors import (ConvexFlowError, EdgeUtilityNotSupported,
                      EnumerationBudgetError, InfeasibleProblemError,
                      IsolatedNodeError, SchemaError, UnboundedProblemError)
-from .fees import (BruteForceResult, FeeProblem, GapBounds, RoundedSolution,
+from .fees import (BruteForceResult, GapBounds, RoundedSolution,
                    brute_force_optimum, gap_bounds, q_membership,
                    round_relaxation)
 from .model import (DualInstanceView, Edge, Instance, LinearUtility,

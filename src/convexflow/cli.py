@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bench, fees, model, solver
-from .errors import ConvexFlowError
+from .errors import ConvexFlowError, SchemaError
 
 
 def _write_json(doc: dict, path: str | None):
@@ -33,6 +33,21 @@ def _write_json(doc: dict, path: str | None):
 def _load_instance(path: str) -> model.Instance:
     with open(path, encoding="utf-8") as handle:
         return model.loads(handle.read())
+
+
+def _solution_points(doc) -> list[tuple[np.ndarray, float]]:
+    """The (x, lambda) of each edge of a solution document."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
+        raise SchemaError("solution document must be an object with an edges array")
+    points = []
+    for i, entry in enumerate(doc["edges"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"solution edge {i}: must be an object")
+        try:
+            points.append((np.asarray(entry["x"], dtype=float), float(entry["lambda"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"solution edge {i}: {exc}") from exc
+    return points
 
 
 def _floats(text: str) -> list[float]:
@@ -77,9 +92,7 @@ def _cmd_round(args) -> int:
     instance = _load_instance(args.input)
     with open(args.solution, encoding="utf-8") as handle:
         doc = json.load(handle)
-    points = [(np.asarray(e["x"], dtype=float), float(e["lambda"]))
-              for e in doc["edges"]]
-    rounded = fees.round_relaxation(instance, points)
+    rounded = fees.round_relaxation(instance, _solution_points(doc))
     _write_json({
         "objective": rounded.objective,
         "fee_delta": rounded.fee_delta,
@@ -152,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConvexFlowError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ConvexFlowError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,19 +27,6 @@ from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
 
-class FeeProblem:
-    """An instance with fees plus the clipped cones of its edge sets."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.clipped_cones = tuple(ClippedCone(FlowCone(edge.flow_set))
-                                   for edge in instance.edges)
-
-    def relax(self, opts: SolverOptions | None = None) -> SolveReport:
-        """Solve the convex relaxation (dual decomposition over conv(Q_i))."""
-        return _solver.solve(self.instance, opts)
-
-
 def q_membership(flow_set: FlowSet, x, lam: float, tol: float = DEFAULT_TOL) -> bool:
     """(x, lam) in Q = {0} ∪ (T × {-1}), with tolerances."""
     v = as_vector(x, flow_set.dim)

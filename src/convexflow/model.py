@@ -14,6 +14,12 @@ and every edge subproblem sees the pulled price ``xi_i = nu[nodes_i]``
 with nu >= 0.  With this convention the fee dual's edge terms are support
 functions of the flow sets less the fee, which is exactly what the
 solver evaluates.
+
+Each utility's ``conjugate(nu)`` is the solver's one call per dual
+evaluation, so it computes on Python floats: it takes the solver's price
+list as it is (any other vector goes through ``as_vector``) and returns
+the value with a maximizer as a list of floats, or None when there is no
+unique one.
 """
 
 from __future__ import annotations
@@ -45,11 +51,25 @@ def _weights(c: Sequence[float]) -> np.ndarray:
     return v
 
 
+def _prices(nu, dim: int) -> list[float]:
+    """nu as a list of floats.  The solver's own price lists pass through;
+    anything else goes through ``as_vector``."""
+    if type(nu) is list and len(nu) == dim:
+        return nu
+    return as_vector(nu, dim).tolist()
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(operator.mul, a, b))
+
+
 class LinearUtility:
     """U(y) = c @ y."""
 
     def __init__(self, c: Sequence[float]):
         self.c = _weights(c)
+        self._c = self.c.tolist()
+        self._tol = 1e-12 * max(1.0, max(map(abs, self._c), default=0.0))
 
     @property
     def dim(self) -> int:
@@ -62,11 +82,10 @@ class LinearUtility:
         """U at each row of ys."""
         return ys @ self.c
 
-    def conjugate(self, nu) -> tuple[float, np.ndarray | None]:
+    def conjugate(self, nu) -> tuple[float, None]:
         """sup_y U(y) - nu @ y: 0 on nu = c, +inf elsewhere (no unique maximizer)."""
-        v = as_vector(nu, self.dim)
-        scale = max(1.0, float(np.max(np.abs(self.c))) if self.c.size else 1.0)
-        if np.max(np.abs(v - self.c), initial=0.0) <= 1e-12 * scale:
+        prices = _prices(nu, self.dim)
+        if all(abs(p - c) <= self._tol for p, c in zip(prices, self._c)):
             return 0.0, None
         return math.inf, None
 
@@ -80,6 +99,7 @@ class QuadraticUtility:
 
     def __init__(self, c: Sequence[float], mu: float):
         self.c = _weights(c)
+        self._c = self.c.tolist()
         if not 0.0 < mu < math.inf:
             raise ValueError("mu must be positive and finite")
         self.mu = float(mu)
@@ -95,11 +115,11 @@ class QuadraticUtility:
         """U at each row of ys."""
         return ys @ self.c - 0.5 * self.mu * np.einsum("ij,ij->i", ys, ys)
 
-    def conjugate(self, nu) -> tuple[float, np.ndarray]:
-        v = as_vector(nu, self.dim)
-        diff = self.c - v
-        maximizer = diff / self.mu
-        return float(diff @ diff) / (2.0 * self.mu), maximizer
+    def conjugate(self, nu) -> tuple[float, list[float]]:
+        """(c - nu) @ (c - nu) / (2 mu), attained at y = (c - nu) / mu."""
+        diff = list(map(operator.sub, self._c, _prices(nu, self.dim)))
+        mu = self.mu
+        return _dot(diff, diff) / (2.0 * mu), [d / mu for d in diff]
 
 
 class ThresholdUtility:
@@ -125,11 +145,11 @@ class ThresholdUtility:
         """U at each row of ys."""
         return np.where(ys[:, 0] >= self.b - scaled_tol(1e-9, self.b), 0.0, -math.inf)
 
-    def conjugate(self, nu) -> tuple[float, np.ndarray | None]:
-        v = as_vector(nu, 1)
-        if v[0] < 0.0:
+    def conjugate(self, nu) -> tuple[float, list[float] | None]:
+        price = _prices(nu, 1)[0]
+        if price < 0.0:
             return math.inf, None
-        return -float(v[0]) * self.b, np.array([self.b])
+        return -price * self.b, [self.b]
 
 
 Utility = LinearUtility | QuadraticUtility | ThresholdUtility
@@ -255,7 +275,7 @@ class DualInstanceView:
 
     instance: Instance
     degrees: np.ndarray
-    conjugate: Callable[[np.ndarray], tuple[float, np.ndarray | None]]
+    conjugate: Callable[[np.ndarray], tuple[float, list[float] | None]]
     polar_oracles: tuple[Callable[..., bool], ...] = field(repr=False)
 
     def dual_objective(self, nu) -> float:
@@ -264,11 +284,11 @@ class DualInstanceView:
         lies on an edge and every support is infinite there."""
         from .solver import _evaluate, _program  # local import: solver depends on model
 
-        v = as_vector(nu, self.instance.n)
-        if (v < 0.0).any():
+        prices = as_vector(nu, self.instance.n).tolist()
+        if any(x < 0.0 for x in prices):
             return math.inf
         # the tie tolerance moves activations only, never g
-        return _evaluate(self.instance.utility, _program(self.instance.edges), v, 0.0).g
+        return _evaluate(self.instance.utility, _program(self.instance.edges), prices, 0.0).g
 
 
 def build_dual_view(instance: Instance) -> DualInstanceView:
@@ -299,6 +319,8 @@ def _encode_gain(gain) -> dict:
 
 
 def _decode_gain(doc: dict):
+    if not isinstance(doc, dict):
+        raise SchemaError("gain must be an object")
     kind = doc.get("kind")
     if kind == "rational":
         return RationalGain()
@@ -321,6 +343,8 @@ def _encode_set(the_set: FlowSet) -> tuple[str, dict]:
 
 
 def _decode_set(kind: str, params: dict) -> FlowSet:
+    if not isinstance(params, dict):
+        raise SchemaError("set params must be an object")
     try:
         if kind == "capped_concave":
             return CappedConcaveEdge(gain=_decode_gain(params["gain"]),
@@ -331,7 +355,7 @@ def _decode_set(kind: str, params: dict) -> FlowSet:
             return ProductMarketEdge(params["reserves"])
         if kind == "half_line":
             return HalfLineEdge(params["cap"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad parameters for set kind {kind!r}: {exc}") from exc
     raise SchemaError(f"unknown set kind: {kind!r}")
 
@@ -356,7 +380,7 @@ def _decode_utility(doc: dict) -> Utility:
             return QuadraticUtility(doc["c"], doc["mu"])
         if kind == "threshold":
             return ThresholdUtility(doc["b"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad parameters for utility kind {kind!r}: {exc}") from exc
     raise SchemaError(f"unknown utility kind: {kind!r}")
 
@@ -398,12 +422,12 @@ def from_document(doc: dict) -> Instance:
             edges.append(Edge(flow_set=the_set, nodes=tuple(edge_doc["nodes"]),
                               fee=edge_doc.get("fee", 0.0),
                               edge_utility=None if utility is None else tuple(utility)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"edge {i}: {exc}") from exc
     try:
         return Instance(n=doc["n"], edges=tuple(edges),
                         utility=_decode_utility(doc["utility"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -414,8 +438,10 @@ def dumps(instance: Instance, meta: dict | None = None) -> str:
 
 
 def loads(text: str) -> Instance:
+    # ValueError: bad JSON or an integer too long to convert;
+    # RecursionError: arrays or objects nested too deeply to decode
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return from_document(doc)

@@ -14,9 +14,17 @@ caller: the minimizers below, ``solve_conic`` (whose clipped-cone support
 at price (xi_i, q_i) is the same edge term), ``DualInstanceView`` and the
 brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
 fee)`` triples built once per instance, where ``kernel`` is the edge
-set's float support oracle (``FlowSet.kernel``); prices, maximizers and
-the gradient stay Python floats until the gradient is returned, and an
-optional edge mask evaluates a sub-instance without building it.
+set's float support oracle (``FlowSet.kernel``), and an optional edge
+mask evaluates a sub-instance without building it.
+
+The evaluator and the minimizers run on Python floats end to end: prices,
+maximizers, the conjugate (``utility.conjugate``), the gradient, the
+L-BFGS direction and history, and the threshold scan are float lists,
+because the instances the fee checks solve thousands of times have one
+to four nodes, where a numpy call costs more than the arithmetic it does.
+Numpy appears only where a state leaves the solver: the ``DualState``
+returned by ``minimize_dual`` and ``dual_value_and_gradient`` holds numpy
+``nu`` and ``gradient``, and ``SolveReport`` its numpy fields.
 
 Utility branches:
 
@@ -38,6 +46,7 @@ true optimum in every case.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -48,7 +57,7 @@ from .conic import ConicInstance
 from .errors import (EdgeUtilityNotSupported, InfeasibleProblemError,
                      UnboundedProblemError)
 from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
-                    ThresholdUtility, Utility)
+                    ThresholdUtility, Utility, _dot)
 from .sets import as_vector
 
 # one entry per edge: (the flow set's kernel, the edge's nodes, its fee)
@@ -79,6 +88,9 @@ class DualState:
     active edge whose supremum is unattained, a feasible near-maximizer;
     otherwise None when unattained), ``active[i]`` the integral
     activation and ``tied[i]`` whether that decision was a tie.
+
+    Inside the solver ``nu``, ``gradient`` and ``conjugate_maximizer`` are
+    lists of floats; the states it returns hold them as numpy arrays.
     """
 
     nu: np.ndarray
@@ -145,25 +157,24 @@ def _program(edges: Sequence[Edge]) -> Program:
     return [(edge.flow_set.kernel, edge.nodes, edge.fee) for edge in edges]
 
 
-def _evaluate(utility: Utility, program: Program, nu, tie_tol: float,
+def _evaluate(utility: Utility, program: Program, prices: list[float], tie_tol: float,
               on: Sequence[bool] | None = None) -> DualState:
-    """g and a supergradient at nu (clamped to >= 0), over the edges of
-    ``program`` for which ``on`` is true (all of them by default).
+    """g and a supergradient at ``prices``, a list of nonnegative floats,
+    over the edges of ``program`` for which ``on`` is true (all of them by
+    default).  The state's ``nu`` is ``prices`` and its gradient a list.
 
     An edge is active when f_i >= q_i - tie_tol * scale and tied when
     |f_i - q_i| <= tie_tol * scale, with scale = max(1, |f_i|, q_i).
     The evaluation stops at the first infinite term, with g = inf.
     """
-    v = np.maximum(as_vector(nu, utility.dim), 0.0)
-    conj_value, conj_max = utility.conjugate(v)
+    conj_value, conj_max = utility.conjugate(prices)
     m = len(program)
-    state = DualState(nu=v, g=math.inf, gradient=None, values=[math.nan] * m,
+    state = DualState(nu=prices, g=math.inf, gradient=None, values=[math.nan] * m,
                       points=[None] * m, active=[False] * m, tied=[False] * m,
                       conjugate_value=conj_value, conjugate_maximizer=conj_max)
     if not math.isfinite(conj_value):
         return state
     values, points, active, tied = state.values, state.points, state.active, state.tied
-    prices = v.tolist()
     grad = [0.0] * len(prices)
     g = conj_value
     for i, (kernel, nodes, fee) in enumerate(program):
@@ -190,70 +201,88 @@ def _evaluate(utility: Utility, program: Program, nu, tie_tol: float,
     if conj_max is None:
         # linear utility: any y maximizes at nu = c; completing with the
         # scattered edge flows gives the zero supergradient
-        state.gradient = np.zeros(len(prices))
+        state.gradient = [0.0] * len(prices)
     else:
-        state.gradient = np.array(grad) - conj_max
+        state.gradient = list(map(operator.sub, grad, conj_max))
     return state
+
+
+def _with_arrays(state: DualState) -> DualState:
+    """The state as it leaves the solver: numpy ``nu``, ``gradient`` and
+    ``conjugate_maximizer``."""
+    state.nu = np.array(state.nu)
+    if state.gradient is not None:
+        state.gradient = np.array(state.gradient)
+    if state.conjugate_maximizer is not None:
+        state.conjugate_maximizer = np.array(state.conjugate_maximizer)
+    return state
+
+
+def _clamped(nu, dim: int) -> list[float]:
+    """nu as a list of floats, clamped to >= 0."""
+    return [max(x, 0.0) for x in as_vector(nu, dim).tolist()]
 
 
 def dual_value_and_gradient(instance: Instance, nu,
                             tie_tol: float = 1e-7) -> tuple[float, np.ndarray | None, DualState]:
     """Evaluate the dual function and a supergradient at nu (clamped to >= 0)."""
     _check_solvable(instance)
-    state = _evaluate(instance.utility, _program(instance.edges), nu, tie_tol)
+    prices = _clamped(nu, instance.n)
+    state = _with_arrays(_evaluate(instance.utility, _program(instance.edges), prices, tie_tol))
     return state.g, state.gradient, state
 
 
-def _two_loop(history, grad: np.ndarray) -> np.ndarray:
+def _two_loop(history, grad: list[float]) -> list[float]:
     """L-BFGS two-loop recursion: an approximation of H @ grad."""
-    q = grad.copy()
+    q = grad
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * (s @ q)
+        a = rho * _dot(s, q)
         alphas.append(a)
-        q -= a * y
+        q = [qj - a * yj for qj, yj in zip(q, y)]
     if history:
         s, y, _ = history[-1]
-        q *= (s @ y) / (y @ y)
+        gamma = _dot(s, y) / _dot(y, y)
+        q = [gamma * qj for qj in q]
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * (y @ q)
-        q += (a - b) * s
+        b = rho * _dot(y, q)
+        q = [qj + (a - b) * sj for qj, sj in zip(q, s)]
     return q
 
 
-def _minimize_projected_lbfgs(utility: Utility, program: Program, start: np.ndarray,
+def _minimize_projected_lbfgs(utility: Utility, program: Program, nu: list[float],
                               opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
-    nu = np.maximum(np.asarray(start, dtype=float), 0.0)
+    """Projected L-BFGS over nu >= 0 from the nonnegative start ``nu``."""
     state = _evaluate(utility, program, nu, opts.tie_tol, on)
     if not math.isfinite(state.g):
         raise UnboundedProblemError("dual function is infinite at the starting point")
-    history: list[tuple[np.ndarray, np.ndarray, float]] = []
+    history: list[tuple[list[float], list[float], float]] = []
     trace = [state.g] if opts.keep_trace else []
     iterations = 0
     converged = False
     for iterations in range(1, opts.max_iter + 1):
         grad = state.gradient
-        projected = nu - np.maximum(nu - grad, 0.0)
-        if float(np.max(np.abs(projected), initial=0.0)) <= opts.grad_tol:
+        projected = max(abs(x - max(x - d, 0.0)) for x, d in zip(nu, grad))
+        if projected <= opts.grad_tol:
             converged = True
             break
-        direction = -_two_loop(history, grad)
-        if grad @ direction >= 0.0:
+        direction = [-d for d in _two_loop(history, grad)]
+        if _dot(grad, direction) >= 0.0:
             history.clear()
-            direction = -grad
+            direction = [-d for d in grad]
         step = 1.0
         accepted = None
         for _ in range(opts.max_backtracks):
-            trial = np.maximum(nu + step * direction, 0.0)
-            delta = trial - nu
-            slope = float(grad @ delta)
-            if not np.any(delta):
+            trial = [max(x + step * d, 0.0) for x, d in zip(nu, direction)]
+            delta = list(map(operator.sub, trial, nu))
+            slope = _dot(grad, delta)
+            if not any(delta):
                 break
             if slope < 0.0:
                 trial_state = _evaluate(utility, program, trial, opts.tie_tol, on)
                 if (math.isfinite(trial_state.g)
                         and trial_state.g <= state.g + opts.armijo * slope):
-                    accepted = (trial, trial_state)
+                    accepted = (delta, trial, trial_state)
                     break
             step *= opts.backtrack
         if accepted is None:
@@ -261,11 +290,10 @@ def _minimize_projected_lbfgs(utility: Utility, program: Program, start: np.ndar
                 history.clear()  # retry the iteration from steepest descent
                 continue
             break
-        trial, trial_state = accepted
-        s = trial - nu
-        y = trial_state.gradient - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        s, trial, trial_state = accepted
+        y = list(map(operator.sub, trial_state.gradient, grad))
+        sy = _dot(s, y)
+        if sy > 1e-12 * (math.hypot(*s) * math.hypot(*y)):
             history.append((s, y, 1.0 / sy))
             if len(history) > opts.memory:
                 history.pop(0)
@@ -290,16 +318,15 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
     supply at unit price; the slope only changes at nu = q_i / h_i.
     """
     b = utility.b
-    kept = [entry for i, entry in enumerate(program) if on is None or on[i]]
-    heights = np.array([kernel([1.0])[0] for kernel, _, _ in kept])
-    fees = np.array([fee for _, _, fee in kept])
-    if np.any(~np.isfinite(heights)):
+    kept = [(kernel([1.0])[0], fee) for i, (kernel, _, fee) in enumerate(program)
+            if on is None or on[i]]
+    if not all(math.isfinite(h) for h, _ in kept):
         raise UnboundedProblemError("an edge has unbounded supply at unit price")
-    breakpoints = sorted({0.0} | {float(q / h) for q, h in zip(fees, heights) if h > 0.0})
+    breakpoints = sorted({0.0} | {q / h for h, q in kept if h > 0.0})
 
     def slope_after(point: float) -> float:
-        live = (heights > 0.0) & (fees < heights * point + 1e-15 * np.maximum(1.0, fees))
-        return float(-b + heights[live].sum())
+        return -b + sum(h for h, q in kept
+                        if h > 0.0 and q < h * point + 1e-15 * max(1.0, q))
 
     minimizer = None
     for point in breakpoints:
@@ -326,20 +353,21 @@ def _minimize(utility: Utility, program: Program, opts: SolverOptions,
     """``minimize_dual`` over the edges of ``program`` for which ``on`` is
     true, with the same result as on the instance of those edges alone."""
     if isinstance(utility, LinearUtility):
-        state = _evaluate(utility, program, utility.c, opts.tie_tol, on)
+        state = _evaluate(utility, program, _clamped(utility.c, utility.dim), opts.tie_tol, on)
         if not math.isfinite(state.g):
             raise UnboundedProblemError(
                 "the dual is infinite at nu = c, so the linear-utility "
                 "problem is unbounded above")
         state.iterations = 1
-        return state
-    if isinstance(utility, ThresholdUtility):
-        return _minimize_threshold(utility, program, opts, on)
-    if isinstance(utility, QuadraticUtility):
+    elif isinstance(utility, ThresholdUtility):
+        state = _minimize_threshold(utility, program, opts, on)
+    elif isinstance(utility, QuadraticUtility):
         start = opts.start if opts.start is not None else utility.c
-        return _minimize_projected_lbfgs(utility, program, np.asarray(start, dtype=float),
-                                         opts, on)
-    raise TypeError(f"unsupported utility type: {type(utility).__name__}")
+        state = _minimize_projected_lbfgs(
+            utility, program, _clamped(start, utility.dim), opts, on)
+    else:
+        raise TypeError(f"unsupported utility type: {type(utility).__name__}")
+    return _with_arrays(state)
 
 
 def recover_primal(state: DualState, instance: Instance,

@@ -12,12 +12,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from convexflow.errors import InfeasibleProblemError
-from convexflow.model import Instance, net_flow
+from convexflow.errors import InfeasibleProblemError, UnboundedProblemError
+from convexflow.model import (Instance, LinearUtility, QuadraticUtility,
+                              ThresholdUtility, net_flow)
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
                              LinearTickEdge, ProductMarketEdge, as_vector,
                              scaled_tol)
-from convexflow.solver import solve
+from convexflow.solver import SolverOptions, dual_value_and_gradient, solve
 
 
 def _frontier_max(xs: np.ndarray, ys: np.ndarray, xi) -> float:
@@ -92,7 +93,8 @@ def dense_degree(instance) -> np.ndarray:
     return np.diag(total)
 
 
-def central_difference(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def central_difference(fn, x, h: float = 1e-6) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     for j in range(x.size):
         step = np.zeros_like(x)
@@ -251,3 +253,111 @@ def recover_primal_reference(state, instance, max_tie_enum: int):
                 best = trial
     value, active, y = best
     return value, np.where(active, -1.0, 0.0), y
+
+
+def conjugate_reference(utility, nu):
+    """sup_y U(y) - nu @ y and its maximizer, in numpy vector arithmetic."""
+    v = as_vector(nu, utility.dim)
+    if isinstance(utility, LinearUtility):
+        scale = max(1.0, float(np.max(np.abs(utility.c))) if utility.c.size else 1.0)
+        if np.max(np.abs(v - utility.c), initial=0.0) <= 1e-12 * scale:
+            return 0.0, None
+        return math.inf, None
+    if isinstance(utility, QuadraticUtility):
+        diff = utility.c - v
+        return float(diff @ diff) / (2.0 * utility.mu), diff / utility.mu
+    if isinstance(utility, ThresholdUtility):
+        if v[0] < 0.0:
+            return math.inf, None
+        return -float(v[0]) * utility.b, np.array([utility.b])
+    raise TypeError(type(utility).__name__)
+
+
+def _two_loop_reference(history, grad: np.ndarray) -> np.ndarray:
+    """L-BFGS two-loop recursion on numpy vectors: an approximation of H @ grad."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * (s @ q)
+        alphas.append(a)
+        q -= a * y
+    if history:
+        s, y, _ = history[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        b = rho * (y @ q)
+        q += (a - b) * s
+    return q
+
+
+def lbfgs_reference(instance, opts: SolverOptions | None = None):
+    """(nu, g, iterations, converged) of the solver's projected L-BFGS on a
+    quadratic-utility instance, run on numpy vectors and evaluated through
+    ``dual_value_and_gradient``; the same steps, tests and stopping rule."""
+    opts = opts or SolverOptions()
+    start = opts.start if opts.start is not None else instance.utility.c
+
+    def evaluate(point):
+        g, grad, _ = dual_value_and_gradient(instance, point, opts.tie_tol)
+        return g, grad
+
+    nu = np.maximum(np.asarray(start, dtype=float), 0.0)
+    g, grad = evaluate(nu)
+    if not math.isfinite(g):
+        raise UnboundedProblemError("dual function is infinite at the starting point")
+    history = []
+    iterations = 0
+    converged = False
+    for iterations in range(1, opts.max_iter + 1):
+        projected = nu - np.maximum(nu - grad, 0.0)
+        if float(np.max(np.abs(projected), initial=0.0)) <= opts.grad_tol:
+            converged = True
+            break
+        direction = -_two_loop_reference(history, grad)
+        if grad @ direction >= 0.0:
+            history.clear()
+            direction = -grad
+        step = 1.0
+        accepted = None
+        for _ in range(opts.max_backtracks):
+            trial = np.maximum(nu + step * direction, 0.0)
+            delta = trial - nu
+            slope = float(grad @ delta)
+            if not np.any(delta):
+                break
+            if slope < 0.0:
+                trial_g, trial_grad = evaluate(trial)
+                if math.isfinite(trial_g) and trial_g <= g + opts.armijo * slope:
+                    accepted = (trial, trial_g, trial_grad)
+                    break
+            step *= opts.backtrack
+        if accepted is None:
+            if history:
+                history.clear()
+                continue
+            break
+        trial, trial_g, trial_grad = accepted
+        s, y = trial - nu, trial_grad - grad
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            history.append((s, y, 1.0 / sy))
+            if len(history) > opts.memory:
+                history.pop(0)
+        nu, g, grad = trial, trial_g, trial_grad
+    return nu, g, iterations, converged
+
+
+def threshold_minimizer_reference(instance) -> float:
+    """The minimizer of a threshold-utility dual by a breakpoint scan on
+    numpy arrays of edge heights (supply at unit price) and fees."""
+    b = instance.utility.b
+    heights = np.array([edge.flow_set.support([1.0]).value for edge in instance.edges])
+    fees = np.array([edge.fee for edge in instance.edges])
+    if np.any(~np.isfinite(heights)):
+        raise UnboundedProblemError("an edge has unbounded supply at unit price")
+    breakpoints = sorted({0.0} | {float(q / h) for q, h in zip(fees, heights) if h > 0.0})
+    for point in breakpoints:
+        live = (heights > 0.0) & (fees < heights * point + 1e-15 * np.maximum(1.0, fees))
+        if float(-b + heights[live].sum()) >= 0.0:
+            return point
+    raise InfeasibleProblemError("threshold dual decreases without bound")

@@ -41,6 +41,10 @@ class TestSolveCommand:
         assert run(["solve", "--input", "/does/not/exist.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_input_is_exit_2(self, tmp_path, capsys):
+        assert run(["solve", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_schema_error_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 9}')
@@ -71,6 +75,17 @@ class TestRoundCommand:
         doc = json.loads(rounded.read_text())
         assert doc["fee_delta"] >= 0.0
         assert set(np.unique([e["lambda"] for e in doc["edges"]])) <= {-1.0, 0.0}
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"edges": 5}', '{"edges": [1, 2, 3]}',
+                                      '{"edges": [{"x": [0, 0], "lambda": [1]}]}'],
+                             ids=["not_an_object", "edges_not_a_list", "entry_not_an_object",
+                                  "lambda_not_a_number"])
+    def test_malformed_solution_is_exit_2(self, tmp_path, capsys, text):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
+        sol.write_text(text)
+        assert run(["round", "--input", str(inst), "--solution", str(sol)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestKnapsackCommand:

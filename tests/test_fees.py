@@ -5,8 +5,8 @@ import pytest
 
 from convexflow.bench import gen_knapsack_instance
 from convexflow.errors import EnumerationBudgetError
-from convexflow.fees import (FeeProblem, brute_force_optimum, gap_bounds,
-                             q_membership, round_relaxation)
+from convexflow.fees import (brute_force_optimum, gap_bounds, q_membership,
+                             round_relaxation)
 from convexflow.model import Edge, Instance, LinearUtility, QuadraticUtility
 from convexflow.sets import CappedConcaveEdge, HalfLineEdge, ProductMarketEdge
 from convexflow.solver import SolverOptions, solve
@@ -228,12 +228,3 @@ class TestBracketOnRandomInstances:
             assert reference <= report.dual_value + 1e-6
             sf = (inst.n + 1) * inst.max_fee()
             assert report.dual_value - reference <= sf + 1e-6
-
-
-def test_fee_problem_bundles_cones():
-    inst = capped_fee_instance(0.5)
-    problem = FeeProblem(inst)
-    assert len(problem.clipped_cones) == 1
-    assert problem.clipped_cones[0].contains([-1.0, 0.5, -1.0])
-    report = problem.relax()
-    assert report.dual_value == pytest.approx(0.5)

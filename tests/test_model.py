@@ -342,3 +342,96 @@ class TestSerialization:
             model.loads("{not json")
         with pytest.raises(SchemaError):
             model.from_document({"version": 1})
+
+
+# --- every JSON value loads to an Instance or raises SchemaError -----------
+
+_SCHEMA_WORDS = ["version", "n", "utility", "edges", "kind", "params", "nodes", "fee",
+                 "edge_utility", "c", "mu", "b", "reserves", "cap", "price", "capacity",
+                 "gain", "points", "linear", "quadratic", "threshold", "product_market",
+                 "half_line", "linear_tick", "capped_concave", "rational", "piecewise_linear"]
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from(_SCHEMA_WORDS) | st.text(max_size=4))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_SCHEMA_WORDS) | st.text(max_size=3),
+                                     inner, max_size=5)),
+    max_leaves=20)
+
+
+def _valid_document():
+    return model.to_document(Instance(
+        n=3,
+        edges=(Edge(CappedConcaveEdge(capacity=2.0), (0, 1), fee=0.5),
+               Edge(CappedConcaveEdge(gain=PiecewiseLinearGain([(0.5, 1.0), (2.0, 1.5)]),
+                                      capacity=1.5), (1, 2)),
+               Edge(LinearTickEdge(price=1.1, cap=0.4), (0, 2), edge_utility=(0.0, 0.0)),
+               Edge(ProductMarketEdge([2.0, 3.0]), (2, 0)),
+               Edge(HalfLineEdge(2.5), (2,), fee=0.5)),
+        utility=QuadraticUtility([1.0, 1.0, 1.0], 0.5)))
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a document, the empty path (the root) included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+_VALID_PATHS = list(_paths(_valid_document()))
+
+
+@st.composite
+def _edited_documents(draw):
+    """A valid document with the value at one of its paths replaced."""
+    doc = _valid_document()
+    path = draw(st.sampled_from(_VALID_PATHS))
+    value = draw(_json_values)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _loads_or_schema_error(load, value):
+    try:
+        assert isinstance(load(value), Instance)
+    except SchemaError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_values | _edited_documents())
+def test_any_json_value_loads_or_raises_schema_error(doc):
+    _loads_or_schema_error(model.from_document, doc)
+    _loads_or_schema_error(model.loads, json.dumps(doc))
+
+
+def test_every_path_of_a_document_with_bad_values():
+    # each value of each kind at each key path of a valid document
+    bad = [None, True, -1, 10 ** 400, 1e308, float("nan"), "x", [], [None], {}, {"kind": None}]
+    for path in _VALID_PATHS:
+        for value in bad:
+            doc = _valid_document()
+            if path:
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+            else:
+                doc = value
+            _loads_or_schema_error(model.from_document, doc)
+            _loads_or_schema_error(model.loads, json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
+                         ids=["deep_nesting", "long_integer"])
+def test_pathological_text_raises_schema_error(text):
+    with pytest.raises(SchemaError):
+        model.loads(text)

@@ -11,14 +11,15 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility, build_dual_view)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
-from convexflow.solver import (SolveReport, SolverOptions, _evaluate, _program,
-                               dual_value_and_gradient, minimize_dual,
+from convexflow.solver import (SolveReport, SolverOptions, _evaluate, _minimize,
+                               _program, dual_value_and_gradient, minimize_dual,
                                recover_primal, report_to_document, solve,
                                verify_optimality)
 
 from conftest import builtin_families
-from oracles import (central_difference, evaluate_dual_reference,
-                     recover_primal_reference)
+from oracles import (central_difference, conjugate_reference,
+                     evaluate_dual_reference, lbfgs_reference,
+                     recover_primal_reference, threshold_minimizer_reference)
 
 
 def capped_instance(fee, c=(1.0, 4.0), mu=None):
@@ -215,8 +216,8 @@ class TestEvaluatorMatchesReference:
             sub = Instance(n=4, edges=tuple(e for e, k in zip(inst.edges, on) if k),
                            utility=utility)
             nu = prices_with_zeros(rng, 4)
-            masked = _evaluate(utility, _program(inst.edges), nu, 1e-7, on)
-            alone = _evaluate(utility, _program(sub.edges), nu, 1e-7)
+            masked = _evaluate(utility, _program(inst.edges), nu.tolist(), 1e-7, on)
+            alone = _evaluate(utility, _program(sub.edges), nu.tolist(), 1e-7)
             assert masked.g == alone.g
             assert np.array_equal(masked.gradient, alone.gradient)
             assert [a for a, k in zip(masked.active, on) if k] == alone.active
@@ -232,6 +233,122 @@ def test_support_equals_kernel(name, rng):
         k_value, k_point = the_set.kernel(xi.tolist())
         assert value == k_value
         assert (point is None and k_point is None) or point.tolist() == list(k_point)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic", "threshold"])
+def test_float_conjugate_matches_vector_formula(kind, rng):
+    for _ in range(40):
+        n = 1 if kind == "threshold" else int(rng.integers(1, 8))
+        c = rng.uniform(-1.0, 2.0, size=n) * 10.0 ** rng.integers(0, 4)
+        utility = {"linear": lambda: LinearUtility(c),
+                   "quadratic": lambda: QuadraticUtility(c, float(rng.uniform(0.05, 3.0))),
+                   "threshold": lambda: ThresholdUtility(float(rng.uniform(-5.0, 5.0)))}[kind]()
+        for nu in (prices_with_zeros(rng, n), rng.uniform(-1.0, 1.0, size=n), c,
+                   c * (1.0 + 1e-13), c + 1e-6):
+            value, point = utility.conjugate(nu.tolist())
+            ref_value, ref_point = conjugate_reference(utility, nu)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
+            assert (point is None) == (ref_point is None)
+            if point is not None:
+                assert isinstance(point, list)
+                assert point == pytest.approx(ref_point.tolist(), rel=1e-12, abs=1e-300)
+            assert utility.conjugate(nu) == utility.conjugate(nu.tolist())
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the solver error it raised."""
+    try:
+        return fn(*args)
+    except (InfeasibleProblemError, UnboundedProblemError) as exc:
+        return type(exc)
+
+
+class TestThresholdScanMatchesReference:
+    """The float breakpoint scan against the numpy scan it replaced."""
+
+    def assert_same(self, inst, on=None):
+        sub = inst if on is None else Instance(
+            n=1, edges=tuple(e for e, k in zip(inst.edges, on) if k), utility=inst.utility)
+
+        def scan():
+            state = _minimize(inst.utility, _program(inst.edges), SolverOptions(), on)
+            return state.nu.tolist(), state.g
+
+        def reference():
+            point = threshold_minimizer_reference(sub)
+            return [point], dual_value_and_gradient(sub, [point])[0]
+
+        got, expected = _outcome(scan), _outcome(reference)
+        assert got == expected
+        return got
+
+    def test_random_knapsacks_under_edge_masks(self, rng):
+        from convexflow.bench import gen_knapsack_instance
+
+        outcomes = set()
+        for _ in range(40):
+            weights = [int(w) for w in rng.integers(1, 21, size=int(rng.integers(1, 9)))]
+            inst = gen_knapsack_instance(weights, int(rng.integers(0, sum(weights) + 5)))
+            for _ in range(4):
+                on = [bool(k) for k in rng.integers(0, 2, size=inst.m)]
+                got = self.assert_same(inst, on)
+                outcomes.add(got if isinstance(got, type) else got[0][0])
+        assert {0.0, 1.0, InfeasibleProblemError} <= outcomes
+
+    def test_random_caps_and_fees_under_edge_masks(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(1, 9))
+            edges = tuple(Edge(HalfLineEdge(float(w)), (0,), fee=float(q))
+                          for w, q in rng.uniform(0.1, 5.0, size=(m, 2)))
+            inst = Instance(n=1, edges=edges,
+                            utility=ThresholdUtility(float(rng.uniform(-1.0, 3.0 * m))))
+            self.assert_same(inst)
+            self.assert_same(inst, [bool(k) for k in rng.integers(0, 2, size=m)])
+
+    def test_zero_height_edge(self):
+        edges = (Edge(HalfLineEdge(0.0), (0,), fee=0.0), Edge(HalfLineEdge(0.0), (0,), fee=1.0),
+                 Edge(HalfLineEdge(2.0), (0,), fee=3.0), Edge(HalfLineEdge(4.0), (0,), fee=2.0))
+        for b in (-1.0, 0.0, 3.0, 6.0, 7.0):
+            self.assert_same(Instance(n=1, edges=edges, utility=ThresholdUtility(b)))
+
+    def test_infeasible_and_unbounded_supply(self):
+        short = Instance(n=1, edges=(Edge(HalfLineEdge(2.0), (0,), fee=2.0),),
+                         utility=ThresholdUtility(5.0))
+        assert self.assert_same(short) is InfeasibleProblemError
+        endless = Instance(n=1, edges=(Edge(HalfLineEdge(2.0), (0,), fee=2.0),
+                                       Edge(HalfLineEdge(math.inf), (0,), fee=1.0)),
+                           utility=ThresholdUtility(5.0))
+        assert self.assert_same(endless) is UnboundedProblemError
+
+
+def smooth_market_instance(rng, n):
+    """A fee-free quadratic instance of product markets: a ring through all
+    nodes plus random pairs."""
+    pairs = [(j, (j + 1) % n) for j in range(n)]
+    pairs += [tuple(int(v) for v in rng.choice(n, size=2, replace=False)) for _ in range(n // 2)]
+    edges = tuple(Edge(ProductMarketEdge(rng.uniform(1.0, 5.0, size=2)), pair) for pair in pairs)
+    return Instance(n=n, edges=edges, utility=QuadraticUtility(
+        rng.uniform(0.5, 1.5, size=n), float(rng.uniform(0.2, 1.0))))
+
+
+def test_lbfgs_matches_vector_reference():
+    # the float L-BFGS against the numpy one it replaced, where the
+    # reference converges: the dot products round differently, so the
+    # iterates agree to rounding, not bit for bit
+    compared = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        inst = smooth_market_instance(rng, int(rng.integers(3, 11)))
+        ref_nu, ref_g, _, ref_converged = lbfgs_reference(inst)
+        if not ref_converged:
+            continue
+        state = minimize_dual(inst)
+        assert state.converged
+        assert state.g == pytest.approx(ref_g, rel=1e-10)
+        assert state.nu == pytest.approx(ref_nu, rel=0, abs=1e-8)
+        assert isinstance(state.nu, np.ndarray) and isinstance(state.gradient, np.ndarray)
+        compared += 1
+    assert compared >= 8
 
 
 class TestMinimizeDual:
