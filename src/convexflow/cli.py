@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import bench, fees, model, solver
 from .errors import ConvexFlowError, SchemaError
+from .sets import _real
 
 
 def _write_json(doc: dict, path: str | None):
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # NaN and infinity are not JSON; refuse them rather than write them
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -36,7 +39,8 @@ def _load_instance(path: str) -> model.Instance:
 
 
 def _solution_points(doc) -> list[tuple[np.ndarray, float]]:
-    """The (x, lambda) of each edge of a solution document."""
+    """The (x, lambda) of each edge of a solution document: finite numbers
+    only, so strings, bools, NaN and infinities are refused."""
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise SchemaError("solution document must be an object with an edges array")
     points = []
@@ -44,9 +48,13 @@ def _solution_points(doc) -> list[tuple[np.ndarray, float]]:
         if not isinstance(entry, dict):
             raise SchemaError(f"solution edge {i}: must be an object")
         try:
-            points.append((np.asarray(entry["x"], dtype=float), float(entry["lambda"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            x = [_real(v, "x") for v in entry["x"]]
+            lam = _real(entry["lambda"], "lambda")
+        except (KeyError, TypeError, OverflowError) as exc:
             raise SchemaError(f"solution edge {i}: {exc}") from exc
+        if not all(map(math.isfinite, x)) or not math.isfinite(lam):
+            raise SchemaError(f"solution edge {i}: x and lambda must be finite")
+        points.append((np.array(x), lam))
     return points
 
 

@@ -20,13 +20,20 @@ evaluation, so it computes on Python floats: it takes the solver's price
 list as it is (any other vector goes through ``as_vector``) and returns
 the value with a maximizer as a list of floats, or None when there is no
 unique one.
+
+The loader (``from_document``) checks Python-typed values in one pass per
+edge, without numpy: every numeric parameter goes through
+``sets._real``, which takes an ``int`` or a ``float`` (or another real
+number type such as a numpy scalar) and refuses booleans, strings and
+everything else; counts and node indices go through ``sets._index``;
+each constructor then checks its range with chained comparisons.  Node
+ranges are checked once over all edges in ``Instance``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -35,20 +42,18 @@ import numpy as np
 
 from .errors import IsolatedNodeError, SchemaError
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
-                   PiecewiseLinearGain, ProductMarketEdge, RationalGain, as_vector,
-                   scaled_tol)
+                   PiecewiseLinearGain, ProductMarketEdge, RationalGain, _index, _real,
+                   as_vector, scaled_tol)
 
 SCHEMA_VERSION = 1
 
 
-def _weights(c: Sequence[float]) -> np.ndarray:
-    """Utility weights as a vector of finite floats."""
-    v = np.asarray(c, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("c must be a vector")
-    if not all(map(math.isfinite, v.tolist())):
+def _weights(c: Sequence[float]) -> list[float]:
+    """Utility weights as a list of finite floats."""
+    weights = [_real(v, "c") for v in c]
+    if not all(map(math.isfinite, weights)):
         raise ValueError("c must hold finite numbers")
-    return v
+    return weights
 
 
 def _prices(nu, dim: int) -> list[float]:
@@ -67,8 +72,8 @@ class LinearUtility:
     """U(y) = c @ y."""
 
     def __init__(self, c: Sequence[float]):
-        self.c = _weights(c)
-        self._c = self.c.tolist()
+        self._c = _weights(c)
+        self.c = np.array(self._c)
         self._tol = 1e-12 * max(1.0, max(map(abs, self._c), default=0.0))
 
     @property
@@ -98,11 +103,12 @@ class QuadraticUtility:
     """
 
     def __init__(self, c: Sequence[float], mu: float):
-        self.c = _weights(c)
-        self._c = self.c.tolist()
+        self._c = _weights(c)
+        self.c = np.array(self._c)
+        mu = _real(mu, "mu")
         if not 0.0 < mu < math.inf:
             raise ValueError("mu must be positive and finite")
-        self.mu = float(mu)
+        self.mu = mu
 
     @property
     def dim(self) -> int:
@@ -130,7 +136,7 @@ class ThresholdUtility:
     """
 
     def __init__(self, b: float):
-        self.b = float(b)
+        self.b = _real(b, "b")
         if not math.isfinite(self.b):
             raise ValueError("b must be finite")
 
@@ -155,28 +161,17 @@ class ThresholdUtility:
 Utility = LinearUtility | QuadraticUtility | ThresholdUtility
 
 
-def _index(value, what: str) -> int:
-    """A nonnegative integer count or node index; bools, floats and
-    strings are refused."""
-    if type(value) is not bool:
-        try:
-            value = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if value < 0:
-                raise ValueError(f"{what} must be nonnegative, got {value}")
-            return value
-    raise TypeError(f"{what} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
     """One hyperedge: a flow set, the global nodes it touches, and a fixed fee.
 
     ``edge_utility`` carries linear edge-utility coefficients for schema
     completeness; the solver only accepts edges whose utility is absent
     or identically zero.
+
+    The constructor checks and converts every field before it sets it, so
+    that each field of a frozen instance is written once: a loaded
+    document builds one edge per market.
     """
 
     flow_set: FlowSet
@@ -184,26 +179,26 @@ class Edge:
     fee: float = 0.0
     edge_utility: tuple[float, ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(_index(v, "edge node") for v in self.nodes))
-        if len(self.nodes) != self.flow_set.dim:
+    def __init__(self, flow_set: FlowSet, nodes: Sequence[int], fee: float = 0.0,
+                 edge_utility: Sequence[float] | None = None):
+        nodes = tuple([_index(v, "edge node") for v in nodes])
+        if len(nodes) != flow_set.dim:
             raise ValueError("need one node per flow-set coordinate")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("edge nodes must be distinct")
-        # a float fee, the usual case, skips the much slower abstract-class check
-        if type(self.fee) is not float:
-            if isinstance(self.fee, bool) or not isinstance(self.fee, numbers.Real):
-                raise TypeError(f"fee must be a real number, got {self.fee!r}")
-            object.__setattr__(self, "fee", float(self.fee))
-        if not 0.0 <= self.fee < math.inf:
-            raise ValueError(f"fee must be finite and nonnegative, got {self.fee!r}")
-        if self.edge_utility is not None:
-            coeffs = tuple(float(v) for v in self.edge_utility)
-            if len(coeffs) != self.flow_set.dim:
+        fee = _real(fee, "fee")
+        if not 0.0 <= fee < math.inf:
+            raise ValueError(f"fee must be finite and nonnegative, got {fee!r}")
+        if edge_utility is not None:
+            edge_utility = tuple([_real(v, "edge utility") for v in edge_utility])
+            if len(edge_utility) != flow_set.dim:
                 raise ValueError("edge utility length must match the flow set")
-            if not all(map(math.isfinite, coeffs)):
+            if not all(map(math.isfinite, edge_utility)):
                 raise ValueError("edge utility must hold finite numbers")
-            object.__setattr__(self, "edge_utility", coeffs)
+        object.__setattr__(self, "flow_set", flow_set)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "fee", fee)
+        object.__setattr__(self, "edge_utility", edge_utility)
 
     @property
     def degree(self) -> int:
@@ -222,15 +217,17 @@ class Instance:
     utility: Utility
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _index(self.n, "n"))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.n < 1:
+        n = _index(self.n, "n")
+        edges = tuple(self.edges)
+        if n < 1:
             raise ValueError("need at least one node")
-        if self.utility.dim != self.n:
+        if self.utility.dim != n:
             raise ValueError("utility dimension must equal the node count")
-        for edge in self.edges:
-            if any(v >= self.n for v in edge.nodes):
-                raise ValueError("edge node index out of range")
+        # one pass over the nodes of every edge; each is already a nonnegative int
+        if max((v for edge in edges for v in edge.nodes), default=-1) >= n:
+            raise ValueError("edge node index out of range")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
@@ -346,13 +343,13 @@ def _decode_set(kind: str, params: dict) -> FlowSet:
     if not isinstance(params, dict):
         raise SchemaError("set params must be an object")
     try:
+        if kind == "product_market":
+            return ProductMarketEdge(params["reserves"])
         if kind == "capped_concave":
             return CappedConcaveEdge(gain=_decode_gain(params["gain"]),
                                      capacity=params["capacity"])
         if kind == "linear_tick":
             return LinearTickEdge(price=params["price"], cap=params["cap"])
-        if kind == "product_market":
-            return ProductMarketEdge(params["reserves"])
         if kind == "half_line":
             return HalfLineEdge(params["cap"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -405,7 +402,11 @@ def from_document(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
     version = doc.get("version")
-    if version != SCHEMA_VERSION:
+    try:
+        supported = _real(version, "version") == SCHEMA_VERSION
+    except (TypeError, OverflowError):
+        supported = False
+    if not supported:
         raise SchemaError(f"unsupported document version: {version!r}")
     for key in ("n", "utility", "edges"):
         if key not in doc:
@@ -419,9 +420,8 @@ def from_document(doc: dict) -> Instance:
         the_set = _decode_set(edge_doc.get("kind"), edge_doc.get("params", {}))
         utility = edge_doc.get("edge_utility")
         try:
-            edges.append(Edge(flow_set=the_set, nodes=tuple(edge_doc["nodes"]),
-                              fee=edge_doc.get("fee", 0.0),
-                              edge_utility=None if utility is None else tuple(utility)))
+            edges.append(Edge(flow_set=the_set, nodes=edge_doc["nodes"],
+                              fee=edge_doc.get("fee", 0.0), edge_utility=utility))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"edge {i}: {exc}") from exc
     try:

@@ -26,7 +26,10 @@ kernel alone, and its ``support`` only adapts the vector interface.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import numbers
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +54,33 @@ def as_vector(x, dim: int) -> np.ndarray:
     if v.shape != (dim,):
         raise ValueError(f"expected a vector of length {dim}, got shape {v.shape}")
     return v
+
+
+def _real(value, what: str) -> float:
+    """A real number as a Python float.  JSON's int and float pass by their
+    exact type; any other ``numbers.Real`` (numpy scalars) is converted;
+    bools, strings and everything else are refused.  Range checks stay
+    with the caller."""
+    if type(value) is float:
+        return value
+    if type(value) is int or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    raise TypeError(f"{what} must be a real number, got {value!r}")
+
+
+def _index(value, what: str) -> int:
+    """A nonnegative integer count or node index; bools, floats and
+    strings are refused."""
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
 
 
 def scaled_tol(tol: float, rhs: float) -> float:
@@ -162,7 +192,7 @@ class PiecewiseLinearGain:
     kind = "piecewise_linear"
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        pts = [(float(w), float(h)) for w, h in points]
+        pts = [(_real(w, "gain point"), _real(h, "gain point")) for w, h in points]
         if not pts:
             raise ValueError("piecewise gain needs at least one breakpoint")
         ws = [0.0] + [p[0] for p in pts]
@@ -227,14 +257,15 @@ class CappedConcaveEdge(FlowSet):
 
     def __init__(self, gain: RationalGain | PiecewiseLinearGain | None = None,
                  capacity: float = 1.0):
+        capacity = _real(capacity, "capacity")
         if not 0.0 < capacity < math.inf:
             raise ValueError("capacity must be positive and finite")
         gain = RationalGain() if gain is None else gain
         if isinstance(gain, PiecewiseLinearGain) and gain.last_input < capacity:
             raise ValueError("tabulated gain must cover [0, capacity]")
         self.gain = gain
-        self.capacity = float(capacity)
-        self.upper_bound = np.array([0.0, gain.best_output(self.capacity)])
+        self.capacity = capacity
+        self.upper_bound = np.array([0.0, gain.best_output(capacity)])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         v = as_vector(x, 2)
@@ -267,11 +298,12 @@ class LinearTickEdge(FlowSet):
     dim = 2
 
     def __init__(self, price: float, cap: float):
+        price, cap = _real(price, "price"), _real(cap, "cap")
         if not (0.0 < price < math.inf and 0.0 < cap < math.inf):
             raise ValueError("price and cap must be positive and finite")
-        self.price = float(price)
-        self.cap = float(cap)
-        self._out = self.price * self.cap
+        self.price = price
+        self.cap = cap
+        self._out = price * cap
         self.upper_bound = np.array([0.0, self._out])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
@@ -309,22 +341,33 @@ class ProductMarketEdge(FlowSet):
     dim = 2
 
     def __init__(self, reserves: Sequence[float]):
-        r = np.asarray(reserves, dtype=float)
-        if r.shape != (2,) or not all(0.0 < v < math.inf for v in r.tolist()):
+        r = list(reserves)
+        if len(r) != 2:
             raise ValueError("reserves must be two positive finite numbers")
-        self.reserves = r
-        self._r1, self._r2 = r.tolist()
-        self.invariant = self._r1 * self._r2
-        self.upper_bound = r.copy()
+        r1, r2 = _real(r[0], "reserves"), _real(r[1], "reserves")
+        if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+            raise ValueError("reserves must be two positive finite numbers")
+        self._r1, self._r2 = r1, r2
+        self.invariant = r1 * r2
+
+    # numpy copies of the checked floats, built on first use: loading and
+    # solving a document never read them
+    @functools.cached_property
+    def reserves(self) -> np.ndarray:
+        return np.array((self._r1, self._r2))
+
+    @functools.cached_property
+    def upper_bound(self) -> np.ndarray:
+        return np.array((self._r1, self._r2))
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         v = as_vector(x, 2)
-        r = self.reserves
-        if v[0] > r[0] + scaled_tol(tol, r[0]):
+        r1, r2 = self._r1, self._r2
+        if v[0] > r1 + scaled_tol(tol, r1):
             return False
-        if v[1] > r[1] + scaled_tol(tol, r[1]):
+        if v[1] > r2 + scaled_tol(tol, r2):
             return False
-        prod = max(r[0] - v[0], 0.0) * max(r[1] - v[1], 0.0)
+        prod = max(r1 - v[0], 0.0) * max(r2 - v[1], 0.0)
         return prod >= self.invariant - scaled_tol(tol, self.invariant)
 
     def support(self, price) -> Support:
@@ -353,10 +396,11 @@ class HalfLineEdge(FlowSet):
     dim = 1
 
     def __init__(self, cap: float):
+        cap = _real(cap, "cap")
         if not cap >= 0.0:  # NaN fails too; +inf is a valid cap
             raise ValueError("cap must be nonnegative")
-        self.cap = float(cap)
-        self.upper_bound = np.array([self.cap])
+        self.cap = cap
+        self.upper_bound = np.array([cap])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         v = as_vector(x, 1)

@@ -23,8 +23,11 @@ L-BFGS direction and history, and the threshold scan are float lists,
 because the instances the fee checks solve thousands of times have one
 to four nodes, where a numpy call costs more than the arithmetic it does.
 Numpy appears only where a state leaves the solver: the ``DualState``
-returned by ``minimize_dual`` and ``dual_value_and_gradient`` holds numpy
-``nu`` and ``gradient``, and ``SolveReport`` its numpy fields.
+returned by ``minimize_dual`` and ``dual_value_and_gradient`` (and the
+one ``solve_conic`` recovers from) holds numpy ``nu`` and ``gradient``,
+and ``SolveReport`` its numpy fields.  Internal callers that read only
+the dual value, such as brute force, take the float state of
+``_minimize`` as it is.
 
 Utility branches:
 
@@ -37,10 +40,13 @@ Utility branches:
 * threshold  -- one-dimensional piecewise-linear dual, minimized exactly
   by a breakpoint scan.
 
-Primal recovery scatters the active-edge maximizers into a feasible net
-flow; tied edges are enumerated (up to a cap) and the best-valued primal
-kept.  Weak duality makes [primal value, dual value] a bracket on the
-true optimum in every case.
+Primal recovery scatters the maximizers of the active, untied edges into
+a feasible net flow on Python floats; tied edges are enumerated (up to a
+cap) in one numpy pass, the only numpy work of recovery, and the
+best-valued primal kept.  The report's flows, activations, net flow and
+prices become numpy arrays once, as the report leaves.  Weak duality
+makes [primal value, dual value] a bracket on the true optimum in every
+case.
 """
 
 from __future__ import annotations
@@ -218,16 +224,16 @@ def _with_arrays(state: DualState) -> DualState:
     return state
 
 
-def _clamped(nu, dim: int) -> list[float]:
-    """nu as a list of floats, clamped to >= 0."""
-    return [max(x, 0.0) for x in as_vector(nu, dim).tolist()]
+def _clamped(prices: list[float]) -> list[float]:
+    """A list of floats clamped to >= 0."""
+    return [max(x, 0.0) for x in prices]
 
 
 def dual_value_and_gradient(instance: Instance, nu,
                             tie_tol: float = 1e-7) -> tuple[float, np.ndarray | None, DualState]:
     """Evaluate the dual function and a supergradient at nu (clamped to >= 0)."""
     _check_solvable(instance)
-    prices = _clamped(nu, instance.n)
+    prices = _clamped(as_vector(nu, instance.n).tolist())
     state = _with_arrays(_evaluate(instance.utility, _program(instance.edges), prices, tie_tol))
     return state.g, state.gradient, state
 
@@ -345,15 +351,18 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:
     """Minimize the dual over nu >= 0 and return the final dual state."""
     _check_solvable(instance)
-    return _minimize(instance.utility, _program(instance.edges), opts or SolverOptions())
+    return _with_arrays(_minimize(instance.utility, _program(instance.edges),
+                                  opts or SolverOptions()))
 
 
 def _minimize(utility: Utility, program: Program, opts: SolverOptions,
               on: Sequence[bool] | None = None) -> DualState:
     """``minimize_dual`` over the edges of ``program`` for which ``on`` is
-    true, with the same result as on the instance of those edges alone."""
+    true, with the same result as on the instance of those edges alone.
+    The state stays on floats; callers that hand it out convert it with
+    ``_with_arrays``."""
     if isinstance(utility, LinearUtility):
-        state = _evaluate(utility, program, _clamped(utility.c, utility.dim), opts.tie_tol, on)
+        state = _evaluate(utility, program, _clamped(utility._c), opts.tie_tol, on)
         if not math.isfinite(state.g):
             raise UnboundedProblemError(
                 "the dual is infinite at nu = c, so the linear-utility "
@@ -362,12 +371,11 @@ def _minimize(utility: Utility, program: Program, opts: SolverOptions,
     elif isinstance(utility, ThresholdUtility):
         state = _minimize_threshold(utility, program, opts, on)
     elif isinstance(utility, QuadraticUtility):
-        start = opts.start if opts.start is not None else utility.c
-        state = _minimize_projected_lbfgs(
-            utility, program, _clamped(start, utility.dim), opts, on)
+        start = utility._c if opts.start is None else as_vector(opts.start, utility.dim).tolist()
+        state = _minimize_projected_lbfgs(utility, program, _clamped(start), opts, on)
     else:
         raise TypeError(f"unsupported utility type: {type(utility).__name__}")
-    return _with_arrays(state)
+    return state
 
 
 def recover_primal(state: DualState, instance: Instance,
@@ -391,35 +399,37 @@ def recover_primal(state: DualState, instance: Instance,
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= opts.max_tie_enum else []
     row = {i: k for k, i in enumerate(enumerated)}
-    y_base, fee_base = np.zeros(instance.n), 0.0
+    y_base, fee_base = [0.0] * instance.n, 0.0
     c_tied = np.zeros((len(enumerated), instance.n))
     q_tied = np.zeros(len(enumerated))
     for i, (edge, on, point) in enumerate(zip(instance.edges, state.active, state.points)):
         if not on:
             continue
-        nodes = list(edge.nodes)
-        if i in row:
-            c_tied[row[i], nodes] = point
-            q_tied[row[i]] = edge.fee
-        else:
-            y_base[nodes] += point
+        k = row.get(i)
+        if k is None:
+            for j, x in zip(edge.nodes, point):
+                y_base[j] += x
             fee_base += edge.fee
+        else:
+            c_tied[k, list(edge.nodes)] = point
+            q_tied[k] = edge.fee
     bits = (np.arange(2 ** len(enumerated))[:, None] >> np.arange(len(enumerated))) & 1
-    ys = y_base + bits @ c_tied
+    ys = np.array(y_base) + bits @ c_tied
     values = instance.utility.values(ys) - (fee_base + bits @ q_tied)
     best = int(np.argmax(values))
     if not values[best] > values[-1]:
         best = len(values) - 1  # the base pattern: every tied edge active
-    active = np.array(state.active, dtype=bool)
-    active[enumerated] = bits[best].astype(bool)
+    active = list(state.active)
+    for k, i in enumerate(enumerated):
+        active[i] = bool(best >> k & 1)  # bits[best, k]
     flows = [np.array(point) if on else np.zeros(edge.degree)
              for edge, on, point in zip(instance.edges, active, state.points)]
     value = float(values[best])
-    activations = np.where(active, -1.0, 0.0)
     gap = state.g - value
     rel_gap = gap / (1.0 + abs(state.g)) if math.isfinite(gap) else math.inf
     return SolveReport(dual_value=state.g, primal_value=value, flows=flows,
-                       activations=activations, y_hat=ys[best].copy(), nu=state.nu.copy(),
+                       activations=np.array([-1.0 if on else 0.0 for on in active]),
+                       y_hat=ys[best].copy(), nu=np.array(state.nu, dtype=float),
                        gap=gap, rel_gap=rel_gap, tie_count=len(tied),
                        iterations=state.iterations, converged=state.converged,
                        edge_values=list(state.values), edge_tied=list(state.tied))
@@ -460,7 +470,7 @@ def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> Solv
     started = time.perf_counter()
     program = [(clipped.base.kernel, edge.nodes, edge.fee)
                for clipped, edge in zip(conic.clipped, instance.edges)]
-    state = _minimize(instance.utility, program, opts)
+    state = _with_arrays(_minimize(instance.utility, program, opts))
     report = recover_primal(state, instance, opts)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report

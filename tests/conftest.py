@@ -73,6 +73,31 @@ def invalid_document_edits():
                           "b must be finite"),
         "nan_gain_point": (capped(1.0, points=((0.5, nan), (2.0, 1.0))),
                            "breakpoints must be finite numbers"),
+        # JSON true is a number to Python (True == 1); every numeric field refuses it
+        "bool_version": (lambda doc: doc.__setitem__("version", True),
+                         "unsupported document version"),
+        "bool_n": (lambda doc: doc.__setitem__("n", True), "n must be an integer"),
+        "bool_node": (edge_field("nodes", [0, True]), "edge node must be an integer"),
+        "bool_fee": (edge_field("fee", True), "fee must be a real number"),
+        "bool_edge_utility": (edge_field("edge_utility", [True, 0.0]),
+                              "edge utility must be a real number"),
+        "bool_weight": (utility(lambda n: {"kind": "linear", "c": [True] + [1.0] * (n - 1)}),
+                        "c must be a real number"),
+        "bool_mu": (utility(lambda n: {"kind": "quadratic", "c": [1.0] * n, "mu": True}),
+                    "mu must be a real number"),
+        "bool_threshold": (utility(lambda n: {"kind": "threshold", "b": True}),
+                           "b must be a real number"),
+        "bool_reserve": (first_edge("product_market", {"reserves": [True, 2.0]}),
+                         "reserves must be a real number"),
+        "bool_tick_price": (first_edge("linear_tick", {"price": True, "cap": 1.0}),
+                            "price must be a real number"),
+        "bool_tick_cap": (first_edge("linear_tick", {"price": 1.0, "cap": True}),
+                          "cap must be a real number"),
+        "bool_capacity": (capped(True), "capacity must be a real number"),
+        "bool_half_line_cap": (first_edge("half_line", {"cap": True}, nodes=(0,)),
+                               "cap must be a real number"),
+        "bool_gain_point": (capped(1.0, points=((0.5, True), (2.0, 1.0))),
+                            "gain point must be a real number"),
     }
 
 

@@ -226,8 +226,9 @@ def evaluate_dual_reference(instance, nu, tie_tol: float = 1e-7):
 
 
 def recover_primal_reference(state, instance, max_tie_enum: int):
-    """(value, activations, y_hat) of the best tie pattern, one pattern at a
-    time: the base pattern first, then masks 0 .. 2^t - 1, first best kept."""
+    """(value, activations, y_hat, flows) of the best tie pattern, one
+    pattern at a time: the base pattern first, then masks 0 .. 2^t - 1,
+    first best kept."""
     def candidate(active):
         flows = []
         for i, edge in enumerate(instance.edges):
@@ -238,7 +239,7 @@ def recover_primal_reference(state, instance, max_tie_enum: int):
             flows.append(point if active[i] else np.zeros(edge.degree))
         y = net_flow(instance, flows)
         fees = sum(edge.fee for edge, on in zip(instance.edges, active) if on)
-        return instance.utility.value(y) - fees, active, y
+        return instance.utility.value(y) - fees, active, y, flows
 
     base = np.array(state.active, dtype=bool)
     tied = [i for i, t in enumerate(state.tied) if t]
@@ -251,8 +252,8 @@ def recover_primal_reference(state, instance, max_tie_enum: int):
             trial = candidate(active)
             if trial[0] > best[0]:
                 best = trial
-    value, active, y = best
-    return value, np.where(active, -1.0, 0.0), y
+    value, active, y, flows = best
+    return value, np.where(active, -1.0, 0.0), y, [np.asarray(x, dtype=float) for x in flows]
 
 
 def conjugate_reference(utility, nu):

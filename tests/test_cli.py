@@ -76,16 +76,37 @@ class TestRoundCommand:
         assert doc["fee_delta"] >= 0.0
         assert set(np.unique([e["lambda"] for e in doc["edges"]])) <= {-1.0, 0.0}
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"edges": 5}', '{"edges": [1, 2, 3]}',
-                                      '{"edges": [{"x": [0, 0], "lambda": [1]}]}'],
-                             ids=["not_an_object", "edges_not_a_list", "entry_not_an_object",
-                                  "lambda_not_a_number"])
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"edges": 5}', '{"edges": [1, 2, 3]}',
+        '{"edges": [{"x": [0, 0], "lambda": [1]}]}',
+        '{"edges": [{"x": [0], "lambda": "-1"}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [0], "lambda": NaN}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [0], "lambda": true}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": ["1.0"], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [true], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [NaN], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [Infinity], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+    ], ids=["not_an_object", "edges_not_a_list", "entry_not_an_object",
+            "lambda_not_a_number", "string_lambda", "nan_lambda", "bool_lambda",
+            "string_x", "bool_x", "nan_x", "inf_x"])
     def test_malformed_solution_is_exit_2(self, tmp_path, capsys, text):
         inst, sol = tmp_path / "i.json", tmp_path / "s.json"
         run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
         sol.write_text(text)
         assert run(["round", "--input", str(inst), "--solution", str(sol)]) == 2
+        # refused as it is read, not later on the way out
+        assert capsys.readouterr().err.startswith("error: solution")
+
+    def test_nonfinite_output_is_exit_2_and_not_written(self, tmp_path, capsys):
+        # no flow meets the demand, so the rounded objective is -inf, which
+        # strict JSON cannot hold
+        inst, sol, out = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "r.json"
+        run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
+        sol.write_text('{"edges": [{"x": [0], "lambda": 0}, {"x": [0], "lambda": 0}]}')
+        assert run(["round", "--input", str(inst), "--solution", str(sol),
+                    "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestKnapsackCommand:

@@ -435,3 +435,56 @@ def test_every_path_of_a_document_with_bad_values():
 def test_pathological_text_raises_schema_error(text):
     with pytest.raises(SchemaError):
         model.loads(text)
+
+
+# --- the canonical text form is a fixed point of loads and dumps -------------
+
+_positive = st.floats(0.01, 100.0)
+
+
+@st.composite
+def _routing_instances(draw):
+    from convexflow.bench import BenchConfig, gen_bench_instance
+
+    return gen_bench_instance(BenchConfig(
+        n=draw(st.integers(2, 8)), mu=draw(st.sampled_from([0.0, 1e-2, 0.5])),
+        q0=draw(st.floats(0.0, 2.0)), seed=draw(st.integers(0, 2 ** 32))))
+
+
+@st.composite
+def _knapsack_instances(draw):
+    from convexflow.bench import gen_knapsack_instance
+
+    weights = draw(st.lists(st.integers(1, 50), min_size=1, max_size=6))
+    return gen_knapsack_instance(weights, draw(st.integers(0, sum(weights))))
+
+
+@st.composite
+def _every_family_instances(draw):
+    """One edge of each family on three nodes, every parameter drawn."""
+    w1, s1 = draw(st.floats(0.1, 1.0)), draw(st.floats(0.5, 2.0))
+    w2, s2 = w1 + draw(st.floats(0.1, 3.0)), s1 * draw(st.floats(0.0, 0.9))
+    capacity = draw(st.floats(0.05, 1.0)) * w2
+    gain = PiecewiseLinearGain([(w1, s1 * w1), (w2, s1 * w1 + s2 * (w2 - w1))])
+    flow_sets = [CappedConcaveEdge(capacity=draw(_positive)),
+                 CappedConcaveEdge(gain=gain, capacity=capacity),
+                 LinearTickEdge(price=draw(_positive), cap=draw(_positive)),
+                 ProductMarketEdge([draw(_positive), draw(_positive)]),
+                 HalfLineEdge(draw(st.just(math.inf) | st.floats(0.0, 100.0)))]
+    edges = []
+    for the_set in flow_sets:
+        nodes = draw(st.permutations([0, 1, 2]))[:the_set.dim]
+        coeffs = draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=the_set.dim,
+                                           max_size=the_set.dim))
+        edges.append(Edge(the_set, tuple(nodes), fee=draw(st.floats(0.0, 2.0)),
+                          edge_utility=coeffs))
+    c = draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    utility = draw(st.sampled_from([LinearUtility(c), QuadraticUtility(c, draw(_positive))]))
+    return Instance(n=3, edges=tuple(edges), utility=utility)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_routing_instances() | _knapsack_instances() | _every_family_instances())
+def test_canonical_text_round_trips(inst):
+    text = model.dumps(inst)
+    assert model.dumps(model.loads(text)) == text

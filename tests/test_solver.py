@@ -272,7 +272,7 @@ class TestThresholdScanMatchesReference:
 
         def scan():
             state = _minimize(inst.utility, _program(inst.edges), SolverOptions(), on)
-            return state.nu.tolist(), state.g
+            return state.nu, state.g  # _minimize keeps the state on floats
 
         def reference():
             point = threshold_minimizer_reference(sub)
@@ -457,10 +457,18 @@ class TestTieEnumerationMatchesPerMaskLoop:
         opts = SolverOptions(max_tie_enum=max_tie_enum)
         state = minimize_dual(inst, opts)
         report = recover_primal(state, inst, opts)
-        value, activations, y_hat = recover_primal_reference(state, inst, max_tie_enum)
+        value, activations, y_hat, flows = recover_primal_reference(state, inst, max_tie_enum)
         assert report.primal_value == pytest.approx(value, rel=1e-12, abs=1e-12)
         assert np.array_equal(report.activations, activations)
         assert report.y_hat == pytest.approx(y_hat, rel=1e-12, abs=1e-12)
+        assert len(report.flows) == len(flows)
+        for got, expected in zip(report.flows, flows):
+            assert got.shape == expected.shape
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        # recovery runs on floats inside; the report it returns holds numpy
+        assert all(type(x) is np.ndarray for x in report.flows)
+        for field in (report.activations, report.y_hat, report.nu):
+            assert type(field) is np.ndarray and field.dtype == float
         return report
 
     def test_no_ties(self, rng):
@@ -500,6 +508,34 @@ class TestTieEnumerationMatchesPerMaskLoop:
         report = self.assert_same(gen_knapsack_instance([2, 3, 4, 5, 6], 9), max_tie_enum=3)
         assert report.tie_count == 5
         assert np.all(report.activations == -1.0)
+
+    @pytest.mark.parametrize("q0", [0.0, 0.01, 1.0])
+    def test_linear_routing_instances(self, q0):
+        # the routing workload at mu = 0: one evaluation at nu = c, then
+        # recovery over every product market
+        from convexflow.bench import BenchConfig, gen_bench_instance
+
+        for seed in range(3):
+            inst = gen_bench_instance(BenchConfig(n=10, mu=0.0, q0=q0, seed=seed))
+            report = self.assert_same(inst)
+            assert report.activations.size == inst.m == 25
+
+    def test_unattained_maximizer_uses_the_fallback_point(self):
+        # c_0 = 0: the first market's supremum at nu = c is approached only
+        # in the limit, so its active flow is the fallback near-maximizer;
+        # the tick's fee equals its support at nu = c, so it is tied
+        c = [0.0, 1.0, 1.5]
+        tick = LinearTickEdge(price=2.0, cap=0.5)
+        edges = (Edge(ProductMarketEdge([2.0, 3.0]), (0, 1), fee=0.5),
+                 Edge(ProductMarketEdge([4.0, 1.0]), (1, 2), fee=0.01),
+                 Edge(tick, (1, 2), fee=tick.support(c[1:]).value))
+        inst = Instance(n=3, edges=edges, utility=LinearUtility(c))
+        state = minimize_dual(inst)
+        assert state.active[0] and state.points[0] is not None
+        assert edges[0].flow_set.kernel([0.0, 1.0])[1] is None
+        report = self.assert_same(inst)
+        assert report.tie_count == 1
+        assert report.flows[0] == pytest.approx(state.points[0])
 
 
 class TestVerifyOptimality:
