@@ -160,7 +160,7 @@ def run_cell(config: BenchConfig, opts: solver.SolverOptions | None = None) -> R
                          rel_gap=math.nan, tie_count=0,
                          runtime_ms=(time.perf_counter() - started) * 1e3,
                          status=f"failed:{type(exc).__name__}")
-    status = "ok" if report.converged else "nonconverged"
+    status = "ok" if report.converged else f"nonconverged:{report.stop}"
     return ReportRow(n=config.n, m=config.m, mu=config.mu, q0=config.q0,
                      seed=config.seed, dual_opt=report.dual_value,
                      primal_heur=report.primal_value, rel_gap=report.rel_gap,

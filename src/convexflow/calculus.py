@@ -210,6 +210,8 @@ class MinkowskiSumSet(FlowSet):
         self.parts = (first, second)
         self.dim = first.dim
         self.upper_bound = first.upper_bound + second.upper_bound
+        # maximizers add, so the sum's is unique when both summands' are
+        self.unique_maximizer = first.unique_maximizer and second.unique_maximizer
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return _fan_contains(self, as_vector(x, self.dim), tol)

@@ -101,6 +101,9 @@ def _cmd_round(args) -> int:
     with open(args.solution, encoding="utf-8") as handle:
         doc = json.load(handle)
     rounded = fees.round_relaxation(instance, _solution_points(doc))
+    if rounded.objective == -math.inf:  # only a threshold utility is -inf
+        raise SchemaError(f"solution: its net flow {float(rounded.y_hat[0])!r} misses "
+                          f"the threshold demand b = {instance.utility.b!r}")
     _write_json({
         "objective": rounded.objective,
         "fee_delta": rounded.fee_delta,

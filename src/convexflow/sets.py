@@ -96,10 +96,18 @@ class FlowSet:
     ``contains`` and ``support``.  Instances are immutable after
     construction and all operations are pure, so they are safe to share
     across threads.
+
+    ``unique_maximizer`` is true when the support's maximizer is unique at
+    every price vector with all components positive, so that the support
+    has no kink there.  The dual solver's gap certificate then never looks
+    for a second maximizer of the set (``solver._certify``).  False, the
+    default, is always safe: the certificate compares the maximizers at
+    nearby prices and weighs them when they differ.
     """
 
     dim: int
     upper_bound: np.ndarray
+    unique_maximizer: bool = False
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         raise NotImplementedError
@@ -265,6 +273,9 @@ class CappedConcaveEdge(FlowSet):
             raise ValueError("tabulated gain must cover [0, capacity]")
         self.gain = gain
         self.capacity = capacity
+        # a strictly concave gain has one best input; a piecewise-linear
+        # one has a whole segment of them at a slope's break-even price
+        self.unique_maximizer = isinstance(gain, RationalGain)
         self.upper_bound = np.array([0.0, gain.best_output(capacity)])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
@@ -339,6 +350,7 @@ class ProductMarketEdge(FlowSet):
     """
 
     dim = 2
+    unique_maximizer = True
 
     def __init__(self, reserves: Sequence[float]):
         r = list(reserves)
@@ -394,6 +406,7 @@ class HalfLineEdge(FlowSet):
     """
 
     dim = 1
+    unique_maximizer = True
 
     def __init__(self, cap: float):
         cap = _real(cap, "cap")

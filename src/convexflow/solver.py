@@ -13,9 +13,10 @@ One evaluator, ``_evaluate``, computes g and a supergradient for every
 caller: the minimizers below, ``solve_conic`` (whose clipped-cone support
 at price (xi_i, q_i) is the same edge term), ``DualInstanceView`` and the
 brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
-fee)`` triples built once per instance, where ``kernel`` is the edge
-set's float support oracle (``FlowSet.kernel``), and an optional edge
-mask evaluates a sub-instance without building it.
+fee, unique)`` entries built once per instance, where ``kernel`` is the
+edge set's float support oracle (``FlowSet.kernel``) and ``unique`` its
+``FlowSet.unique_maximizer`` flag, read only by the quadratic branch; an
+optional edge mask evaluates a sub-instance without building it.
 
 The evaluator and the minimizers run on Python floats end to end: prices,
 maximizers, the conjugate (``utility.conjugate``), the gradient, the
@@ -34,7 +35,23 @@ Utility branches:
 * quadratic  -- smooth conjugate; g is minimized by a projected
   limited-memory BFGS over the box nu >= 0 (two-loop recursion, projected
   backtracking line search with sufficient decrease, history restart to
-  steepest descent on bad curvature or non-descent directions),
+  steepest descent on bad curvature or non-descent directions).  It stops
+  on a projected gradient of at most ``grad_tol`` (``grad``) or on a
+  certified duality gap (``gap``).  The edge terms put kinks in g, where
+  the gradient test is never met: at a fee's break-even price, and where
+  a set whose ``unique_maximizer`` is false (a tick, a piecewise-linear
+  gain) switches maximizer.  So after an iteration whose line search
+  rejected a trial, each edge's choice at the iterate is compared with
+  its choice at the previous accepted iterate and at the nearest rejected
+  trial; an edge whose activation differs there, or whose non-unique
+  maximizer does, gets that choice as an alternative.  Weights in [0, 1]
+  between the two choices give a point of the fee relaxation, which exact
+  coordinate ascent moves to the best primal value P; the solver stops
+  when g - P <= GAP_TOL * (1 + |g|), or when the price of that primal
+  point, nu' = max(c - mu * y, 0), has a lower g that passes the same
+  test (``_certify``).  Without an alternative nothing runs, so fee-free
+  instances of sets with unique maximizers keep the gradient test alone.
+  Otherwise it ends on ``line_search`` or ``max_iter``,
 * linear     -- the conjugate domain is the single point c, so the dual
   is evaluated there directly,
 * threshold  -- one-dimensional piecewise-linear dual, minimized exactly
@@ -66,8 +83,15 @@ from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
                     ThresholdUtility, Utility, _dot)
 from .sets import as_vector
 
-# one entry per edge: (the flow set's kernel, the edge's nodes, its fee)
-Program = list[tuple[Callable, tuple[int, ...], float]]
+# one entry per edge: (the flow set's kernel, the edge's nodes, its fee,
+# whether the set's maximizer is unique at every positive price)
+Program = list[tuple[Callable, tuple[int, ...], float, bool]]
+
+# relative duality gap, g - P <= GAP_TOL * (1 + |g|), of a ``gap`` stop and
+# of ``verify_optimality``'s ``optimal`` tag
+GAP_TOL = 1e-8
+# coordinate-ascent sweeps of one certificate at most
+CERTIFICATE_SWEEPS = 50
 
 
 @dataclass
@@ -86,6 +110,23 @@ class SolverOptions:
 
 
 @dataclass
+class Certificate:
+    """A point of the fee relaxation whose value bounds the dual from below.
+
+    Per edge i, ``(flows[i], activations[i])`` lies in the clipped cone
+    conv(Q_i), with the activation in [-1, 0] (edges masked off hold zero).
+    ``value`` is P = U(min(y, c / mu)) + sum_i q_i * activations[i], where
+    y is the net flow of the edge flows and the min disposes of its surplus
+    above the utility's peak c / mu.  Weak duality gives P <= g(nu) at
+    every nu >= 0.
+    """
+
+    value: float
+    flows: list[tuple[float, ...]]
+    activations: list[float]
+
+
+@dataclass
 class DualState:
     """The dual at one price vector, with each edge subproblem's outcome.
 
@@ -94,6 +135,13 @@ class DualState:
     active edge whose supremum is unattained, a feasible near-maximizer;
     otherwise None when unattained), ``active[i]`` the integral
     activation and ``tied[i]`` whether that decision was a tie.
+
+    ``stop`` says how the minimizer ended: ``grad`` (projected gradient at
+    most ``grad_tol``), ``gap`` (duality gap certified by ``certificate``),
+    ``line_search`` (no step of steepest descent passed the Armijo test),
+    ``max_iter``, or ``exact`` (the linear and threshold paths, and a
+    single evaluation).  ``converged`` is true for ``grad``, ``gap`` and
+    ``exact``.
 
     Inside the solver ``nu``, ``gradient`` and ``conjugate_maximizer`` are
     lists of floats; the states it returns hold them as numpy arrays.
@@ -110,6 +158,8 @@ class DualState:
     conjugate_maximizer: np.ndarray | None = None
     iterations: int = 0
     converged: bool = True
+    stop: str = "exact"
+    certificate: Certificate | None = None
     trace: list[float] = field(default_factory=list)
 
 
@@ -126,6 +176,7 @@ class SolveReport:
     tie_count: int
     iterations: int
     converged: bool
+    stop: str = "exact"
     edge_values: list[float] = field(default_factory=list)
     edge_tied: list[bool] = field(default_factory=list)
     runtime_ms: float = 0.0
@@ -160,7 +211,8 @@ def _check_solvable(instance: Instance):
 
 
 def _program(edges: Sequence[Edge]) -> Program:
-    return [(edge.flow_set.kernel, edge.nodes, edge.fee) for edge in edges]
+    return [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
+            for edge in edges]
 
 
 def _evaluate(utility: Utility, program: Program, prices: list[float], tie_tol: float,
@@ -183,7 +235,7 @@ def _evaluate(utility: Utility, program: Program, prices: list[float], tie_tol: 
     values, points, active, tied = state.values, state.points, state.active, state.tied
     grad = [0.0] * len(prices)
     g = conj_value
-    for i, (kernel, nodes, fee) in enumerate(program):
+    for i, (kernel, nodes, fee, _) in enumerate(program):
         if on is not None and not on[i]:
             continue
         xi = [prices[j] for j in nodes]
@@ -256,28 +308,34 @@ def _two_loop(history, grad: list[float]) -> list[float]:
     return q
 
 
-def _minimize_projected_lbfgs(utility: Utility, program: Program, nu: list[float],
+def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program, nu: list[float],
                               opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
-    """Projected L-BFGS over nu >= 0 from the nonnegative start ``nu``."""
+    """Projected L-BFGS over nu >= 0 from the nonnegative start ``nu``.
+
+    It stops on the projected gradient test or, after an iteration whose
+    line search rejected a trial, on the duality-gap certificate of
+    ``_certify``.
+    """
     state = _evaluate(utility, program, nu, opts.tie_tol, on)
     if not math.isfinite(state.g):
         raise UnboundedProblemError("dual function is infinite at the starting point")
     history: list[tuple[list[float], list[float], float]] = []
     trace = [state.g] if opts.keep_trace else []
+    previous = None  # the accepted state before ``state``
     iterations = 0
-    converged = False
+    stop = "max_iter"
     for iterations in range(1, opts.max_iter + 1):
         grad = state.gradient
         projected = max(abs(x - max(x - d, 0.0)) for x, d in zip(nu, grad))
         if projected <= opts.grad_tol:
-            converged = True
+            stop = "grad"
             break
         direction = [-d for d in _two_loop(history, grad)]
         if _dot(grad, direction) >= 0.0:
             history.clear()
             direction = [-d for d in grad]
         step = 1.0
-        accepted = None
+        accepted = rejected = None
         for _ in range(opts.max_backtracks):
             trial = [max(x + step * d, 0.0) for x, d in zip(nu, direction)]
             delta = list(map(operator.sub, trial, nu))
@@ -286,34 +344,181 @@ def _minimize_projected_lbfgs(utility: Utility, program: Program, nu: list[float
                 break
             if slope < 0.0:
                 trial_state = _evaluate(utility, program, trial, opts.tie_tol, on)
-                if (math.isfinite(trial_state.g)
-                        and trial_state.g <= state.g + opts.armijo * slope):
+                if trial_state.g <= state.g + opts.armijo * slope:
                     accepted = (delta, trial, trial_state)
                     break
+                if math.isfinite(trial_state.g):
+                    rejected = trial_state  # the nearest so far
             step *= opts.backtrack
+        if accepted is not None:
+            s, trial, trial_state = accepted
+            y = list(map(operator.sub, trial_state.gradient, grad))
+            sy = _dot(s, y)
+            if sy > 1e-12 * (math.hypot(*s) * math.hypot(*y)):
+                history.append((s, y, 1.0 / sy))
+                if len(history) > opts.memory:
+                    history.pop(0)
+            previous, nu, state = state, trial, trial_state
+            if opts.keep_trace:
+                trace.append(state.g)
+            if state.g < opts.dual_floor:
+                raise InfeasibleProblemError(
+                    "dual objective fell below the configured floor; the dual is "
+                    "unbounded and the primal infeasible")
+        if rejected is not None:
+            bundle = [other for other in (previous, rejected) if other is not None]
+            certified = _certify(utility, program, state, bundle, opts.tie_tol, on)
+            if certified is not None:
+                if certified is not state and opts.keep_trace:
+                    trace.append(certified.g)
+                state = certified
+                stop = "gap"
+                break
         if accepted is None:
             if history:
                 history.clear()  # retry the iteration from steepest descent
                 continue
+            stop = "line_search"
             break
-        s, trial, trial_state = accepted
-        y = list(map(operator.sub, trial_state.gradient, grad))
-        sy = _dot(s, y)
-        if sy > 1e-12 * (math.hypot(*s) * math.hypot(*y)):
-            history.append((s, y, 1.0 / sy))
-            if len(history) > opts.memory:
-                history.pop(0)
-        nu, state = trial, trial_state
-        if opts.keep_trace:
-            trace.append(state.g)
-        if state.g < opts.dual_floor:
-            raise InfeasibleProblemError(
-                "dual objective fell below the configured floor; the dual is "
-                "unbounded and the primal infeasible")
     state.iterations = iterations
-    state.converged = converged
+    state.stop = stop
+    state.converged = stop in ("grad", "gap")
     state.trace = trace
     return state
+
+
+def _certify(utility: QuadraticUtility, program: Program, state: DualState,
+             bundle: Sequence[DualState], tie_tol: float,
+             on: Sequence[bool] | None) -> DualState | None:
+    """The state to stop at with a certified duality gap, or None.
+
+    Each edge's base choice is its choice in ``state``: (maximizer, fee)
+    when active, (0, 0) when not.  It has an alternative, the choice of
+    the first ``bundle`` state that differs from it, when its activation
+    differs there (a fee kink) or when its set's maximizer is not unique
+    and differs there (a kernel kink).  Both choices lie in conv(Q_i), so any
+    weight theta_i in [0, 1] toward the alternative keeps the point
+    feasible; ``_ascend`` maximizes P(theta) of ``Certificate``.  The gap
+    g - P is tested at ``state`` and then once at the price of the primal
+    point, nu' = max(c - mu * y(theta), 0), which is adopted only if it
+    lowers g and passes the same test.
+    """
+    c, mu = utility._c, utility.mu
+    flows: list[tuple[float, ...]] = []
+    moves = []  # (edge, nodes, flow change, activation switch) toward each alternative
+    for i, (_, nodes, _, unique) in enumerate(program):
+        active, point = state.active[i], state.points[i]  # masked-off edges are inactive
+        flows.append(point if active else (0.0,) * len(nodes))
+        for other in bundle:
+            other_active, other_point = other.active[i], other.points[i]
+            fee_kink = other_active != active
+            kernel_kink = active and other_active and not unique and other_point != point
+            if fee_kink or kernel_kink:
+                target = other_point if other_active else (0.0,) * len(nodes)
+                moves.append((i, nodes, [b - a for a, b in zip(flows[i], target)],
+                              other_active - active))
+                break
+    if not moves:
+        return None
+    activations = [-1.0 if active else 0.0 for active in state.active]
+    theta = _ascend(c, mu, _net_flow(len(c), program, flows),
+                    [(nodes, change, switch * program[i][2]) for i, nodes, change, switch in moves])
+    for (i, _, change, switch), t in zip(moves, theta):
+        flows[i] = tuple(a + t * d for a, d in zip(flows[i], change))
+        activations[i] -= t * switch
+    y = _net_flow(len(c), program, flows)
+    value = _disposal_value(c, mu, y) + _dot([fee for _, _, fee, _ in program], activations)
+    certificate = Certificate(value=value, flows=flows, activations=activations)
+    if state.g - value <= GAP_TOL * (1.0 + abs(state.g)):
+        state.certificate = certificate
+        return state
+    primal_price = [max(cj - mu * yj, 0.0) for cj, yj in zip(c, y)]
+    candidate = _evaluate(utility, program, primal_price, tie_tol, on)
+    if candidate.g < state.g and candidate.g - value <= GAP_TOL * (1.0 + abs(candidate.g)):
+        candidate.certificate = certificate
+        return candidate
+    return None
+
+
+def _net_flow(n: int, program: Program, flows: list[tuple[float, ...]]) -> list[float]:
+    y = [0.0] * n
+    for (_, nodes, _, _), flow in zip(program, flows):
+        for j, x in zip(nodes, flow):
+            y[j] += x
+    return y
+
+
+def _disposal_value(c: list[float], mu: float, y: list[float]) -> float:
+    """U(min(y, c / mu)) of the quadratic utility: U at y after free
+    disposal of the surplus above its peak."""
+    return sum(cj * cj / (2.0 * mu) if mu * yj >= cj else yj * (cj - 0.5 * mu * yj)
+               for cj, yj in zip(c, y))
+
+
+def _ascend(c: list[float], mu: float, y: list[float],
+            moves: list[tuple[tuple[int, ...], list[float], float]]) -> list[float]:
+    """theta in [0, 1]^k maximizing sum_j U_j(min(y_j, c_j / mu)) - fees
+    when move k = (nodes, flow change, fee change) adds theta_k times its
+    changes to the net flow ``y`` (updated in place) and to the fees.
+
+    Exact coordinate ascent, each sweep followed by an exact line search
+    along the sweep's whole step, which ends the zigzag of coupled moves;
+    it stops when no weight moves by more than 1e-12.
+    """
+    theta = [0.0] * len(moves)
+    for _ in range(CERTIFICATE_SWEEPS):
+        start = theta[:]
+        for k, (nodes, change, fee_change) in enumerate(moves):
+            t = theta[k]
+            step = _line_max(c, mu, y, nodes, change, fee_change, -t, 1.0 - t)
+            for j, d in zip(nodes, change):
+                y[j] += step * d
+            theta[k] = t + step
+        delta = list(map(operator.sub, theta, start))
+        if max(map(abs, delta)) <= 1e-12:
+            break
+        if len(moves) > 1:
+            # the sweep's step as one move: its net-flow change, fee change and
+            # the largest multiple that keeps theta in the box
+            change_of = {}
+            for (nodes, change, _), dk in zip(moves, delta):
+                for j, d in zip(nodes, change):
+                    change_of[j] = change_of.get(j, 0.0) + dk * d
+            nodes, change = tuple(change_of), list(change_of.values())
+            fee_change = _dot([f for _, _, f in moves], delta)
+            longest = min([(1.0 - t) / dk for t, dk in zip(theta, delta) if dk > 0.0]
+                          + [-t / dk for t, dk in zip(theta, delta) if dk < 0.0])
+            step = _line_max(c, mu, y, nodes, change, fee_change, 0.0, longest)
+            for j, d in zip(nodes, change):
+                y[j] += step * d
+            theta = [t + step * dk for t, dk in zip(theta, delta)]
+    return [min(max(t, 0.0), 1.0) for t in theta]
+
+
+def _line_max(c: list[float], mu: float, y: list[float], nodes: Sequence[int],
+              change: list[float], fee_change: float, lo: float, hi: float) -> float:
+    """argmax over t in [lo, hi] of sum_j U_j(min(y_j + t change_j, c_j / mu))
+    - t fee_change, over ``nodes``.
+
+    The derivative, sum_j change_j max(c_j - mu (y_j + t change_j), 0) -
+    fee_change, is nonincreasing and linear between the knots where a node
+    reaches its peak, so its root is found exactly segment by segment.
+    """
+    def slope(t: float) -> float:
+        return sum(d * max(c[j] - mu * (y[j] + t * d), 0.0)
+                   for j, d in zip(nodes, change)) - fee_change
+
+    knots = sorted(t for t in ((c[j] / mu - y[j]) / d for j, d in zip(nodes, change) if d)
+                   if lo < t < hi)
+    s_lo = slope(lo)
+    if s_lo <= 0.0:
+        return lo
+    for t in knots + [hi]:
+        s_t = slope(t)
+        if s_t <= 0.0:
+            return lo + (t - lo) * s_lo / (s_lo - s_t)
+        lo, s_lo = t, s_t
+    return hi
 
 
 def _minimize_threshold(utility: ThresholdUtility, program: Program,
@@ -324,7 +529,7 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
     supply at unit price; the slope only changes at nu = q_i / h_i.
     """
     b = utility.b
-    kept = [(kernel([1.0])[0], fee) for i, (kernel, _, fee) in enumerate(program)
+    kept = [(kernel([1.0])[0], fee) for i, (kernel, _, fee, _) in enumerate(program)
             if on is None or on[i]]
     if not all(math.isfinite(h) for h, _ in kept):
         raise UnboundedProblemError("an edge has unbounded supply at unit price")
@@ -432,10 +637,10 @@ def recover_primal(state: DualState, instance: Instance,
                        y_hat=ys[best].copy(), nu=np.array(state.nu, dtype=float),
                        gap=gap, rel_gap=rel_gap, tie_count=len(tied),
                        iterations=state.iterations, converged=state.converged,
-                       edge_values=list(state.values), edge_tied=list(state.tied))
+                       stop=state.stop, edge_values=list(state.values), edge_tied=list(state.tied))
 
 
-def verify_optimality(report: SolveReport, tol: float = 1e-8) -> VerifyResult:
+def verify_optimality(report: SolveReport, tol: float = GAP_TOL) -> VerifyResult:
     bracket = (report.primal_value, report.dual_value)
     if not math.isfinite(report.dual_value) or not math.isfinite(report.primal_value):
         return VerifyResult("unknown", bracket)
@@ -468,7 +673,7 @@ def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> Solv
     _check_solvable(instance)
     opts = opts or SolverOptions()
     started = time.perf_counter()
-    program = [(clipped.base.kernel, edge.nodes, edge.fee)
+    program = [(clipped.base.kernel, edge.nodes, edge.fee, clipped.base.unique_maximizer)
                for clipped, edge in zip(conic.clipped, instance.edges)]
     state = _with_arrays(_minimize(instance.utility, program, opts))
     report = recover_primal(state, instance, opts)

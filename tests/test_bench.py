@@ -10,6 +10,7 @@ from convexflow.bench import (BenchConfig, CSV_COLUMNS, ReportRow, bench_meta,
                               write_csv)
 from convexflow.model import LinearUtility, QuadraticUtility, ThresholdUtility
 from convexflow.sets import HalfLineEdge, ProductMarketEdge
+from convexflow.solver import SolverOptions
 
 
 class TestBenchConfig:
@@ -120,3 +121,7 @@ class TestSweep:
             row = run_cell(BenchConfig(n=10, mu=0.0, q0=0.01, seed=seed))
             assert row.status == "ok"
             assert row.rel_gap <= 1e-6
+
+    def test_nonconverged_rows_name_their_stop(self):
+        row = run_cell(BenchConfig(n=6, mu=1e-2, q0=0.01, seed=0), SolverOptions(max_iter=1))
+        assert row.status == "nonconverged:max_iter"

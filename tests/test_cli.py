@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import convexflow.model as model
+from convexflow.bench import BenchConfig, gen_bench_instance, gen_knapsack_instance
 from convexflow.cli import main
+from convexflow.solver import report_to_document, solve
 
 from conftest import invalid_document_edits
 
@@ -109,6 +117,19 @@ class TestRoundCommand:
         assert not out.exists()
 
 
+    def test_unmet_threshold_demand_is_refused(self, tmp_path, capsys):
+        # every x at 0 and lambda 0 leaves the demand b = 5 unmet: the
+        # solution is refused by name instead of as a non-finite objective
+        inst, sol, out = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "r.json"
+        run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
+        sol.write_text('{"edges": [{"x": [0], "lambda": 0}, {"x": [0], "lambda": 0}]}')
+        assert run(["round", "--input", str(inst), "--solution", str(sol),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution") and "threshold demand b = 5.0" in err
+        assert "0.0" in err and not out.exists()
+
+
 class TestKnapsackCommand:
     def test_generates_and_solves(self, tmp_path):
         inst = tmp_path / "k.json"
@@ -138,3 +159,87 @@ class TestBenchCommand:
                     "--seeds", "1", "--max-iter", "1", "--csv", str(csv_path)])
         assert code == 3
         assert "nonconverged" in csv_path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# property: whatever the arguments and documents, the exit code is 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_numbers = st.sampled_from(["0", "1", "-1", "2.5", "nan", "inf", "1e309", "x", ""])
+
+
+@st.composite
+def _edited(draw, doc):
+    """``doc`` as it is, or with one value somewhere in it replaced."""
+    if draw(st.booleans()):
+        return doc
+    doc = json.loads(json.dumps(doc))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    value = draw(_json_values)
+    if parent is None:
+        return value
+    parent[key] = value
+    return doc
+
+
+@st.composite
+def _argv(draw, folder: Path):
+    instance, solution = folder / "instance.json", folder / "solution.json"
+    command = draw(st.sampled_from(["generate", "knapsack", "solve", "round", "bench"]))
+    if command == "generate":
+        argv = ["generate", "--n", draw(st.sampled_from(["-1", "1", "2", "5", "x"])),
+                "--mu", draw(_numbers), "--q0", draw(_numbers), "--seed", draw(_numbers)]
+    elif command == "knapsack":
+        argv = ["knapsack", "--c", draw(st.sampled_from(["2,3", "", "0,4", "-1", "1,x", "7"])),
+                "--b", draw(_numbers)]
+    elif command == "bench":
+        argv = ["bench", "--n", draw(st.sampled_from(["3", "4,5", "1", "", "x"])),
+                "--mu", draw(st.sampled_from(["0", "0.01", "-1", "nan"])),
+                "--q0", draw(st.sampled_from(["0", "0.1", "-1", "inf"])),
+                "--seeds", "1", "--csv", str(folder / draw(st.sampled_from(["rows.csv", "no/rows.csv"])))]
+    else:
+        argv = [command, "--input", str(draw(st.sampled_from([instance, folder / "missing.json", folder])))]
+        if command == "round":
+            argv += ["--solution", str(solution)]
+        if command == "solve" and draw(st.booleans()):
+            argv += ["--tol", draw(_numbers), "--max-iter", draw(st.sampled_from(["0", "3", "-1", "x"]))]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--bogus", "extra"])))
+    return argv
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of an argparse exit; the streams
+    are swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exit_code_is_0_2_or_3(data):
+    base = data.draw(st.sampled_from([
+        gen_knapsack_instance([2, 3, 4], 5),
+        gen_bench_instance(BenchConfig(n=4, mu=0.0, q0=0.1, seed=1)),
+        gen_bench_instance(BenchConfig(n=3, mu=0.01, q0=0.1, seed=2))]))
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        doc = data.draw(_edited(model.to_document(base)))
+        text = json.dumps(doc) if data.draw(st.booleans()) else data.draw(st.text(max_size=8))
+        (folder / "instance.json").write_text(text)
+        solution = data.draw(_edited(report_to_document(solve(base))))
+        (folder / "solution.json").write_text(json.dumps(solution))
+        argv = data.draw(_argv(folder))
+        assert _exit_code(argv) in (0, 2, 3), argv

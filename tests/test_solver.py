@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility, build_dual_view)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
-from convexflow.solver import (SolveReport, SolverOptions, _evaluate, _minimize,
+from convexflow.solver import (GAP_TOL, SolveReport, SolverOptions, _evaluate, _minimize,
                                _program, dual_value_and_gradient, minimize_dual,
                                recover_primal, report_to_document, solve,
                                verify_optimality)
 
 from conftest import builtin_families
-from oracles import (central_difference, conjugate_reference,
+from oracles import (central_difference, conjugate_reference, dense_selector,
                      evaluate_dual_reference, lbfgs_reference,
                      recover_primal_reference, threshold_minimizer_reference)
 
@@ -381,13 +382,16 @@ class TestMinimizeDual:
         assert np.all(np.diff(trace) <= 1e-12 * (1 + np.abs(trace[:-1])))
 
     def test_projected_stationarity_at_convergence(self, rng):
+        # a gradient stop is stationary; a gap stop at a kink need not be,
+        # and is checked through its certificate instead
         for _ in range(5):
             inst = random_instance(rng, n_max=5, m_max=8)
             state = minimize_dual(inst)
-            if not state.converged:
-                continue
-            projected = state.nu - np.maximum(state.nu - state.gradient, 0.0)
-            assert np.abs(projected).max() <= 1e-8
+            if state.stop == "grad":
+                projected = state.nu - np.maximum(state.nu - state.gradient, 0.0)
+                assert np.abs(projected).max() <= 1e-8
+            elif state.stop == "gap":
+                assert_certificate_sound(inst, state)
 
     def test_unbounded_linear_detected(self):
         # negative utility weight on a reachable node: flow can run away
@@ -410,6 +414,116 @@ class TestMinimizeDual:
                         utility=ThresholdUtility(5.0))
         with pytest.raises(InfeasibleProblemError):
             minimize_dual(inst)
+
+
+def assert_certificate_sound(inst, state, on=None):
+    """The state's certificate, recomputed with numpy: every (flow,
+    activation) lies in its edge's clipped cone, the value is U at the net
+    flow capped at c / mu plus the activation-weighted fees, and it closes
+    the gap at ``state``."""
+    cert = state.certificate
+    assert len(cert.flows) == len(cert.activations) == inst.m
+    y, fees = np.zeros(inst.n), 0.0
+    for i, (edge, flow, lam) in enumerate(zip(inst.edges, cert.flows, cert.activations)):
+        x = np.asarray(flow, dtype=float)
+        assert -1.0 <= lam <= 0.0
+        if on is not None and not on[i]:
+            assert lam == 0.0 and not x.any()
+        assert ClippedCone(FlowCone(edge.flow_set)).contains(np.append(x, lam)), (i, x, lam)
+        y += dense_selector(edge.nodes, inst.n) @ x
+        fees += edge.fee * lam
+    utility = inst.utility
+    value = utility.value(np.minimum(y, utility.c / utility.mu)) + fees
+    assert cert.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert state.g - cert.value <= GAP_TOL * (1.0 + abs(state.g))
+
+
+def mixed_tick_instance():
+    """The n = 4 instance of a tick, a product market, a half line and a
+    rational capped edge plus a tick: both ticks put kinks in the dual."""
+    edges = (
+        Edge(LinearTickEdge(price=1.772975064933159, cap=0.8813867412336212), (0, 2),
+             fee=0.13353260399627517),
+        Edge(ProductMarketEdge([4.929869302065558, 3.422840342999278]), (2, 3),
+             fee=0.35638638886057944),
+        Edge(HalfLineEdge(1.8693446728950311), (3,), fee=0.3607992800487482),
+        Edge(minkowski_sum(CappedConcaveEdge(capacity=1.3694105864544994),
+                           LinearTickEdge(price=1.1393097350289345, cap=1.4255861616743155)),
+             (2, 3), fee=0.29285411304192493))
+    utility = QuadraticUtility([0.6707874916489275, 0.6107978187748119,
+                                1.1514115192608916, 1.0896623719520488], 0.44609480414327407)
+    return Instance(n=4, edges=edges, utility=utility)
+
+
+# each fee-free pattern's minimized dual from the solver that stopped on the
+# projected gradient alone (9 of them ended nonconverged), by mask
+PATTERN_DUALS = {
+    1: 0.5081901701139259, 2: 0.07564133145578453, 3: 0.5396312904446214,
+    4: 1.2575266662608373, 5: 1.7657168363747695, 6: 1.7939262728788241,
+    7: 1.9184104514775764, 8: 0.003955204946360454, 9: 0.7923239350593545,
+    10: 0.2792813050484171, 11: 0.962480256808496, 12: 1.2575266662608373,
+    13: 1.7657168363747306, 14: 1.7955377655944957, 15: 1.9414678238898315}
+
+
+class TestGapCertificate:
+    def test_kinked_patterns_end_certified(self):
+        inst = mixed_tick_instance()
+        free = replace(inst, edges=tuple(replace(e, fee=0.0) for e in inst.edges))
+        program = _program(free.edges)
+        stops = set()
+        for mask, before in PATTERN_DUALS.items():
+            on = [bool(mask >> i & 1) for i in range(inst.m)]
+            state = _minimize(inst.utility, program, SolverOptions(), on)
+            stops.add(state.stop)
+            assert state.converged and state.stop in ("grad", "gap"), mask
+            assert state.g <= before + GAP_TOL * (1.0 + abs(before)), mask
+            if state.stop == "gap":
+                assert_certificate_sound(free, state, on)
+        assert stops == {"grad", "gap"}
+
+    def test_fee_instance_ends_certified(self):
+        # the fees add kinks to the ticks': before, the line search gave up
+        # at g = 1.3170369321883737, 4e-8 above the optimum
+        inst = mixed_tick_instance()
+        state = minimize_dual(inst)
+        assert state.stop == "gap" and state.converged
+        assert_certificate_sound(inst, state)
+        assert state.g <= 1.3170369321883737
+        report = solve(inst)
+        assert report.stop == "gap" and report.converged
+
+    def test_random_fee_instances_are_sound(self, rng):
+        stops = []
+        for _ in range(12):
+            inst = random_instance(rng, n_max=5, m_max=8)
+            state = minimize_dual(inst)
+            stops.append(state.stop)
+            if state.stop == "gap":
+                assert_certificate_sound(inst, state)
+            else:
+                assert state.certificate is None
+        assert stops.count("gap") >= 3
+
+    def test_fee_free_smooth_instances_keep_their_trajectory(self):
+        # no edge of a product-market instance without fees has an
+        # alternative, so the certificate never runs
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            inst = smooth_market_instance(rng, int(rng.integers(3, 11)))
+            state = minimize_dual(inst)
+            _, _, _, ref_converged = lbfgs_reference(inst)
+            assert state.certificate is None and state.stop != "gap"
+            assert state.stop == ("grad" if ref_converged else "line_search")
+
+    def test_exact_paths_and_report(self):
+        assert minimize_dual(capped_instance(0.5)).stop == "exact"
+        inst = Instance(n=1, edges=(Edge(HalfLineEdge(2.0), (0,), fee=2.0),),
+                        utility=ThresholdUtility(1.0))
+        assert solve(inst).stop == "exact"
+        report = solve(capped_instance(0.0, c=(0.0, 4.0), mu=1.0))
+        assert report.stop == "grad" and report.converged
+        capped = solve(capped_instance(0.0, c=(0.0, 4.0), mu=1.0), SolverOptions(max_iter=1))
+        assert capped.stop == "max_iter" and not capped.converged
 
 
 class TestRecoverPrimal:
