@@ -15,14 +15,15 @@ net flows stay unchanged, and the resulting objective loss is at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import solver as _solver
 from .conic import ClippedCone, FlowCone
 from .errors import EnumerationBudgetError, InfeasibleProblemError
-from .model import Instance, net_flow
+from .model import Instance, ThresholdUtility, Utility, net_flow
 from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
@@ -117,33 +118,55 @@ def brute_force_optimum(instance: Instance, max_edges: int = 20,
     rather than solver drift.  Only the minimized dual value of each
     pattern is taken (the ``dual_value`` that ``solve`` would report on
     the instance of S); no primal point is recovered.  The solver's
-    program is built once, and each pattern masks off the edges outside
-    S, which evaluates exactly as the instance of S would.  Ties between
-    patterns break toward the earlier pattern in mask order.
+    program is built once with its fees zeroed, and each pattern masks
+    off the edges outside S, which evaluates exactly as the instance of S
+    would.  A threshold instance takes one pass over all patterns instead
+    (``solver._threshold_pattern_minima``), with the same values; ``opts``
+    does not reach it.  Ties between patterns break toward the earlier
+    pattern in mask order.
     """
     m = instance.m
     if m > max_edges:
         raise EnumerationBudgetError(f"{m} edges exceed the {max_edges}-edge budget")
     _solver._check_solvable(instance)
-    opts = opts or SolverOptions()
-    program = _solver._program([replace(edge, fee=0.0) for edge in instance.edges])
+    program = [(kernel, nodes, 0.0, unique)
+               for kernel, nodes, _, unique in _solver._program(instance.edges)]
+    utility = instance.utility
+    if isinstance(utility, ThresholdUtility):
+        minima = _solver._threshold_pattern_minima(utility, program)
+    else:
+        minima = _pattern_minima(utility, program, opts or SolverOptions())
     best = -math.inf
-    best_pattern: tuple[int, ...] = ()
+    best_mask = 0
     evaluated = 0
-    for mask in range(2 ** m):
-        on = [bool(mask >> i & 1) for i in range(m)]
-        pattern = tuple(i for i in range(m) if on[i])
-        fee_total = sum(instance.edges[i].fee for i in pattern)
-        if not pattern:
-            value = instance.utility.value(np.zeros(instance.n))
+    fee_totals = [0]
+    for mask, value in enumerate(minima):
+        if mask:
+            top = mask.bit_length() - 1
+            fee_totals.append(fee_totals[mask ^ (1 << top)] + instance.edges[top].fee)
         else:
-            try:
-                value = _solver._minimize(instance.utility, program, opts, on).g
-            except InfeasibleProblemError:
-                continue
+            value = utility.value(np.zeros(instance.n))
+        if value is None:
+            continue
         evaluated += 1
-        total = value - fee_total
+        total = value - fee_totals[mask]
         if total > best:
             best = total
-            best_pattern = pattern
-    return BruteForceResult(value=best, pattern=best_pattern, evaluated=evaluated)
+            best_mask = mask
+    return BruteForceResult(value=best,
+                            pattern=tuple(i for i in range(m) if best_mask >> i & 1),
+                            evaluated=evaluated)
+
+
+def _pattern_minima(utility: Utility, program: _solver.Program,
+                    opts: SolverOptions) -> Iterator[float | None]:
+    """The minimized dual value of every activation pattern, by mask, each
+    from its own ``_minimize``; None where the pattern is infeasible."""
+    yield None
+    m = len(program)
+    for mask in range(1, 2 ** m):
+        try:
+            yield _solver._minimize(utility, program, opts,
+                                    [bool(mask >> i & 1) for i in range(m)]).g
+        except InfeasibleProblemError:
+            yield None

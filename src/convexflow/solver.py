@@ -55,7 +55,10 @@ Utility branches:
 * linear     -- the conjugate domain is the single point c, so the dual
   is evaluated there directly,
 * threshold  -- one-dimensional piecewise-linear dual, minimized exactly
-  by a breakpoint scan.
+  by a breakpoint scan.  The brute force of a threshold instance does not
+  scan each activation pattern: without fees every breakpoint is 0, so
+  ``_threshold_pattern_minima`` values all patterns in one pass, from the
+  subset sums of the edge supplies and one evaluation at price 0.
 
 Primal recovery scatters the maximizers of the active, untied edges into
 a feasible net flow on Python floats; tied edges are enumerated (up to a
@@ -551,6 +554,38 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
     state = _evaluate(utility, program, [minimizer], opts.tie_tol, on)
     state.iterations = 1
     return state
+
+
+def _threshold_pattern_minima(utility: ThresholdUtility,
+                              program: Program) -> list[float | None]:
+    """``_minimize_threshold(...).g`` of every activation pattern of a
+    fee-free ``program``, indexed by mask (bit i set when edge i is on),
+    None where the pattern cannot reach b; entry 0 is None.
+
+    Without fees every breakpoint q_i / h_i is 0, so the scan's only test
+    is the slope after 0, -b + (sum of the pattern's positive h_i), and a
+    pattern that passes it has its minimum at price 0, where the dual is
+    the same for every pattern.  The sums are built in mask order,
+    H[mask] = H[mask without its top edge] + h_top, which adds in edge
+    order as the scan does.
+    """
+    supplies = []
+    for kernel, _, _, _ in program:
+        h = kernel([1.0])[0]
+        if not math.isfinite(h):
+            raise UnboundedProblemError("an edge has unbounded supply at unit price")
+        supplies.append(h)
+    minimum = _evaluate(utility, program, [0.0], 0.0).g
+    b = utility.b
+    reach = [0]
+    minima: list[float | None] = [None]
+    for mask in range(1, 1 << len(program)):
+        top = mask.bit_length() - 1
+        h = supplies[top]
+        below = reach[mask ^ (1 << top)]
+        reach.append(below + h if h > 0.0 else below)
+        minima.append(minimum if -b + reach[mask] >= 0.0 else None)
+    return minima
 
 
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:

@@ -94,9 +94,17 @@ class TestRoundCommand:
         '{"edges": [{"x": [true], "lambda": -1}, {"x": [0], "lambda": 0}]}',
         '{"edges": [{"x": [NaN], "lambda": -1}, {"x": [0], "lambda": 0}]}',
         '{"edges": [{"x": [Infinity], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": ["inf"], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": ["-Infinity"], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": ["nan"], "lambda": -1}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [0], "lambda": "inf"}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [0], "lambda": "-Infinity"}, {"x": [0], "lambda": 0}]}',
+        '{"edges": [{"x": [0], "lambda": "nan"}, {"x": [0], "lambda": 0}]}',
     ], ids=["not_an_object", "edges_not_a_list", "entry_not_an_object",
             "lambda_not_a_number", "string_lambda", "nan_lambda", "bool_lambda",
-            "string_x", "bool_x", "nan_x", "inf_x"])
+            "string_x", "bool_x", "nan_x", "inf_x", "inf_string_x",
+            "minus_infinity_string_x", "nan_string_x", "inf_string_lambda",
+            "minus_infinity_string_lambda", "nan_string_lambda"])
     def test_malformed_solution_is_exit_2(self, tmp_path, capsys, text):
         inst, sol = tmp_path / "i.json", tmp_path / "s.json"
         run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])

@@ -4,15 +4,46 @@ import numpy as np
 import pytest
 
 from convexflow.bench import gen_knapsack_instance
-from convexflow.errors import EnumerationBudgetError
+from convexflow.errors import EnumerationBudgetError, UnboundedProblemError
 from convexflow.fees import (brute_force_optimum, gap_bounds, q_membership,
                              round_relaxation)
-from convexflow.model import Edge, Instance, LinearUtility, QuadraticUtility
-from convexflow.sets import CappedConcaveEdge, HalfLineEdge, ProductMarketEdge
+from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
+                              ThresholdUtility)
+from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, ProductMarketEdge,
+                             as_vector, scaled_tol, support_from_kernel)
 from convexflow.solver import SolverOptions, solve
 
 from conftest import builtin_families
 from oracles import brute_force_reference, sample_members, subset_sum_reachable
+
+
+class BelowHalfLine(FlowSet):
+    """{z : z <= cap} for a cap below 0: a set without 0, so its supply at
+    unit price, the cap, is negative."""
+
+    dim = 1
+    unique_maximizer = True
+
+    def __init__(self, cap: float):
+        self.cap = cap
+        self.upper_bound = np.array([cap])
+
+    def contains(self, x, tol: float = 1e-9) -> bool:
+        return as_vector(x, 1)[0] <= self.cap + scaled_tol(tol, self.cap)
+
+    def support(self, price):
+        return support_from_kernel(self, price)
+
+    def kernel(self, xi):
+        return xi[0] * self.cap, (self.cap,)
+
+
+def threshold_instance(caps, fees, b):
+    """One node, one half-line edge per cap (a ``BelowHalfLine`` for a
+    negative cap), and a threshold utility with target b."""
+    edges = tuple(Edge(HalfLineEdge(cap) if cap >= 0.0 else BelowHalfLine(cap), (0,), fee=fee)
+                  for cap, fee in zip(caps, fees))
+    return Instance(n=1, edges=edges, utility=ThresholdUtility(b))
 
 
 def capped_fee_instance(fee):
@@ -166,6 +197,47 @@ class TestBruteForceMatchesFullSolves:
         for _ in range(12):
             weights = [int(w) for w in rng.integers(1, 21, size=int(rng.integers(3, 7)))]
             self.assert_same(gen_knapsack_instance(weights, int(rng.integers(0, sum(weights) + 1))))
+        for m in range(11):
+            weights = [int(w) for w in rng.integers(1, 21, size=m)]
+            self.assert_same(gen_knapsack_instance(weights, int(rng.integers(0, sum(weights) + 1))))
+
+    def test_random_threshold_instances(self, rng):
+        # float caps, some zero, with fees drawn apart from them, and
+        # targets that may be zero or negative
+        for _ in range(40):
+            m = int(rng.integers(0, 7))
+            caps = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 5.0))
+                    for _ in range(m)]
+            fees = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 5.0))
+                    for _ in range(m)]
+            b = float(rng.choice([0.0, -1.0, rng.uniform(-2.0, sum(caps) + 1.0)]))
+            self.assert_same(threshold_instance(caps, fees, b))
+
+    @pytest.mark.parametrize("caps, fees, b", [
+        ([2.0, 2.0, 3.0], [2.0, 2.0, 3.0], 2.0),   # {0} and {1} tie at -2
+        ([1.0, 2.0], [0.0, 0.0], 0.0),             # every pattern ties U(0) = 0
+        ([1.0, 2.0], [0.0, 0.5], -3.0),
+        ([0.0, 0.0, 1.5], [0.5, 0.0, 1.0], 1.5),   # zero caps reach nothing
+        ([0.0, 0.0], [0.0, 1.0], 0.0),
+        ([0.0], [0.0], 1e-10),                     # only U(0) is feasible
+        ([2.0, -1.0, -1.0], [1.0, 0.0, 0.5], 1.5),  # negative supplies add nothing
+        ([2.0, -1.0, -1.0], [1.0, 0.0, 0.5], -0.5),
+    ], ids=["earlier_mask_wins", "zero_fees_tie_empty", "negative_target", "zero_caps",
+            "zero_caps_zero_target", "tiny_target", "negative_supply",
+            "negative_supply_negative_target"])
+    def test_threshold_instances(self, caps, fees, b):
+        self.assert_same(threshold_instance(caps, fees, b))
+
+    @pytest.mark.parametrize("utility", [ThresholdUtility(1.0), LinearUtility([1.0])],
+                             ids=["threshold", "linear"])
+    def test_infinite_cap_is_unbounded(self, utility):
+        inst = Instance(n=1, edges=(Edge(HalfLineEdge(1.0), (0,), fee=0.5),
+                                    Edge(HalfLineEdge(math.inf), (0,), fee=0.5)),
+                        utility=utility)
+        with pytest.raises(UnboundedProblemError):
+            brute_force_optimum(inst)
+        with pytest.raises(UnboundedProblemError):
+            brute_force_reference(inst)
 
     def test_capped_and_product_market_fees(self, rng):
         for _ in range(4):
