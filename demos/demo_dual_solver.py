@@ -9,8 +9,7 @@ primal flow whose value certifies (near-)optimality.
 import numpy as np
 
 from convexflow import (Edge, Instance, ProductMarketEdge, QuadraticUtility,
-                        SolverOptions, dual_value_and_gradient, solve,
-                        verify_optimality)
+                        dual_value_and_gradient, solve, verify_optimality)
 
 rng = np.random.default_rng(7)
 
@@ -26,7 +25,7 @@ g, grad, state = dual_value_and_gradient(inst, utility.c)
 print(f"dual value at the starting prices: {g:.6f},"
       f" gradient norm {np.abs(grad).max():.3f}")
 
-report = solve(inst, SolverOptions(keep_trace=True))
+report = solve(inst)
 print(f"converged in {report.iterations} iterations"
       f" ({report.runtime_ms:.1f} ms)")
 print(f"dual optimum    {report.dual_value:.9f}")

@@ -31,6 +31,8 @@ from .sets import HalfLineEdge, ProductMarketEdge
 
 RESERVE_RANGE = (1.0, 100.0)
 WEIGHT_RANGE = (0.5, 1.5)
+# draws of a pair list at most before giving up on covering every node
+MAX_ATTEMPTS = 1000
 
 CSV_COLUMNS = ("n", "m", "mu", "q0", "seed", "dual_opt", "primal_heur",
                "rel_gap", "tie_count", "runtime_ms", "status")
@@ -58,9 +60,8 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _draw_pairs(rng: np.random.Generator, n: int, m: int,
-                max_attempts: int = 1000) -> list[tuple[int, int]]:
-    for _ in range(max_attempts):
+def _draw_pairs(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int]]:
+    for _ in range(MAX_ATTEMPTS):
         pairs = []
         touched = np.zeros(n, dtype=bool)
         for _ in range(m):

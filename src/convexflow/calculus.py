@@ -1,10 +1,10 @@
 """Composition rules for allowable flow sets.
 
 Nonnegative scaling, nonnegative injective matrix images, lifting into a
-larger node space, Minkowski sums, intersections, and the aggregate-edge
-construction all preserve the three defining properties (closed convex,
-downward closed, contains 0), so each rule below returns another
-``FlowSet`` oracle.
+larger node space, Minkowski sums, intersections, and the aggregate edge
+(the Minkowski sum of lifted edge sets) all preserve the three defining
+properties (closed convex, downward closed, contains 0), so each rule
+below returns another ``FlowSet`` oracle.
 
 Support functions compose exactly:
 
@@ -32,10 +32,12 @@ from .sets import (DEFAULT_TOL, FlowSet, Support, as_vector, scaled_tol,
                    support_from_kernel)
 
 FAN_SIZE = 720
+# projected subgradient steps of an intersection's support
+DESCENT_STEPS = 400
 
 
 @lru_cache(maxsize=None)
-def direction_fan(dim: int, count: int = FAN_SIZE) -> np.ndarray:
+def direction_fan(dim: int) -> np.ndarray:
     """Deterministic nonnegative test directions, one per row.
 
     Evenly spaced quarter-circle angles in 2-D, a low-discrepancy Halton
@@ -46,13 +48,13 @@ def direction_fan(dim: int, count: int = FAN_SIZE) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0]])
     if dim == 2:
-        angles = (np.arange(count) + 0.5) * (0.5 * math.pi / count)
+        angles = (np.arange(FAN_SIZE) + 0.5) * (0.5 * math.pi / FAN_SIZE)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
         from scipy.stats import qmc  # 1.3 s to import; only fans of dim >= 3 need it
 
         sampler = qmc.Halton(d=dim, scramble=False)
-        pts = sampler.random(count)[1:]  # first Halton point is the origin
+        pts = sampler.random(FAN_SIZE)[1:]  # first Halton point is the origin
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-12]
         dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     return np.vstack([dirs, np.eye(dim)])
@@ -194,24 +196,26 @@ class LiftedSet(FlowSet):
 
 
 class MinkowskiSumSet(FlowSet):
-    """T + T': an aggregate edge that may route through either summand.
+    """T_1 + ... + T_k: an aggregate edge that may route through any summand.
 
-    Requires both summands bounded above, so that finite inputs cannot
-    generate infinite output.  Supports and maximizers add; membership is
-    the fan separation test.
+    Requires every summand bounded above, so that finite inputs cannot
+    generate infinite output.  Supports and maximizers add, in summand
+    order; membership is the fan separation test.
     """
 
-    def __init__(self, first: FlowSet, second: FlowSet):
-        if first.dim != second.dim:
+    def __init__(self, *parts: FlowSet):
+        if not parts:
+            raise ValueError("a sum needs at least one summand")
+        if any(part.dim != parts[0].dim for part in parts):
             raise ValueError("summands must share a dimension")
-        for part in (first, second):
+        for part in parts:
             if not np.all(np.isfinite(part.upper_bound)):
                 raise ValueError("summands must be bounded from above")
-        self.parts = (first, second)
-        self.dim = first.dim
-        self.upper_bound = first.upper_bound + second.upper_bound
-        # maximizers add, so the sum's is unique when both summands' are
-        self.unique_maximizer = first.unique_maximizer and second.unique_maximizer
+        self.parts = parts
+        self.dim = parts[0].dim
+        self.upper_bound = np.sum([part.upper_bound for part in parts], axis=0)
+        # maximizers add, so the sum's is unique when every summand's is
+        self.unique_maximizer = all(part.unique_maximizer for part in parts)
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return _fan_contains(self, as_vector(x, self.dim), tol)
@@ -245,15 +249,12 @@ class IntersectionSet(FlowSet):
     maximizer.
     """
 
-    approximate_support = True
-
-    def __init__(self, first: FlowSet, second: FlowSet, descent_steps: int = 400):
+    def __init__(self, first: FlowSet, second: FlowSet):
         if first.dim != second.dim:
             raise ValueError("sets must share a dimension")
         self.parts = (first, second)
         self.dim = first.dim
         self.upper_bound = np.minimum(first.upper_bound, second.upper_bound)
-        self.descent_steps = descent_steps
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         v = as_vector(x, self.dim)
@@ -278,7 +279,7 @@ class IntersectionSet(FlowSet):
         z = 0.5 * xi
         best_z, best = z.copy(), split_value(z)
         scale = float(np.max(xi)) or 1.0
-        for k in range(1, self.descent_steps + 1):
+        for k in range(1, DESCENT_STEPS + 1):
             grad = split_grad(z)
             if grad is None:
                 break
@@ -317,44 +318,6 @@ class IntersectionSet(FlowSet):
         return Support(best, None)
 
 
-class AggregateSet(FlowSet):
-    """Sum over edges of their lifted sets: the one-big-edge view of a network.
-
-    With zero edge utilities, maximizing U over this set is the whole
-    flow problem; the oracle exists so that composition and the support
-    calculus can be tested directly against solver behaviour.
-    """
-
-    def __init__(self, members: Sequence[tuple[FlowSet, Sequence[int]]], ambient_dim: int):
-        if not members:
-            raise ValueError("aggregate needs at least one edge")
-        lifts = [LiftedSet(the_set, indices, ambient_dim) for the_set, indices in members]
-        for lift_ in lifts:
-            if not np.all(np.isfinite(lift_.base.upper_bound)):
-                raise ValueError("aggregate members must be bounded from above")
-        self.members = tuple(lifts)
-        self.dim = int(ambient_dim)
-        self.upper_bound = np.sum([m.upper_bound for m in lifts], axis=0)
-
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return _fan_contains(self, as_vector(x, self.dim), tol)
-
-    def support(self, price) -> Support:
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(math.inf, None)
-        total = 0.0
-        point: np.ndarray | None = np.zeros(self.dim)
-        for member in self.members:
-            value, maximizer = member.support(xi)
-            total += value
-            if point is not None and maximizer is not None:
-                point = point + maximizer
-            else:
-                point = None
-        return Support(total, point)
-
-
 def scale(the_set: FlowSet, alpha: float) -> ScaledSet:
     return ScaledSet(the_set, alpha)
 
@@ -375,5 +338,13 @@ def intersection(first: FlowSet, second: FlowSet) -> IntersectionSet:
     return IntersectionSet(first, second)
 
 
-def aggregate(members: Sequence[tuple[FlowSet, Sequence[int]]], ambient_dim: int) -> AggregateSet:
-    return AggregateSet(members, ambient_dim)
+def aggregate(members: Sequence[tuple[FlowSet, Sequence[int]]],
+              ambient_dim: int) -> MinkowskiSumSet:
+    """Sum over edges of their lifted sets: the one-big-edge view of a network.
+
+    With zero edge utilities, maximizing U over this set is the whole
+    flow problem; it exists so that composition and the support calculus
+    can be tested directly against solver behaviour.
+    """
+    return MinkowskiSumSet(*(LiftedSet(the_set, indices, ambient_dim)
+                             for the_set, indices in members))

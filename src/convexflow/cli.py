@@ -81,17 +81,15 @@ def _cmd_knapsack(args) -> int:
 
 
 def _solver_options(args) -> solver.SolverOptions:
-    opts = solver.SolverOptions()
-    if getattr(args, "tol", None) is not None:
-        opts.grad_tol = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        opts.max_iter = args.max_iter
-    return opts
+    """The options of ``--tol`` and ``--max-iter``; ValueError when invalid."""
+    given = {"grad_tol": args.tol, "max_iter": args.max_iter}
+    return solver.SolverOptions(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_solve(args) -> int:
+    opts = _solver_options(args)
     instance = _load_instance(args.input)
-    report = solver.solve(instance, _solver_options(args))
+    report = solver.solve(instance, opts)
     _write_json(solver.report_to_document(report), args.out)
     return 0 if report.converged else 3
 
@@ -115,10 +113,13 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    opts = _solver_options(args)
     seeds = range(args.seeds) if args.seed is None else [args.seed]
     configs = bench.grid_configs(_ints(args.n), _floats(args.mu),
                                  _floats(args.q0), seeds)
-    rows = bench.run_bench(configs, csv_path=args.csv, opts=_solver_options(args))
+    if not configs:
+        raise ValueError("the bench grid has no cells: give at least one n, mu, q0 and seed")
+    rows = bench.run_bench(configs, csv_path=args.csv, opts=opts)
     bad = [row for row in rows if row.status != "ok"]
     if bad:
         print(f"{len(bad)} of {len(rows)} cells did not converge", file=sys.stderr)

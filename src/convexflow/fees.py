@@ -27,6 +27,9 @@ from .model import Instance, ThresholdUtility, Utility, net_flow
 from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
+# edges of the largest instance brute force enumerates: 2^20 patterns
+MAX_EDGES = 20
+
 
 def q_membership(flow_set: FlowSet, x, lam: float, tol: float = DEFAULT_TOL) -> bool:
     """(x, lam) in Q = {0} ∪ (T × {-1}), with tolerances."""
@@ -108,8 +111,7 @@ class BruteForceResult:
     evaluated: int
 
 
-def brute_force_optimum(instance: Instance, max_edges: int = 20,
-                        opts: SolverOptions | None = None) -> BruteForceResult:
+def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -> BruteForceResult:
     """Ground-truth fixed-fee optimum by enumerating activation patterns.
 
     Every subset S of edges is charged its fees and the fee-free convex
@@ -126,8 +128,8 @@ def brute_force_optimum(instance: Instance, max_edges: int = 20,
     pattern in mask order.
     """
     m = instance.m
-    if m > max_edges:
-        raise EnumerationBudgetError(f"{m} edges exceed the {max_edges}-edge budget")
+    if m > MAX_EDGES:
+        raise EnumerationBudgetError(f"{m} edges exceed the {MAX_EDGES}-edge budget")
     _solver._check_solvable(instance)
     program = [(kernel, nodes, 0.0, unique)
                for kernel, nodes, _, unique in _solver._program(instance.edges)]

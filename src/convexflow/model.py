@@ -284,8 +284,7 @@ class DualInstanceView:
         prices = as_vector(nu, self.instance.n).tolist()
         if any(x < 0.0 for x in prices):
             return math.inf
-        # the tie tolerance moves activations only, never g
-        return _evaluate(self.instance.utility, _program(self.instance.edges), prices, 0.0).g
+        return _evaluate(self.instance.utility, _program(self.instance.edges), prices).g
 
 
 def build_dual_view(instance: Instance) -> DualInstanceView:

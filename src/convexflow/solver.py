@@ -61,17 +61,24 @@ Utility branches:
   subset sums of the edge supplies and one evaluation at price 0.
 
 Primal recovery scatters the maximizers of the active, untied edges into
-a feasible net flow on Python floats; tied edges are enumerated (up to a
-cap) in one numpy pass, the only numpy work of recovery, and the
-best-valued primal kept.  The report's flows, activations, net flow and
+a feasible net flow on Python floats; tied edges are enumerated (up to
+``MAX_TIE_ENUM``) in one numpy pass, the only numpy work of recovery, and
+the best-valued primal kept.  The report's flows, activations, net flow and
 prices become numpy arrays once, as the report leaves.  Weak duality
 makes [primal value, dual value] a bracket on the true optimum in every
 case.
+
+``SolverOptions`` holds the two settings a caller chooses, the L-BFGS's
+``max_iter`` and ``grad_tol``.  Every other parameter is a constant of
+this module: ``GAP_TOL``, ``CERTIFICATE_SWEEPS``, ``MEMORY``, ``TIE_TOL``,
+``ARMIJO``, ``BACKTRACK``, ``MAX_BACKTRACKS``, ``DUAL_FLOOR`` and
+``MAX_TIE_ENUM``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -95,21 +102,36 @@ Program = list[tuple[Callable, tuple[int, ...], float, bool]]
 GAP_TOL = 1e-8
 # coordinate-ascent sweeps of one certificate at most
 CERTIFICATE_SWEEPS = 50
+# curvature pairs the L-BFGS history keeps
+MEMORY = 10
+# an edge is active when f_i >= q_i - TIE_TOL * scale and tied when
+# |f_i - q_i| <= TIE_TOL * scale, with scale = max(1, |f_i|, q_i)
+TIE_TOL = 1e-7
+# the line search: sufficient-decrease constant, step factor, trials at most
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+# an accepted dual value below this ends the L-BFGS: the dual is unbounded
+# below and the primal infeasible
+DUAL_FLOOR = -1e15
+# tied edges that recovery enumerates at most; beyond, all stay active
+MAX_TIE_ENUM = 12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
+    """The L-BFGS's iteration cap and projected-gradient tolerance."""
+
     max_iter: int = 500
     grad_tol: float = 1e-8
-    memory: int = 10
-    tie_tol: float = 1e-7
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    dual_floor: float = -1e15
-    max_tie_enum: int = 12
-    start: np.ndarray | None = None
-    keep_trace: bool = False  # record g at every accepted iterate
+
+    def __post_init__(self):
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if (isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real)
+                or not 0.0 <= self.grad_tol < math.inf):
+            raise ValueError(f"grad_tol must be a finite number >= 0, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -218,16 +240,16 @@ def _program(edges: Sequence[Edge]) -> Program:
             for edge in edges]
 
 
-def _evaluate(utility: Utility, program: Program, prices: list[float], tie_tol: float,
+def _evaluate(utility: Utility, program: Program, prices: list[float],
               on: Sequence[bool] | None = None) -> DualState:
     """g and a supergradient at ``prices``, a list of nonnegative floats,
     over the edges of ``program`` for which ``on`` is true (all of them by
     default).  The state's ``nu`` is ``prices`` and its gradient a list.
 
-    An edge is active when f_i >= q_i - tie_tol * scale and tied when
-    |f_i - q_i| <= tie_tol * scale, with scale = max(1, |f_i|, q_i).
-    The evaluation stops at the first infinite term, with g = inf.
+    Activations and ties follow ``TIE_TOL``.  The evaluation stops at the
+    first infinite term, with g = inf.
     """
+    tie_tol = TIE_TOL
     conj_value, conj_max = utility.conjugate(prices)
     m = len(program)
     state = DualState(nu=prices, g=math.inf, gradient=None, values=[math.nan] * m,
@@ -284,12 +306,11 @@ def _clamped(prices: list[float]) -> list[float]:
     return [max(x, 0.0) for x in prices]
 
 
-def dual_value_and_gradient(instance: Instance, nu,
-                            tie_tol: float = 1e-7) -> tuple[float, np.ndarray | None, DualState]:
+def dual_value_and_gradient(instance: Instance, nu) -> tuple[float, np.ndarray | None, DualState]:
     """Evaluate the dual function and a supergradient at nu (clamped to >= 0)."""
     _check_solvable(instance)
     prices = _clamped(as_vector(nu, instance.n).tolist())
-    state = _with_arrays(_evaluate(instance.utility, _program(instance.edges), prices, tie_tol))
+    state = _with_arrays(_evaluate(instance.utility, _program(instance.edges), prices))
     return state.g, state.gradient, state
 
 
@@ -311,19 +332,21 @@ def _two_loop(history, grad: list[float]) -> list[float]:
     return q
 
 
-def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program, nu: list[float],
+def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
                               opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
-    """Projected L-BFGS over nu >= 0 from the nonnegative start ``nu``.
+    """Projected L-BFGS over nu >= 0 from c clamped to >= 0.
 
     It stops on the projected gradient test or, after an iteration whose
     line search rejected a trial, on the duality-gap certificate of
-    ``_certify``.
+    ``_certify``.  The state's ``trace`` holds g at the start, at every
+    accepted iterate and at a certified primal point's price it adopts.
     """
-    state = _evaluate(utility, program, nu, opts.tie_tol, on)
+    nu = _clamped(utility._c)
+    state = _evaluate(utility, program, nu, on)
     if not math.isfinite(state.g):
         raise UnboundedProblemError("dual function is infinite at the starting point")
     history: list[tuple[list[float], list[float], float]] = []
-    trace = [state.g] if opts.keep_trace else []
+    trace = [state.g]
     previous = None  # the accepted state before ``state``
     iterations = 0
     stop = "max_iter"
@@ -339,40 +362,39 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program, nu: l
             direction = [-d for d in grad]
         step = 1.0
         accepted = rejected = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = [max(x + step * d, 0.0) for x, d in zip(nu, direction)]
             delta = list(map(operator.sub, trial, nu))
             slope = _dot(grad, delta)
             if not any(delta):
                 break
             if slope < 0.0:
-                trial_state = _evaluate(utility, program, trial, opts.tie_tol, on)
-                if trial_state.g <= state.g + opts.armijo * slope:
+                trial_state = _evaluate(utility, program, trial, on)
+                if trial_state.g <= state.g + ARMIJO * slope:
                     accepted = (delta, trial, trial_state)
                     break
                 if math.isfinite(trial_state.g):
                     rejected = trial_state  # the nearest so far
-            step *= opts.backtrack
+            step *= BACKTRACK
         if accepted is not None:
             s, trial, trial_state = accepted
             y = list(map(operator.sub, trial_state.gradient, grad))
             sy = _dot(s, y)
             if sy > 1e-12 * (math.hypot(*s) * math.hypot(*y)):
                 history.append((s, y, 1.0 / sy))
-                if len(history) > opts.memory:
+                if len(history) > MEMORY:
                     history.pop(0)
             previous, nu, state = state, trial, trial_state
-            if opts.keep_trace:
-                trace.append(state.g)
-            if state.g < opts.dual_floor:
+            trace.append(state.g)
+            if state.g < DUAL_FLOOR:
                 raise InfeasibleProblemError(
-                    "dual objective fell below the configured floor; the dual is "
-                    "unbounded and the primal infeasible")
+                    f"dual objective fell below DUAL_FLOOR = {DUAL_FLOOR:g}; the dual "
+                    "is unbounded and the primal infeasible")
         if rejected is not None:
             bundle = [other for other in (previous, rejected) if other is not None]
-            certified = _certify(utility, program, state, bundle, opts.tie_tol, on)
+            certified = _certify(utility, program, state, bundle, on)
             if certified is not None:
-                if certified is not state and opts.keep_trace:
+                if certified is not state:
                     trace.append(certified.g)
                 state = certified
                 stop = "gap"
@@ -391,8 +413,7 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program, nu: l
 
 
 def _certify(utility: QuadraticUtility, program: Program, state: DualState,
-             bundle: Sequence[DualState], tie_tol: float,
-             on: Sequence[bool] | None) -> DualState | None:
+             bundle: Sequence[DualState], on: Sequence[bool] | None) -> DualState | None:
     """The state to stop at with a certified duality gap, or None.
 
     Each edge's base choice is its choice in ``state``: (maximizer, fee)
@@ -436,7 +457,7 @@ def _certify(utility: QuadraticUtility, program: Program, state: DualState,
         state.certificate = certificate
         return state
     primal_price = [max(cj - mu * yj, 0.0) for cj, yj in zip(c, y)]
-    candidate = _evaluate(utility, program, primal_price, tie_tol, on)
+    candidate = _evaluate(utility, program, primal_price, on)
     if candidate.g < state.g and candidate.g - value <= GAP_TOL * (1.0 + abs(candidate.g)):
         candidate.certificate = certificate
         return candidate
@@ -525,7 +546,7 @@ def _line_max(c: list[float], mu: float, y: list[float], nodes: Sequence[int],
 
 
 def _minimize_threshold(utility: ThresholdUtility, program: Program,
-                        opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
+                        on: Sequence[bool] | None) -> DualState:
     """Exact minimizer of the 1-D piecewise-linear threshold dual.
 
     g(nu) = -b * nu + sum_i max(h_i * nu - q_i, 0) with h_i the edge
@@ -551,7 +572,7 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
         raise InfeasibleProblemError(
             "threshold dual decreases without bound; total edge supply "
             "cannot reach the demanded net flow")
-    state = _evaluate(utility, program, [minimizer], opts.tie_tol, on)
+    state = _evaluate(utility, program, [minimizer], on)
     state.iterations = 1
     return state
 
@@ -575,7 +596,7 @@ def _threshold_pattern_minima(utility: ThresholdUtility,
         if not math.isfinite(h):
             raise UnboundedProblemError("an edge has unbounded supply at unit price")
         supplies.append(h)
-    minimum = _evaluate(utility, program, [0.0], 0.0).g
+    minimum = _evaluate(utility, program, [0.0]).g
     b = utility.b
     reach = [0]
     minima: list[float | None] = [None]
@@ -591,39 +612,37 @@ def _threshold_pattern_minima(utility: ThresholdUtility,
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:
     """Minimize the dual over nu >= 0 and return the final dual state."""
     _check_solvable(instance)
-    return _with_arrays(_minimize(instance.utility, _program(instance.edges),
-                                  opts or SolverOptions()))
+    return _with_arrays(_minimize(instance.utility, _program(instance.edges), opts))
 
 
-def _minimize(utility: Utility, program: Program, opts: SolverOptions,
+def _minimize(utility: Utility, program: Program, opts: SolverOptions | None,
               on: Sequence[bool] | None = None) -> DualState:
     """``minimize_dual`` over the edges of ``program`` for which ``on`` is
     true, with the same result as on the instance of those edges alone.
-    The state stays on floats; callers that hand it out convert it with
+    Only the L-BFGS reads ``opts`` (the defaults when None).  The state
+    stays on floats; callers that hand it out convert it with
     ``_with_arrays``."""
     if isinstance(utility, LinearUtility):
-        state = _evaluate(utility, program, _clamped(utility._c), opts.tie_tol, on)
+        state = _evaluate(utility, program, _clamped(utility._c), on)
         if not math.isfinite(state.g):
             raise UnboundedProblemError(
                 "the dual is infinite at nu = c, so the linear-utility "
                 "problem is unbounded above")
         state.iterations = 1
     elif isinstance(utility, ThresholdUtility):
-        state = _minimize_threshold(utility, program, opts, on)
+        state = _minimize_threshold(utility, program, on)
     elif isinstance(utility, QuadraticUtility):
-        start = utility._c if opts.start is None else as_vector(opts.start, utility.dim).tolist()
-        state = _minimize_projected_lbfgs(utility, program, _clamped(start), opts, on)
+        state = _minimize_projected_lbfgs(utility, program, opts or SolverOptions(), on)
     else:
         raise TypeError(f"unsupported utility type: {type(utility).__name__}")
     return state
 
 
-def recover_primal(state: DualState, instance: Instance,
-                   opts: SolverOptions | None = None) -> SolveReport:
+def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     """Assemble a feasible primal point from the edge subproblem maximizers.
 
     Activations are integral by construction.  Tied edges (support equal
-    to the fee within tolerance) are enumerated up to ``max_tie_enum``
+    to the fee within tolerance) are enumerated up to ``MAX_TIE_ENUM``
     and the best-valued primal kept; beyond the cap the active branch is
     kept, which is always feasible by the dominating-point property.
 
@@ -635,9 +654,8 @@ def recover_primal(state: DualState, instance: Instance,
     kept unless another pattern is strictly better; among equally good
     patterns the first in mask order wins.
     """
-    opts = opts or SolverOptions()
     tied = [i for i, t in enumerate(state.tied) if t]
-    enumerated = tied if len(tied) <= opts.max_tie_enum else []
+    enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
     row = {i: k for k, i in enumerate(enumerated)}
     y_base, fee_base = [0.0] * instance.n, 0.0
     c_tied = np.zeros((len(enumerated), instance.n))
@@ -686,10 +704,9 @@ def verify_optimality(report: SolveReport, tol: float = GAP_TOL) -> VerifyResult
 
 def solve(instance: Instance, opts: SolverOptions | None = None) -> SolveReport:
     """Minimize the dual, recover a primal point, and time the whole run."""
-    opts = opts or SolverOptions()
     started = time.perf_counter()
     state = minimize_dual(instance, opts)
-    report = recover_primal(state, instance, opts)
+    report = recover_primal(state, instance)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report
 
@@ -706,12 +723,11 @@ def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> Solv
     """
     instance = conic.base
     _check_solvable(instance)
-    opts = opts or SolverOptions()
     started = time.perf_counter()
     program = [(clipped.base.kernel, edge.nodes, edge.fee, clipped.base.unique_maximizer)
                for clipped, edge in zip(conic.clipped, instance.edges)]
     state = _with_arrays(_minimize(instance.utility, program, opts))
-    report = recover_primal(state, instance, opts)
+    report = recover_primal(state, instance)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report
 

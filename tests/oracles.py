@@ -18,7 +18,8 @@ from convexflow.model import (Instance, LinearUtility, QuadraticUtility,
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
                              LinearTickEdge, ProductMarketEdge, as_vector,
                              scaled_tol)
-from convexflow.solver import SolverOptions, dual_value_and_gradient, solve
+from convexflow.solver import (ARMIJO, BACKTRACK, MAX_BACKTRACKS, MEMORY, TIE_TOL,
+                               SolverOptions, dual_value_and_gradient, solve)
 
 
 def _frontier_max(xs: np.ndarray, ys: np.ndarray, xi) -> float:
@@ -193,7 +194,7 @@ def fallback_maximizer_reference(flow_set: FlowSet, xi: np.ndarray) -> np.ndarra
     return point
 
 
-def evaluate_dual_reference(instance, nu, tie_tol: float = 1e-7):
+def evaluate_dual_reference(instance, nu, tie_tol: float = TIE_TOL):
     """The dual at nu, one edge at a time through ``flow_set.support``:
     (g, gradient, values, active, tied), with the solver's rule (scale =
     max(1, |f|, q); active when f >= q - tie_tol * scale, tied when
@@ -294,15 +295,15 @@ def _two_loop_reference(history, grad: np.ndarray) -> np.ndarray:
 def lbfgs_reference(instance, opts: SolverOptions | None = None):
     """(nu, g, iterations, converged) of the solver's projected L-BFGS on a
     quadratic-utility instance, run on numpy vectors and evaluated through
-    ``dual_value_and_gradient``; the same steps, tests and stopping rule."""
+    ``dual_value_and_gradient``; the same start, steps, tests, stopping rule
+    and constants."""
     opts = opts or SolverOptions()
-    start = opts.start if opts.start is not None else instance.utility.c
 
     def evaluate(point):
-        g, grad, _ = dual_value_and_gradient(instance, point, opts.tie_tol)
+        g, grad, _ = dual_value_and_gradient(instance, point)
         return g, grad
 
-    nu = np.maximum(np.asarray(start, dtype=float), 0.0)
+    nu = np.maximum(instance.utility.c, 0.0)
     g, grad = evaluate(nu)
     if not math.isfinite(g):
         raise UnboundedProblemError("dual function is infinite at the starting point")
@@ -320,7 +321,7 @@ def lbfgs_reference(instance, opts: SolverOptions | None = None):
             direction = -grad
         step = 1.0
         accepted = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = np.maximum(nu + step * direction, 0.0)
             delta = trial - nu
             slope = float(grad @ delta)
@@ -328,10 +329,10 @@ def lbfgs_reference(instance, opts: SolverOptions | None = None):
                 break
             if slope < 0.0:
                 trial_g, trial_grad = evaluate(trial)
-                if math.isfinite(trial_g) and trial_g <= g + opts.armijo * slope:
+                if math.isfinite(trial_g) and trial_g <= g + ARMIJO * slope:
                     accepted = (trial, trial_g, trial_grad)
                     break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if accepted is None:
             if history:
                 history.clear()
@@ -342,7 +343,7 @@ def lbfgs_reference(instance, opts: SolverOptions | None = None):
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             history.append((s, y, 1.0 / sy))
-            if len(history) > opts.memory:
+            if len(history) > MEMORY:
                 history.pop(0)
         nu, g, grad = trial, trial_g, trial_grad
     return nu, g, iterations, converged

@@ -169,6 +169,45 @@ class TestBenchCommand:
         assert "nonconverged" in csv_path.read_text()
 
 
+# out of range: --tol takes a finite number >= 0, --max-iter an integer >= 1
+INVALID_OPTIONS = {"tol_inf": ["--tol", "inf"], "tol_nan": ["--tol", "nan"],
+                   "tol_negative": ["--tol", "-1"], "max_iter_zero": ["--max-iter", "0"],
+                   "max_iter_negative": ["--max-iter", "-3"]}
+# bench grids without a cell
+EMPTY_GRIDS = {"no_seeds": ["--n", "6", "--seeds", "0"],
+               "negative_seeds": ["--n", "6", "--seeds", "-1"],
+               "no_n": ["--n", "", "--seeds", "1"]}
+
+
+class TestInvalidOptions:
+    """Refused with exit 2 before any output is written."""
+
+    @pytest.mark.parametrize("name", sorted(INVALID_OPTIONS))
+    def test_solve(self, tmp_path, capsys, name):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        run(["generate", "--n", "6", "--mu", "0.01", "--q0", "0.01", "--out", str(inst)])
+        assert run(["solve", "--input", str(inst), "--out", str(sol)]
+                   + INVALID_OPTIONS[name]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not sol.exists()
+
+    @pytest.mark.parametrize("name", sorted(INVALID_OPTIONS))
+    def test_bench(self, tmp_path, capsys, name):
+        csv_path = tmp_path / "rows.csv"
+        assert run(["bench", "--n", "6", "--mu", "0.01", "--q0", "0.01", "--seeds", "1",
+                    "--csv", str(csv_path)] + INVALID_OPTIONS[name]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_GRIDS))
+    def test_empty_bench_grid(self, tmp_path, capsys, name):
+        csv_path = tmp_path / "rows.csv"
+        assert run(["bench", "--mu", "0", "--q0", "0.01", "--csv", str(csv_path)]
+                   + EMPTY_GRIDS[name]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # property: whatever the arguments and documents, the exit code is 0, 2 or 3
 # ---------------------------------------------------------------------------

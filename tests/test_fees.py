@@ -168,9 +168,10 @@ class TestBruteForce:
         assert result.pattern == (0, 1)
 
     def test_budget_guard(self):
-        inst = gen_knapsack_instance([1] * 8, 4)
+        # one edge over the 20-edge budget
+        inst = gen_knapsack_instance([1] * 21, 4)
         with pytest.raises(EnumerationBudgetError):
-            brute_force_optimum(inst, max_edges=6)
+            brute_force_optimum(inst)
 
     def test_infeasible_patterns_skipped(self):
         # no subset reaches b = 5, so every pattern is infeasible; only the

@@ -12,9 +12,9 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility, build_dual_view)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
-from convexflow.solver import (GAP_TOL, SolveReport, SolverOptions, _evaluate, _minimize,
-                               _program, dual_value_and_gradient, minimize_dual,
-                               recover_primal, report_to_document, solve,
+from convexflow.solver import (GAP_TOL, MAX_TIE_ENUM, SolveReport, SolverOptions,
+                               _evaluate, _minimize, _program, dual_value_and_gradient,
+                               minimize_dual, recover_primal, report_to_document, solve,
                                verify_optimality)
 
 from conftest import builtin_families
@@ -217,8 +217,8 @@ class TestEvaluatorMatchesReference:
             sub = Instance(n=4, edges=tuple(e for e, k in zip(inst.edges, on) if k),
                            utility=utility)
             nu = prices_with_zeros(rng, 4)
-            masked = _evaluate(utility, _program(inst.edges), nu.tolist(), 1e-7, on)
-            alone = _evaluate(utility, _program(sub.edges), nu.tolist(), 1e-7)
+            masked = _evaluate(utility, _program(inst.edges), nu.tolist(), on)
+            alone = _evaluate(utility, _program(sub.edges), nu.tolist())
             assert masked.g == alone.g
             assert np.array_equal(masked.gradient, alone.gradient)
             assert [a for a, k in zip(masked.active, on) if k] == alone.active
@@ -369,15 +369,16 @@ class TestMinimizeDual:
         assert state.g == pytest.approx(1.3789653628876, abs=1e-6)
 
     def test_infeasible_start_is_clamped(self):
-        inst = capped_instance(0.0, c=(1.0, 1.0), mu=1.0)
-        opts = SolverOptions(start=np.array([-1.0, -1.0]), keep_trace=True)
-        state = minimize_dual(inst, opts)
+        # the L-BFGS starts from c clamped to >= 0, here (0, 1)
+        inst = capped_instance(0.0, c=(-1.0, 1.0), mu=1.0)
+        state = minimize_dual(inst)
+        assert state.trace[0] == dual_value_and_gradient(inst, [0.0, 1.0])[0]
         assert state.converged
         assert np.all(state.nu >= 0.0)
 
     def test_monotone_accepted_iterates(self, rng):
         inst = random_instance(rng)
-        state = minimize_dual(inst, SolverOptions(keep_trace=True))
+        state = minimize_dual(inst)
         trace = np.array(state.trace)
         assert np.all(np.diff(trace) <= 1e-12 * (1 + np.abs(trace[:-1])))
 
@@ -551,10 +552,12 @@ class TestRecoverPrimal:
         assert report.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_cap_keeps_active_branch(self):
-        # more tied edges than the enumeration cap: all stay active
-        edges = tuple(Edge(HalfLineEdge(1.0), (0,), fee=1.0) for _ in range(3))
+        # more tied edges than the enumeration cap: all stay active, though
+        # two of them alone would meet the demand for less fee
+        edges = tuple(Edge(HalfLineEdge(1.0), (0,), fee=1.0) for _ in range(MAX_TIE_ENUM + 1))
         inst = Instance(n=1, edges=edges, utility=ThresholdUtility(2.0))
-        report = solve(inst, SolverOptions(max_tie_enum=0))
+        report = solve(inst)
+        assert report.tie_count == MAX_TIE_ENUM + 1
         assert np.all(report.activations == -1.0)
 
     def test_weak_duality_in_report(self, rng):
@@ -567,11 +570,10 @@ class TestRecoverPrimal:
 class TestTieEnumerationMatchesPerMaskLoop:
     """The one-pass enumeration picks what a per-pattern loop picks."""
 
-    def assert_same(self, inst, max_tie_enum=12):
-        opts = SolverOptions(max_tie_enum=max_tie_enum)
-        state = minimize_dual(inst, opts)
-        report = recover_primal(state, inst, opts)
-        value, activations, y_hat, flows = recover_primal_reference(state, inst, max_tie_enum)
+    def assert_same(self, inst):
+        state = minimize_dual(inst)
+        report = recover_primal(state, inst)
+        value, activations, y_hat, flows = recover_primal_reference(state, inst, MAX_TIE_ENUM)
         assert report.primal_value == pytest.approx(value, rel=1e-12, abs=1e-12)
         assert np.array_equal(report.activations, activations)
         assert report.y_hat == pytest.approx(y_hat, rel=1e-12, abs=1e-12)
@@ -619,8 +621,9 @@ class TestTieEnumerationMatchesPerMaskLoop:
     def test_more_ties_than_cap(self):
         from convexflow.bench import gen_knapsack_instance
 
-        report = self.assert_same(gen_knapsack_instance([2, 3, 4, 5, 6], 9), max_tie_enum=3)
-        assert report.tie_count == 5
+        weights = list(range(2, MAX_TIE_ENUM + 3))  # one item more than the cap
+        report = self.assert_same(gen_knapsack_instance(weights, 9))
+        assert report.tie_count == len(weights)
         assert np.all(report.activations == -1.0)
 
     @pytest.mark.parametrize("q0", [0.0, 0.01, 1.0])
