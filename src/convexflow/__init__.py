@@ -9,16 +9,14 @@ relaxation over clipped cones with rounding and a-priori gap bounds.
 from .calculus import (aggregate, intersection, lift, minkowski_sum,
                        nonneg_matrix_image, scale)
 from .conic import ClippedCone, ConicInstance, FlowCone, conic_rewrite
-from .errors import (ConvexFlowError, EdgeUtilityNotSupported,
-                     EnumerationBudgetError, InfeasibleProblemError,
-                     IsolatedNodeError, SchemaError, UnboundedProblemError)
+from .errors import (ConvexFlowError, EnumerationBudgetError,
+                     InfeasibleProblemError, SchemaError, UnboundedProblemError)
 from .fees import (BruteForceResult, GapBounds, RoundedSolution,
                    brute_force_optimum, gap_bounds, q_membership,
                    round_relaxation)
-from .model import (DualInstanceView, Edge, Instance, LinearUtility,
-                    QuadraticUtility, ThresholdUtility, build_dual_view,
-                    from_document, loads, dumps, net_flow, node_degrees,
-                    to_document)
+from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
+                    ThresholdUtility, from_document, loads, dumps, net_flow,
+                    node_degrees, to_document)
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
                    PiecewiseLinearGain, ProductMarketEdge, RationalGain,
                    Support)

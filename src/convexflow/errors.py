@@ -9,14 +9,6 @@ class SchemaError(ConvexFlowError):
     """An instance or solution document violates the expected schema."""
 
 
-class IsolatedNodeError(ConvexFlowError):
-    """A node is touched by no edge where full coverage is required."""
-
-
-class EdgeUtilityNotSupported(ConvexFlowError):
-    """The solver was given an edge with a nonzero edge utility."""
-
-
 class UnboundedProblemError(ConvexFlowError):
     """The primal objective is unbounded above (the dual is infeasible)."""
 

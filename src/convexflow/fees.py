@@ -130,7 +130,6 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     m = instance.m
     if m > MAX_EDGES:
         raise EnumerationBudgetError(f"{m} edges exceed the {MAX_EDGES}-edge budget")
-    _solver._check_solvable(instance)
     program = [(kernel, nodes, 0.0, unique)
                for kernel, nodes, _, unique in _solver._program(instance.edges)]
     utility = instance.utility

@@ -1,5 +1,5 @@
 """Problem instances: edges with node selectors and fees, network utilities,
-degree bookkeeping, dual-side views, and the canonical document format.
+degree bookkeeping, and the canonical document format.
 
 Selector matrices are never materialized; an edge stores the list of
 global node indices its local coordinates map to, and net flows are plain
@@ -35,12 +35,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import IsolatedNodeError, SchemaError
+from .errors import SchemaError
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
                    PiecewiseLinearGain, ProductMarketEdge, RationalGain, _index, _real,
                    as_vector, scaled_tol)
@@ -165,10 +165,6 @@ Utility = LinearUtility | QuadraticUtility | ThresholdUtility
 class Edge:
     """One hyperedge: a flow set, the global nodes it touches, and a fixed fee.
 
-    ``edge_utility`` carries linear edge-utility coefficients for schema
-    completeness; the solver only accepts edges whose utility is absent
-    or identically zero.
-
     The constructor checks and converts every field before it sets it, so
     that each field of a frozen instance is written once: a loaded
     document builds one edge per market.
@@ -177,10 +173,8 @@ class Edge:
     flow_set: FlowSet
     nodes: tuple[int, ...]
     fee: float = 0.0
-    edge_utility: tuple[float, ...] | None = None
 
-    def __init__(self, flow_set: FlowSet, nodes: Sequence[int], fee: float = 0.0,
-                 edge_utility: Sequence[float] | None = None):
+    def __init__(self, flow_set: FlowSet, nodes: Sequence[int], fee: float = 0.0):
         nodes = tuple([_index(v, "edge node") for v in nodes])
         if len(nodes) != flow_set.dim:
             raise ValueError("need one node per flow-set coordinate")
@@ -189,23 +183,13 @@ class Edge:
         fee = _real(fee, "fee")
         if not 0.0 <= fee < math.inf:
             raise ValueError(f"fee must be finite and nonnegative, got {fee!r}")
-        if edge_utility is not None:
-            edge_utility = tuple([_real(v, "edge utility") for v in edge_utility])
-            if len(edge_utility) != flow_set.dim:
-                raise ValueError("edge utility length must match the flow set")
-            if not all(map(math.isfinite, edge_utility)):
-                raise ValueError("edge utility must hold finite numbers")
         object.__setattr__(self, "flow_set", flow_set)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "fee", fee)
-        object.__setattr__(self, "edge_utility", edge_utility)
 
     @property
     def degree(self) -> int:
         return len(self.nodes)
-
-    def has_zero_utility(self) -> bool:
-        return self.edge_utility is None or all(v == 0.0 for v in self.edge_utility)
 
 
 @dataclass(frozen=True)
@@ -233,12 +217,6 @@ class Instance:
     def m(self) -> int:
         return len(self.edges)
 
-    def isolated_nodes(self) -> list[int]:
-        touched = np.zeros(self.n, dtype=bool)
-        for edge in self.edges:
-            touched[list(edge.nodes)] = True
-        return [int(j) for j in np.nonzero(~touched)[0]]
-
     def max_fee(self) -> float:
         return max((edge.fee for edge in self.edges), default=0.0)
 
@@ -253,48 +231,12 @@ def net_flow(instance: Instance, flows: Sequence) -> np.ndarray:
     return y
 
 
-def node_degrees(instance: Instance, strict: bool = False) -> np.ndarray:
+def node_degrees(instance: Instance) -> np.ndarray:
     """Diagonal of D = sum_i A_i A_i^T: how many edges touch each node."""
     deg = np.zeros(instance.n, dtype=int)
     for edge in instance.edges:
         deg[list(edge.nodes)] += 1
-    if strict and np.any(deg == 0):
-        missing = np.nonzero(deg == 0)[0].tolist()
-        raise IsolatedNodeError(f"isolated nodes: {missing}")
     return deg
-
-
-@dataclass(frozen=True)
-class DualInstanceView:
-    """Dual-side bundle: node degrees, the network conjugate, and per-edge
-    polar-cone oracles, used to evaluate the dual objective at candidate
-    points and check weak duality without running the solver."""
-
-    instance: Instance
-    degrees: np.ndarray
-    conjugate: Callable[[np.ndarray], tuple[float, list[float] | None]]
-    polar_oracles: tuple[Callable[..., bool], ...] = field(repr=False)
-
-    def dual_objective(self, nu) -> float:
-        """Ubar(nu) + sum_i max(f_i(nu[nodes_i]) - q_i, 0), by the solver's
-        evaluator; ``inf`` when any price is negative, since every node
-        lies on an edge and every support is infinite there."""
-        from .solver import _evaluate, _program  # local import: solver depends on model
-
-        prices = as_vector(nu, self.instance.n).tolist()
-        if any(x < 0.0 for x in prices):
-            return math.inf
-        return _evaluate(self.instance.utility, _program(self.instance.edges), prices).g
-
-
-def build_dual_view(instance: Instance) -> DualInstanceView:
-    from .conic import FlowCone  # local import: conic depends on model types
-
-    degrees = node_degrees(instance, strict=True)
-    oracles = tuple(FlowCone(edge.flow_set).polar_contains for edge in instance.edges)
-    return DualInstanceView(instance=instance, degrees=degrees,
-                            conjugate=instance.utility.conjugate,
-                            polar_oracles=oracles)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +244,9 @@ def build_dual_view(instance: Instance) -> DualInstanceView:
 # ---------------------------------------------------------------------------
 #
 # {"version": 1, "n": ..., "utility": {...}, "edges": [{kind, params, nodes,
-#  fee, edge_utility?}], "meta"?: {...}}  -- numbers as decimal doubles,
-# UTF-8, keys sorted in the canonical text form.
+#  fee}], "meta"?: {...}}  -- numbers as decimal doubles, UTF-8, keys sorted
+# in the canonical text form.  An edge that carries edge utilities is
+# refused: the solver handles the zero-edge-utility problem only.
 
 def _encode_gain(gain) -> dict:
     if isinstance(gain, RationalGain):
@@ -385,11 +328,8 @@ def to_document(instance: Instance, meta: dict | None = None) -> dict:
     edges = []
     for edge in instance.edges:
         kind, params = _encode_set(edge.flow_set)
-        doc = {"kind": kind, "params": params,
-               "nodes": list(edge.nodes), "fee": float(edge.fee)}
-        if edge.edge_utility is not None:
-            doc["edge_utility"] = [float(v) for v in edge.edge_utility]
-        edges.append(doc)
+        edges.append({"kind": kind, "params": params,
+                      "nodes": list(edge.nodes), "fee": float(edge.fee)})
     out = {"version": SCHEMA_VERSION, "n": instance.n,
            "utility": _encode_utility(instance.utility), "edges": edges}
     if meta is not None:
@@ -416,11 +356,12 @@ def from_document(doc: dict) -> Instance:
     for i, edge_doc in enumerate(doc["edges"]):
         if not isinstance(edge_doc, dict):
             raise SchemaError(f"edge {i}: must be an object")
+        if "edge_utility" in edge_doc:
+            raise SchemaError(f"edge {i}: edge utilities are not supported")
         the_set = _decode_set(edge_doc.get("kind"), edge_doc.get("params", {}))
-        utility = edge_doc.get("edge_utility")
         try:
             edges.append(Edge(flow_set=the_set, nodes=edge_doc["nodes"],
-                              fee=edge_doc.get("fee", 0.0), edge_utility=utility))
+                              fee=edge_doc.get("fee", 0.0)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"edge {i}: {exc}") from exc
     try:

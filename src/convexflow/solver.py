@@ -10,9 +10,9 @@ pulled price, so the edge subproblems decide activation on their own:
 lambda_i = -1 exactly when f_i >= q_i, with ties recorded.
 
 One evaluator, ``_evaluate``, computes g and a supergradient for every
-caller: the minimizers below, ``solve_conic`` (whose clipped-cone support
-at price (xi_i, q_i) is the same edge term), ``DualInstanceView`` and the
-brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
+caller: the minimizers below, ``dual_value_and_gradient``, ``solve_conic``
+(whose clipped-cone support at price (xi_i, q_i) is the same edge term)
+and the brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
 fee, unique)`` entries built once per instance, where ``kernel`` is the
 edge set's float support oracle (``FlowSet.kernel``) and ``unique`` its
 ``FlowSet.unique_maximizer`` flag, read only by the quadratic branch; an
@@ -87,8 +87,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conic import ConicInstance
-from .errors import (EdgeUtilityNotSupported, InfeasibleProblemError,
-                     UnboundedProblemError)
+from .errors import InfeasibleProblemError, UnboundedProblemError
 from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
                     ThresholdUtility, Utility, _dot)
 from .sets import as_vector
@@ -116,6 +115,8 @@ MAX_BACKTRACKS = 40
 DUAL_FLOOR = -1e15
 # tied edges that recovery enumerates at most; beyond, all stay active
 MAX_TIE_ENUM = 12
+# the stops of a converged solve
+CONVERGED = ("grad", "gap", "exact")
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class DualState:
     ``line_search`` (no step of steepest descent passed the Armijo test),
     ``max_iter``, or ``exact`` (the linear and threshold paths, and a
     single evaluation).  ``converged`` is true for ``grad``, ``gap`` and
-    ``exact``.
+    ``exact``; it is read from ``stop``.
 
     Inside the solver ``nu``, ``gradient`` and ``conjugate_maximizer`` are
     lists of floats; the states it returns hold them as numpy arrays.
@@ -182,10 +183,13 @@ class DualState:
     conjugate_value: float = 0.0
     conjugate_maximizer: np.ndarray | None = None
     iterations: int = 0
-    converged: bool = True
     stop: str = "exact"
     certificate: Certificate | None = None
     trace: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in CONVERGED
 
 
 @dataclass
@@ -200,11 +204,14 @@ class SolveReport:
     rel_gap: float
     tie_count: int
     iterations: int
-    converged: bool
     stop: str = "exact"
     edge_values: list[float] = field(default_factory=list)
     edge_tied: list[bool] = field(default_factory=list)
     runtime_ms: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in CONVERGED
 
 
 @dataclass
@@ -225,14 +232,6 @@ def _fallback_maximizer(kernel: Callable, xi: list[float]) -> tuple[float, ...]:
     if point is None:
         return (0.0,) * len(xi)
     return point
-
-
-def _check_solvable(instance: Instance):
-    for i, edge in enumerate(instance.edges):
-        if not edge.has_zero_utility():
-            raise EdgeUtilityNotSupported(
-                f"edge {i} has a nonzero edge utility; the solver handles "
-                "the zero-edge-utility case only")
 
 
 def _program(edges: Sequence[Edge]) -> Program:
@@ -308,7 +307,6 @@ def _clamped(prices: list[float]) -> list[float]:
 
 def dual_value_and_gradient(instance: Instance, nu) -> tuple[float, np.ndarray | None, DualState]:
     """Evaluate the dual function and a supergradient at nu (clamped to >= 0)."""
-    _check_solvable(instance)
     prices = _clamped(as_vector(nu, instance.n).tolist())
     state = _with_arrays(_evaluate(instance.utility, _program(instance.edges), prices))
     return state.g, state.gradient, state
@@ -407,7 +405,6 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
             break
     state.iterations = iterations
     state.stop = stop
-    state.converged = stop in ("grad", "gap")
     state.trace = trace
     return state
 
@@ -545,6 +542,18 @@ def _line_max(c: list[float], mu: float, y: list[float], nodes: Sequence[int],
     return hi
 
 
+def _unit_supplies(program: Program,
+                   on: Sequence[bool] | None = None) -> list[tuple[float, float]]:
+    """(h_i, q_i) of each edge of a threshold ``program`` for which ``on``
+    is true (all of them by default): its supply at unit price and its fee.
+    Edges masked off are not scanned."""
+    kept = [(kernel([1.0])[0], fee) for i, (kernel, _, fee, _) in enumerate(program)
+            if on is None or on[i]]
+    if not all(math.isfinite(h) for h, _ in kept):
+        raise UnboundedProblemError("an edge has unbounded supply at unit price")
+    return kept
+
+
 def _minimize_threshold(utility: ThresholdUtility, program: Program,
                         on: Sequence[bool] | None) -> DualState:
     """Exact minimizer of the 1-D piecewise-linear threshold dual.
@@ -553,10 +562,7 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
     supply at unit price; the slope only changes at nu = q_i / h_i.
     """
     b = utility.b
-    kept = [(kernel([1.0])[0], fee) for i, (kernel, _, fee, _) in enumerate(program)
-            if on is None or on[i]]
-    if not all(math.isfinite(h) for h, _ in kept):
-        raise UnboundedProblemError("an edge has unbounded supply at unit price")
+    kept = _unit_supplies(program, on)
     breakpoints = sorted({0.0} | {q / h for h, q in kept if h > 0.0})
 
     def slope_after(point: float) -> float:
@@ -590,12 +596,7 @@ def _threshold_pattern_minima(utility: ThresholdUtility,
     H[mask] = H[mask without its top edge] + h_top, which adds in edge
     order as the scan does.
     """
-    supplies = []
-    for kernel, _, _, _ in program:
-        h = kernel([1.0])[0]
-        if not math.isfinite(h):
-            raise UnboundedProblemError("an edge has unbounded supply at unit price")
-        supplies.append(h)
+    supplies = [h for h, _ in _unit_supplies(program)]
     minimum = _evaluate(utility, program, [0.0]).g
     b = utility.b
     reach = [0]
@@ -611,7 +612,6 @@ def _threshold_pattern_minima(utility: ThresholdUtility,
 
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:
     """Minimize the dual over nu >= 0 and return the final dual state."""
-    _check_solvable(instance)
     return _with_arrays(_minimize(instance.utility, _program(instance.edges), opts))
 
 
@@ -689,8 +689,8 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
                        activations=np.array([-1.0 if on else 0.0 for on in active]),
                        y_hat=ys[best].copy(), nu=np.array(state.nu, dtype=float),
                        gap=gap, rel_gap=rel_gap, tie_count=len(tied),
-                       iterations=state.iterations, converged=state.converged,
-                       stop=state.stop, edge_values=list(state.values), edge_tied=list(state.tied))
+                       iterations=state.iterations, stop=state.stop,
+                       edge_values=list(state.values), edge_tied=list(state.tied))
 
 
 def verify_optimality(report: SolveReport, tol: float = GAP_TOL) -> VerifyResult:
@@ -722,7 +722,6 @@ def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> Solv
     set.  ``ClippedCone.support`` is the per-edge reference for it.
     """
     instance = conic.base
-    _check_solvable(instance)
     started = time.perf_counter()
     program = [(clipped.base.kernel, edge.nodes, edge.fee, clipped.base.unique_maximizer)
                for clipped, edge in zip(conic.clipped, instance.edges)]

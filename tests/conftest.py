@@ -63,7 +63,7 @@ def invalid_document_edits():
         "inf_mu": (utility(lambda n: {"kind": "quadratic", "c": [1.0] * n, "mu": inf}),
                    "mu must be positive and finite"),
         "nan_edge_utility": (edge_field("edge_utility", [nan, 0.0]),
-                             "edge utility must hold finite numbers"),
+                             "edge utilities are not supported"),
         "nan_tick_price": (first_edge("linear_tick", {"price": nan, "cap": 1.0}),
                            "price and cap must be positive and finite"),
         "nan_capacity": (capped(nan), "capacity must be positive and finite"),
@@ -80,7 +80,7 @@ def invalid_document_edits():
         "bool_node": (edge_field("nodes", [0, True]), "edge node must be an integer"),
         "bool_fee": (edge_field("fee", True), "fee must be a real number"),
         "bool_edge_utility": (edge_field("edge_utility", [True, 0.0]),
-                              "edge utility must be a real number"),
+                              "edge utilities are not supported"),
         "bool_weight": (utility(lambda n: {"kind": "linear", "c": [True] + [1.0] * (n - 1)}),
                         "c must be a real number"),
         "bool_mu": (utility(lambda n: {"kind": "quadratic", "c": [1.0] * n, "mu": True}),

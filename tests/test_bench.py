@@ -8,7 +8,8 @@ from convexflow.bench import (BenchConfig, CSV_COLUMNS, ReportRow, bench_meta,
                               gen_bench_instance, gen_knapsack_instance,
                               grid_configs, read_csv, run_bench, run_cell,
                               write_csv)
-from convexflow.model import LinearUtility, QuadraticUtility, ThresholdUtility
+from convexflow.model import (LinearUtility, QuadraticUtility, ThresholdUtility,
+                              node_degrees)
 from convexflow.sets import HalfLineEdge, ProductMarketEdge
 from convexflow.solver import SolverOptions
 
@@ -49,7 +50,7 @@ class TestGenerator:
             assert edge.fee == 0.25
             assert np.all((edge.flow_set.reserves >= 1.0)
                           & (edge.flow_set.reserves <= 100.0))
-        assert not inst.isolated_nodes()
+        assert node_degrees(inst).all()
 
     def test_quadratic_when_mu_positive(self):
         inst = gen_bench_instance(BenchConfig(n=6, mu=1e-2, seed=0))
@@ -60,7 +61,7 @@ class TestGenerator:
         # small n has few edges, exercising the coverage retry loop
         for seed in range(20):
             inst = gen_bench_instance(BenchConfig(n=3, seed=seed))
-            assert not inst.isolated_nodes()
+            assert node_degrees(inst).all()
 
     def test_document_round_trip(self):
         cfg = BenchConfig(n=8, mu=1e-2, q0=0.01, seed=5)

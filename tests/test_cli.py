@@ -149,6 +149,43 @@ class TestKnapsackCommand:
         assert doc["objective_primal"] == pytest.approx(-5.0)
 
 
+class TestEdgeUtilityRefused:
+    """An instance whose edges carry edge utilities is refused by every
+    command that reads it: exit 2, the edge named, no output written."""
+
+    def documents(self, tmp_path):
+        """A knapsack instance, and the same with an edge utility on every edge."""
+        plain, inst = tmp_path / "plain.json", tmp_path / "i.json"
+        run(["knapsack", "--c", "3,5,7", "--b", "8", "--out", str(plain)])
+        doc = json.loads(plain.read_text())
+        for edge in doc["edges"]:
+            edge["edge_utility"] = [5.0]
+        inst.write_text(json.dumps(doc))
+        return plain, inst
+
+    def assert_refused(self, capsys, out):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "edge 0: edge utilities are not supported" in err
+        assert not out.exists()
+
+    def test_solve(self, tmp_path, capsys):
+        _, inst = self.documents(tmp_path)
+        out = tmp_path / "s.json"
+        assert run(["solve", "--input", str(inst), "--out", str(out)]) == 2
+        self.assert_refused(capsys, out)
+
+    def test_round(self, tmp_path, capsys):
+        # a solution of the plain instance, rounded against the one with edge
+        # utilities, which would otherwise leave the edge utilities out
+        plain, inst = self.documents(tmp_path)
+        sol, out = tmp_path / "s.json", tmp_path / "r.json"
+        assert run(["solve", "--input", str(plain), "--out", str(sol)]) == 0
+        capsys.readouterr()
+        assert run(["round", "--input", str(inst), "--solution", str(sol),
+                    "--out", str(out)]) == 2
+        self.assert_refused(capsys, out)
+
+
 class TestBenchCommand:
     def test_small_sweep(self, tmp_path):
         csv_path = tmp_path / "rows.csv"

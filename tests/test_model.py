@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexflow.model as model
-from convexflow.errors import IsolatedNodeError, SchemaError
+from convexflow.conic import FlowCone
+from convexflow.errors import SchemaError
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
-                              ThresholdUtility, build_dual_view, net_flow,
-                              node_degrees)
+                              ThresholdUtility, net_flow, node_degrees)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
+from convexflow.solver import dual_value_and_gradient
 
 from conftest import invalid_document_edits
 from oracles import OrthantBoxSet, central_difference, dense_degree
@@ -75,12 +76,6 @@ class TestDegrees:
                         utility=LinearUtility(np.ones(3)))
         assert node_degrees(inst) == pytest.approx([1, 1, 1])
 
-    def test_strict_mode_raises_on_isolated(self):
-        inst = Instance(n=3, edges=(Edge(OrthantBoxSet(np.ones(2)), (0, 1)),),
-                        utility=LinearUtility(np.ones(3)))
-        with pytest.raises(IsolatedNodeError):
-            node_degrees(inst, strict=True)
-
     def test_matches_dense_selector_products(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 20))
@@ -142,17 +137,13 @@ class TestConjugates:
 
 
 class TestDualView:
+    """The dual side of an instance through the direct calls: degrees, the
+    polar-cone oracles and the dual objective."""
+
     def test_single_edge_degrees(self):
         inst = Instance(n=2, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1)),),
                         utility=LinearUtility([1.0, 4.0]))
-        view = build_dual_view(inst)
-        assert view.degrees == pytest.approx([1, 1])
-
-    def test_isolated_node_rejected(self):
-        inst = Instance(n=3, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1)),),
-                        utility=LinearUtility(np.ones(3)))
-        with pytest.raises(IsolatedNodeError):
-            build_dual_view(inst)
+        assert node_degrees(inst) == pytest.approx([1, 1])
 
     def test_linear_dual_objective_reduces_to_supports(self):
         c = np.array([1.0, 4.0])
@@ -160,26 +151,22 @@ class TestDualView:
                         edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1)),
                                Edge(ProductMarketEdge([1.0, 1.0]), (0, 1))),
                         utility=LinearUtility(c))
-        view = build_dual_view(inst)
         expected = sum(e.flow_set.support(c).value for e in inst.edges)
-        assert view.dual_objective(c) == pytest.approx(expected)
+        assert dual_value_and_gradient(inst, c)[0] == pytest.approx(expected)
 
     def test_polar_oracles_wired(self):
-        inst = Instance(n=2, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1)),),
-                        utility=LinearUtility([1.0, 4.0]))
-        view = build_dual_view(inst)
-        assert view.polar_oracles[0]([1.0, 4.0, 1.0])
-        assert not view.polar_oracles[0]([1.0, 4.0, 0.5])
+        polar_contains = FlowCone(CappedConcaveEdge(capacity=1.0)).polar_contains
+        assert polar_contains([1.0, 4.0, 1.0])
+        assert not polar_contains([1.0, 4.0, 0.5])
 
     def test_weak_duality_sampled(self, rng):
         inst = Instance(n=2,
                         edges=(Edge(ProductMarketEdge([2.0, 3.0]), (0, 1), fee=0.2),
                                Edge(CappedConcaveEdge(capacity=1.0), (1, 0), fee=0.1)),
                         utility=QuadraticUtility([1.0, 1.2], 0.5))
-        view = build_dual_view(inst)
         for _ in range(1000):
             nu = rng.uniform(0.0, 2.5, size=2)
-            dual = view.dual_objective(nu)
+            dual = dual_value_and_gradient(inst, nu)[0]
             flows, lams = [], []
             for edge in inst.edges:
                 point = edge.flow_set.support(rng.uniform(0.1, 2, 2)).point
@@ -237,12 +224,6 @@ class TestEdgeValidation:
         inst = Instance(n=np.int64(2), edges=(edge,), utility=LinearUtility([1.0, 1.0]))
         assert inst.n == 2 and type(inst.n) is int
         assert edge.nodes == (0, 1) and type(edge.fee) is float
-
-    def test_edge_utility_carried_but_flagged(self):
-        edge = Edge(CappedConcaveEdge(capacity=1.0), (0, 1), edge_utility=(0.5, 0.0))
-        assert not edge.has_zero_utility()
-        zero = Edge(CappedConcaveEdge(capacity=1.0), (0, 1), edge_utility=(0.0, 0.0))
-        assert zero.has_zero_utility()
 
 
 class TestSerialization:
@@ -322,14 +303,13 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             model.from_document(doc)
 
-    def test_edge_utility_survives_round_trip(self):
-        inst = Instance(
-            n=2,
-            edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1),
-                        edge_utility=(0.1, 0.2)),),
-            utility=LinearUtility([1.0, 1.0]))
-        again = model.loads(model.dumps(inst))
-        assert again.edges[0].edge_utility == (0.1, 0.2)
+    def test_edge_utility_key_rejected(self):
+        # the key itself is refused, whatever its value, zeros and null included
+        for coeffs in ([0.1, 0.2], [0.0, 0.0], None):
+            doc = model.to_document(self.build())
+            doc["edges"][1]["edge_utility"] = coeffs
+            with pytest.raises(SchemaError, match="edge 1: edge utilities are not supported"):
+                model.from_document(doc)
 
     def test_meta_block_preserved(self):
         inst = self.build()
@@ -367,7 +347,7 @@ def _valid_document():
         edges=(Edge(CappedConcaveEdge(capacity=2.0), (0, 1), fee=0.5),
                Edge(CappedConcaveEdge(gain=PiecewiseLinearGain([(0.5, 1.0), (2.0, 1.5)]),
                                       capacity=1.5), (1, 2)),
-               Edge(LinearTickEdge(price=1.1, cap=0.4), (0, 2), edge_utility=(0.0, 0.0)),
+               Edge(LinearTickEdge(price=1.1, cap=0.4), (0, 2)),
                Edge(ProductMarketEdge([2.0, 3.0]), (2, 0)),
                Edge(HalfLineEdge(2.5), (2,), fee=0.5)),
         utility=QuadraticUtility([1.0, 1.0, 1.0], 0.5)))
@@ -474,10 +454,7 @@ def _every_family_instances(draw):
     edges = []
     for the_set in flow_sets:
         nodes = draw(st.permutations([0, 1, 2]))[:the_set.dim]
-        coeffs = draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=the_set.dim,
-                                           max_size=the_set.dim))
-        edges.append(Edge(the_set, tuple(nodes), fee=draw(st.floats(0.0, 2.0)),
-                          edge_utility=coeffs))
+        edges.append(Edge(the_set, tuple(nodes), fee=draw(st.floats(0.0, 2.0))))
     c = draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
     utility = draw(st.sampled_from([LinearUtility(c), QuadraticUtility(c, draw(_positive))]))
     return Instance(n=3, edges=tuple(edges), utility=utility)
