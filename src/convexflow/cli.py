@@ -38,15 +38,25 @@ def _load_instance(path: str) -> model.Instance:
         return model.loads(handle.read())
 
 
+# the keys ``solver.report_to_document`` writes
+_SOLUTION_KEYS = frozenset({"objective_dual", "objective_primal", "gap", "nu", "edges"})
+_SOLUTION_EDGE_KEYS = frozenset({"x", "lambda", "value", "tied"})
+
+
 def _solution_points(doc) -> list[tuple[np.ndarray, float]]:
     """The (x, lambda) of each edge of a solution document: finite numbers
-    only, so strings, bools, NaN and infinities are refused."""
+    only, so strings, bools, NaN and infinities are refused, and no key
+    that a solution document does not have."""
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise SchemaError("solution document must be an object with an edges array")
+    if not _SOLUTION_KEYS.issuperset(doc):
+        raise model._unknown_key(doc, _SOLUTION_KEYS, "solution")
     points = []
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict):
             raise SchemaError(f"solution edge {i}: must be an object")
+        if not _SOLUTION_EDGE_KEYS.issuperset(entry):
+            raise model._unknown_key(entry, _SOLUTION_EDGE_KEYS, f"solution edge {i}")
         try:
             x = [_real(v, "x") for v in entry["x"]]
             lam = _real(entry["lambda"], "lambda")

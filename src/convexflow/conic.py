@@ -48,7 +48,7 @@ class FlowCone:
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         p = as_vector(point, self.dim)
         x, s = p[:-1], p[-1]
-        if s > scaled_tol(tol, 1.0):
+        if not s <= scaled_tol(tol, 1.0):  # NaN fails too
             return False
         level = max(0.0, -s)
         g = self.base.gauge(x, min(tol, DEFAULT_TOL))
@@ -69,8 +69,8 @@ class FlowCone:
         with -1 <= s <= 0 implies membership of (x, -1).
         """
         p = as_vector(point, self.dim)
-        s = p[-1]
-        if s < -1.0 - scaled_tol(tol, 1.0) or s > scaled_tol(tol, 1.0):
+        eps = scaled_tol(tol, 1.0)
+        if not -1.0 - eps <= p[-1] <= eps:  # NaN fails too
             raise ValueError("activation coordinate must lie in [-1, 0]")
         if not self.contains(p, tol):
             raise ValueError("point is not in the cone")
@@ -92,8 +92,8 @@ class ClippedCone:
 
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         p = as_vector(point, self.dim)
-        s = p[-1]
-        if s < -1.0 - scaled_tol(tol, 1.0) or s > scaled_tol(tol, 1.0):
+        eps = scaled_tol(tol, 1.0)
+        if not -1.0 - eps <= p[-1] <= eps:  # NaN fails too
             return False
         return self.cone.contains(p, tol)
 
@@ -144,7 +144,7 @@ class ConicInstance:
 
     def edge_objective(self, i: int, point, tol: float = DEFAULT_TOL) -> float:
         p = as_vector(point, self.cones[i].dim)
-        if p[-1] < -1.0 - scaled_tol(tol, 1.0):
+        if not p[-1] >= -1.0 - scaled_tol(tol, 1.0):  # NaN is outside too
             return -math.inf
         return 0.0
 
@@ -153,7 +153,7 @@ class ConicInstance:
         out = []
         for i, point in enumerate(tilde_flows):
             p = as_vector(point, self.cones[i].dim)
-            if abs(p[-1] + 1.0) > scaled_tol(tol, 1.0):
+            if not abs(p[-1] + 1.0) <= scaled_tol(tol, 1.0):  # NaN fails too
                 raise ValueError(f"edge {i}: activation must be -1 to recover a flow")
             out.append(p[:-1].copy())
         return out

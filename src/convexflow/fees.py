@@ -6,10 +6,12 @@ oracle for small instances.
 Using an edge costs its fee: activation -1 is charged, activation 0 is
 free and forces zero flow.  The convex hull of Q_i is the clipped flow
 cone, so relaxing Q_i to conv(Q_i) turns the problem into a convex flow
-problem the dual solver handles directly.  Rounding pushes fractional
-activations to -1 (feasible by the dominating-point property) while the
-net flows stay unchanged, and the resulting objective loss is at most
-(n + 1) times the largest fee.
+problem the dual solver handles directly.  Rounding keeps every point
+that already lies in Q_i, which is every point of an integral solution,
+and tests only the points outside Q_i against the clipped cone; those
+fractional points have their activations pushed to -1 (feasible by the
+dominating-point property) while the net flows stay unchanged, and the
+resulting objective loss is at most (n + 1) times the largest fee.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import solver as _solver
 from .conic import ClippedCone, FlowCone
 from .errors import EnumerationBudgetError, InfeasibleProblemError
-from .model import Instance, ThresholdUtility, Utility, net_flow
+from .model import Instance, ThresholdUtility, Utility
 from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
@@ -35,7 +37,7 @@ def q_membership(flow_set: FlowSet, x, lam: float, tol: float = DEFAULT_TOL) -> 
     """(x, lam) in Q = {0} ∪ (T × {-1}), with tolerances."""
     v = as_vector(x, flow_set.dim)
     eps = scaled_tol(tol, 1.0)
-    if abs(lam) <= eps and np.all(np.abs(v) <= eps):
+    if abs(lam) <= eps and all(abs(t) <= eps for t in v.tolist()):
         return True
     if abs(lam + 1.0) <= eps:
         return flow_set.contains(v, tol)
@@ -54,37 +56,46 @@ class RoundedSolution:
 def round_relaxation(instance: Instance, points, tol: float = DEFAULT_TOL) -> RoundedSolution:
     """Round per-edge clipped-cone points (x_i, lam_i) into Q_i.
 
-    Points already in Q_i are kept; all others keep their flow and drop
-    the activation to -1, which stays feasible because the clipped cone
-    is downward closed in the activation coordinate.  Net flows are
-    unchanged by construction.
+    A point that ``q_membership`` accepts lies in Q_i, which lies inside
+    conv(Q_i), so it is kept as it is: activation -1 stays with its flow,
+    and activation 0 keeps flow 0.  Only a point outside Q_i meets the
+    clipped cone: it must pass ``ClippedCone.contains`` (``ValueError``
+    otherwise), keeps its flow and drops its activation to -1, which stays
+    feasible because the clipped cone is downward closed in the activation
+    coordinate.  Net flows are unchanged by construction.
+
+    The net flow, the fee term of the objective and ``fee_delta`` are
+    summed on Python floats in edge order; each field of the result
+    becomes numpy once.
     """
     if len(points) != instance.m:
         raise ValueError("need one (x, lambda) point per edge")
     flows: list[np.ndarray] = []
-    lam_relaxed = np.zeros(instance.m)
-    lam_rounded = np.zeros(instance.m)
+    activations: list[float] = []
+    y = [0.0] * instance.n
+    fee_term = fee_delta = 0.0
     for i, (edge, point) in enumerate(zip(instance.edges, points)):
         x, lam = point
         x = as_vector(x, edge.degree)
         lam = float(lam)
-        cone = ClippedCone(FlowCone(edge.flow_set))
-        if not cone.contains(np.append(x, lam), tol):
-            raise ValueError(f"edge {i}: point is not in the clipped cone")
-        lam_relaxed[i] = lam
         if q_membership(edge.flow_set, x, lam, tol):
-            lam_rounded[i] = -1.0 if lam < -0.5 else 0.0
-            if lam_rounded[i] == 0.0:
+            rounded = -1.0 if lam < -0.5 else 0.0
+            if rounded == 0.0:
                 x = np.zeros(edge.degree)
+        elif ClippedCone(FlowCone(edge.flow_set)).contains(np.append(x, lam), tol):
+            rounded = -1.0
         else:
-            lam_rounded[i] = -1.0
+            raise ValueError(f"edge {i}: point is not in the clipped cone")
         flows.append(x)
-    y_hat = net_flow(instance, flows)
-    fees = np.array([edge.fee for edge in instance.edges])
-    objective = instance.utility.value(y_hat) + float(fees @ lam_rounded)
-    fee_delta = float(fees @ (lam_relaxed - lam_rounded))
-    return RoundedSolution(flows=flows, activations=lam_rounded, y_hat=y_hat,
-                           objective=objective, fee_delta=fee_delta)
+        activations.append(rounded)
+        for j, v in zip(edge.nodes, x.tolist()):
+            y[j] += v
+        fee_term += edge.fee * rounded
+        fee_delta += edge.fee * (lam - rounded)
+    y_hat = np.array(y)
+    return RoundedSolution(flows=flows, activations=np.array(activations), y_hat=y_hat,
+                           objective=instance.utility.value(y_hat) + fee_term,
+                           fee_delta=fee_delta)
 
 
 @dataclass

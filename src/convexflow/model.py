@@ -246,7 +246,40 @@ def node_degrees(instance: Instance) -> np.ndarray:
 # {"version": 1, "n": ..., "utility": {...}, "edges": [{kind, params, nodes,
 #  fee}], "meta"?: {...}}  -- numbers as decimal doubles, UTF-8, keys sorted
 # in the canonical text form.  An edge that carries edge utilities is
-# refused: the solver handles the zero-edge-utility problem only.
+# refused: the solver handles the zero-edge-utility problem only.  The
+# schema is closed: the document, each utility kind, the edge, each set
+# kind's params and each gain kind have one set of allowed keys, and any
+# other key is refused by name (``meta`` is free-form); ``edge_utility``
+# is one such key, with a message of its own.
+
+_DOCUMENT_KEYS = frozenset({"version", "n", "utility", "edges", "meta"})
+_EDGE_KEYS = frozenset({"kind", "params", "nodes", "fee"})
+_UTILITY_KEYS = {"linear": frozenset({"kind", "c"}),
+                 "quadratic": frozenset({"kind", "c", "mu"}),
+                 "threshold": frozenset({"kind", "b"})}
+_SET_KEYS = {"product_market": frozenset({"reserves"}),
+             "capped_concave": frozenset({"capacity", "gain"}),
+             "linear_tick": frozenset({"price", "cap"}),
+             "half_line": frozenset({"cap"})}
+_GAIN_KEYS = {"rational": frozenset({"kind"}),
+              "piecewise_linear": frozenset({"kind", "points"})}
+
+
+def _kind_keys(table: dict, kind, what: str) -> frozenset:
+    """The allowed keys of ``kind`` in ``table``; SchemaError for any other kind."""
+    try:
+        return table[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise SchemaError(f"unknown {what} kind: {kind!r}") from None
+
+
+def _unknown_key(doc: dict, allowed: frozenset, where: str) -> SchemaError:
+    """The error for the keys of ``doc`` outside ``allowed``, naming them.
+    Callers test ``allowed.issuperset(doc)`` first, so a valid object
+    costs one subset test and no message."""
+    unknown = ", ".join(sorted(repr(key) for key in doc if key not in allowed))
+    return SchemaError(f"{where}: unknown key {unknown}")
+
 
 def _encode_gain(gain) -> dict:
     if isinstance(gain, RationalGain):
@@ -261,11 +294,12 @@ def _decode_gain(doc: dict):
     if not isinstance(doc, dict):
         raise SchemaError("gain must be an object")
     kind = doc.get("kind")
+    keys = _kind_keys(_GAIN_KEYS, kind, "gain")
+    if not keys.issuperset(doc):
+        raise _unknown_key(doc, keys, f"gain kind {kind!r}")
     if kind == "rational":
         return RationalGain()
-    if kind == "piecewise_linear":
-        return PiecewiseLinearGain(doc["points"])
-    raise SchemaError(f"unknown gain kind: {kind!r}")
+    return PiecewiseLinearGain(doc["points"])
 
 
 def _encode_set(the_set: FlowSet) -> tuple[str, dict]:
@@ -284,6 +318,9 @@ def _encode_set(the_set: FlowSet) -> tuple[str, dict]:
 def _decode_set(kind: str, params: dict) -> FlowSet:
     if not isinstance(params, dict):
         raise SchemaError("set params must be an object")
+    keys = _kind_keys(_SET_KEYS, kind, "set")
+    if not keys.issuperset(params):
+        raise _unknown_key(params, keys, f"params of set kind {kind!r}")
     try:
         if kind == "product_market":
             return ProductMarketEdge(params["reserves"])
@@ -292,11 +329,9 @@ def _decode_set(kind: str, params: dict) -> FlowSet:
                                      capacity=params["capacity"])
         if kind == "linear_tick":
             return LinearTickEdge(price=params["price"], cap=params["cap"])
-        if kind == "half_line":
-            return HalfLineEdge(params["cap"])
+        return HalfLineEdge(params["cap"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad parameters for set kind {kind!r}: {exc}") from exc
-    raise SchemaError(f"unknown set kind: {kind!r}")
 
 
 def _encode_utility(utility: Utility) -> dict:
@@ -312,16 +347,17 @@ def _encode_utility(utility: Utility) -> dict:
 
 def _decode_utility(doc: dict) -> Utility:
     kind = doc.get("kind")
+    keys = _kind_keys(_UTILITY_KEYS, kind, "utility")
+    if not keys.issuperset(doc):
+        raise _unknown_key(doc, keys, f"utility kind {kind!r}")
     try:
         if kind == "linear":
             return LinearUtility(doc["c"])
         if kind == "quadratic":
             return QuadraticUtility(doc["c"], doc["mu"])
-        if kind == "threshold":
-            return ThresholdUtility(doc["b"])
+        return ThresholdUtility(doc["b"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad parameters for utility kind {kind!r}: {exc}") from exc
-    raise SchemaError(f"unknown utility kind: {kind!r}")
 
 
 def to_document(instance: Instance, meta: dict | None = None) -> dict:
@@ -347,6 +383,8 @@ def from_document(doc: dict) -> Instance:
         supported = False
     if not supported:
         raise SchemaError(f"unsupported document version: {version!r}")
+    if not _DOCUMENT_KEYS.issuperset(doc):
+        raise _unknown_key(doc, _DOCUMENT_KEYS, "instance document")
     for key in ("n", "utility", "edges"):
         if key not in doc:
             raise SchemaError(f"missing field: {key!r}")
@@ -356,8 +394,10 @@ def from_document(doc: dict) -> Instance:
     for i, edge_doc in enumerate(doc["edges"]):
         if not isinstance(edge_doc, dict):
             raise SchemaError(f"edge {i}: must be an object")
-        if "edge_utility" in edge_doc:
-            raise SchemaError(f"edge {i}: edge utilities are not supported")
+        if not _EDGE_KEYS.issuperset(edge_doc):
+            if "edge_utility" in edge_doc:
+                raise SchemaError(f"edge {i}: edge utilities are not supported")
+            raise _unknown_key(edge_doc, _EDGE_KEYS, f"edge {i}")
         the_set = _decode_set(edge_doc.get("kind"), edge_doc.get("params", {}))
         try:
             edges.append(Edge(flow_set=the_set, nodes=edge_doc["nodes"],

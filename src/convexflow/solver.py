@@ -63,7 +63,10 @@ Utility branches:
 Primal recovery scatters the maximizers of the active, untied edges into
 a feasible net flow on Python floats; tied edges are enumerated (up to
 ``MAX_TIE_ENUM``) in one numpy pass, the only numpy work of recovery, and
-the best-valued primal kept.  The report's flows, activations, net flow and
+the best-valued primal kept.  The tie matrices of that pass (each tied
+edge's scattered maximizer and its fee) are built as Python lists and
+become numpy arrays once; without a tie the base net flow is valued
+alone, with no pattern matrix.  The report's flows, activations, net flow and
 prices become numpy arrays once, as the report leaves.  Weak duality
 makes [primal value, dual value] a bracket on the true optimum in every
 case.
@@ -650,16 +653,20 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     ``bits`` the (2^t, t) 0/1 pattern matrix, the net flows are
     ``y_base + bits @ C_tied`` and the fees ``fee_base + bits @ q_tied``,
     where row k of ``C_tied`` is tied edge k's maximizer scattered to its
-    nodes.  The base pattern (every tied edge active, the last row) is
-    kept unless another pattern is strictly better; among equally good
-    patterns the first in mask order wins.
+    nodes.  The rows of ``C_tied`` and the entries of ``q_tied`` are built
+    as Python lists, next to ``y_base`` and ``fee_base``, and each becomes
+    one numpy array.  The base pattern (every tied edge active, the last
+    row) is kept unless another pattern is strictly better; among equally
+    good patterns the first in mask order wins.  Without an enumerated tie
+    there is one pattern, ``y_base``, valued once, with no matrix product.
     """
+    n = instance.n
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
     row = {i: k for k, i in enumerate(enumerated)}
-    y_base, fee_base = [0.0] * instance.n, 0.0
-    c_tied = np.zeros((len(enumerated), instance.n))
-    q_tied = np.zeros(len(enumerated))
+    y_base, fee_base = [0.0] * n, 0.0
+    c_tied = [[0.0] * n for _ in enumerated]
+    q_tied = [0.0] * len(enumerated)
     for i, (edge, on, point) in enumerate(zip(instance.edges, state.active, state.points)):
         if not on:
             continue
@@ -669,25 +676,30 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
                 y_base[j] += x
             fee_base += edge.fee
         else:
-            c_tied[k, list(edge.nodes)] = point
+            for j, x in zip(edge.nodes, point):
+                c_tied[k][j] = x
             q_tied[k] = edge.fee
-    bits = (np.arange(2 ** len(enumerated))[:, None] >> np.arange(len(enumerated))) & 1
-    ys = np.array(y_base) + bits @ c_tied
-    values = instance.utility.values(ys) - (fee_base + bits @ q_tied)
-    best = int(np.argmax(values))
-    if not values[best] > values[-1]:
-        best = len(values) - 1  # the base pattern: every tied edge active
     active = list(state.active)
-    for k, i in enumerate(enumerated):
-        active[i] = bool(best >> k & 1)  # bits[best, k]
+    if enumerated:
+        bits = (np.arange(2 ** len(enumerated))[:, None] >> np.arange(len(enumerated))) & 1
+        ys = np.array(y_base) + bits @ np.array(c_tied)
+        values = instance.utility.values(ys) - (fee_base + bits @ np.array(q_tied))
+        best = int(np.argmax(values))
+        if not values[best] > values[-1]:
+            best = len(values) - 1  # the base pattern: every tied edge active
+        for k, i in enumerate(enumerated):
+            active[i] = bool(best >> k & 1)  # bits[best, k]
+        y_hat, value = ys[best].copy(), float(values[best])
+    else:
+        y_hat = np.array(y_base)
+        value = float(instance.utility.values(y_hat[None])[0]) - fee_base
     flows = [np.array(point) if on else np.zeros(edge.degree)
              for edge, on, point in zip(instance.edges, active, state.points)]
-    value = float(values[best])
     gap = state.g - value
     rel_gap = gap / (1.0 + abs(state.g)) if math.isfinite(gap) else math.inf
     return SolveReport(dual_value=state.g, primal_value=value, flows=flows,
                        activations=np.array([-1.0 if on else 0.0 for on in active]),
-                       y_hat=ys[best].copy(), nu=np.array(state.nu, dtype=float),
+                       y_hat=y_hat, nu=np.array(state.nu, dtype=float),
                        gap=gap, rel_gap=rel_gap, tie_count=len(tied),
                        iterations=state.iterations, stop=state.stop,
                        edge_values=list(state.values), edge_tied=list(state.tied))

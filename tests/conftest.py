@@ -98,6 +98,14 @@ def invalid_document_edits():
                                "cap must be a real number"),
         "bool_gain_point": (capped(1.0, points=((0.5, True), (2.0, 1.0))),
                             "gain point must be a real number"),
+        # the schema is closed: a key outside an object's allowed set is refused by name
+        "misspelled_fee": (edge_field("fees", 9.0), "edge 0: unknown key 'fees'"),
+        "misspelled_edge_utility": (edge_field("edge_utilty", [5.0]),
+                                    "edge 0: unknown key 'edge_utilty'"),
+        "threshold_mu": (utility(lambda n: {"kind": "threshold", "b": 1.0, "mu": 3}),
+                         "utility kind 'threshold': unknown key 'mu'"),
+        "extra_top_level_key": (lambda doc: doc.__setitem__("extra", 1),
+                                "instance document: unknown key 'extra'"),
     }
 
 

@@ -12,7 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import InfeasibleProblemError, UnboundedProblemError
+from convexflow.fees import RoundedSolution
 from convexflow.model import (Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility, net_flow)
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
@@ -182,6 +184,47 @@ def brute_force_reference(instance, opts=None):
         if value - fee_total > best:
             best, best_pattern = value - fee_total, pattern
     return best, best_pattern, evaluated
+
+
+def q_membership_reference(flow_set: FlowSet, x, lam: float, tol: float = 1e-9) -> bool:
+    """(x, lam) in Q = {0} ∪ (T × {-1}) on numpy, with tolerances."""
+    v = as_vector(x, flow_set.dim)
+    eps = scaled_tol(tol, 1.0)
+    if abs(lam) <= eps and np.all(np.abs(v) <= eps):
+        return True
+    if abs(lam + 1.0) <= eps:
+        return flow_set.contains(v, tol)
+    return False
+
+
+def round_relaxation_reference(instance, points, tol: float = 1e-9) -> RoundedSolution:
+    """``fees.round_relaxation`` with the clipped cone tested first, on
+    every point: a point outside the clipped cone is refused even where
+    ``q_membership_reference`` accepts it; the net flow is ``net_flow`` and
+    the fee sums are numpy dots."""
+    if len(points) != instance.m:
+        raise ValueError("need one (x, lambda) point per edge")
+    flows = []
+    lam_relaxed = np.zeros(instance.m)
+    lam_rounded = np.zeros(instance.m)
+    for i, (edge, (x, lam)) in enumerate(zip(instance.edges, points)):
+        x = as_vector(x, edge.degree)
+        lam = float(lam)
+        if not ClippedCone(FlowCone(edge.flow_set)).contains(np.append(x, lam), tol):
+            raise ValueError(f"edge {i}: point is not in the clipped cone")
+        lam_relaxed[i] = lam
+        if q_membership_reference(edge.flow_set, x, lam, tol):
+            lam_rounded[i] = -1.0 if lam < -0.5 else 0.0
+            if lam_rounded[i] == 0.0:
+                x = np.zeros(edge.degree)
+        else:
+            lam_rounded[i] = -1.0
+        flows.append(x)
+    y_hat = net_flow(instance, flows)
+    fees = np.array([edge.fee for edge in instance.edges])
+    return RoundedSolution(flows=flows, activations=lam_rounded, y_hat=y_hat,
+                           objective=instance.utility.value(y_hat) + float(fees @ lam_rounded),
+                           fee_delta=float(fees @ (lam_relaxed - lam_rounded)))
 
 
 def fallback_maximizer_reference(flow_set: FlowSet, xi: np.ndarray) -> np.ndarray:

@@ -100,11 +100,15 @@ class TestRoundCommand:
         '{"edges": [{"x": [0], "lambda": "inf"}, {"x": [0], "lambda": 0}]}',
         '{"edges": [{"x": [0], "lambda": "-Infinity"}, {"x": [0], "lambda": 0}]}',
         '{"edges": [{"x": [0], "lambda": "nan"}, {"x": [0], "lambda": 0}]}',
+        # a solution that meets the demand, with one key too many
+        '{"edges": [{"x": [2], "lambda": -1}, {"x": [3], "lambda": -1}], "extra": 1}',
+        '{"edges": [{"x": [2], "lambda": -1, "lamda": 0}, {"x": [3], "lambda": -1}]}',
     ], ids=["not_an_object", "edges_not_a_list", "entry_not_an_object",
             "lambda_not_a_number", "string_lambda", "nan_lambda", "bool_lambda",
             "string_x", "bool_x", "nan_x", "inf_x", "inf_string_x",
             "minus_infinity_string_x", "nan_string_x", "inf_string_lambda",
-            "minus_infinity_string_lambda", "nan_string_lambda"])
+            "minus_infinity_string_lambda", "nan_string_lambda", "unknown_key",
+            "unknown_edge_key"])
     def test_malformed_solution_is_exit_2(self, tmp_path, capsys, text):
         inst, sol = tmp_path / "i.json", tmp_path / "s.json"
         run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
@@ -136,6 +140,37 @@ class TestRoundCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: solution") and "threshold demand b = 5.0" in err
         assert "0.0" in err and not out.exists()
+
+
+    def test_fractional_point_rounds_to_full_activation(self, tmp_path):
+        # an active edge at lambda -1/2 with its flow halved is outside the
+        # fee set: it meets the clipped cone and rounds to lambda -1
+        inst, sol, out = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "r.json"
+        run(["generate", "--n", "4", "--q0", "0.1", "--seed", "1", "--out", str(inst)])
+        run(["solve", "--input", str(inst), "--out", str(sol)])
+        doc = json.loads(sol.read_text())
+        k, edge = next((k, e) for k, e in enumerate(doc["edges"]) if e["lambda"] == -1.0)
+        edge["x"] = [0.5 * v for v in edge["x"]]
+        edge["lambda"] = -0.5
+        sol.write_text(json.dumps(doc))
+        assert run(["round", "--input", str(inst), "--solution", str(sol),
+                    "--out", str(out)]) == 0
+        rounded = json.loads(out.read_text())
+        assert rounded["edges"][k] == {"x": edge["x"], "lambda": -1.0}
+        assert rounded["fee_delta"] > 0.0
+
+    def test_point_outside_the_cone_is_exit_2(self, tmp_path, capsys):
+        inst, sol, out = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "r.json"
+        run(["knapsack", "--c", "3,5,7", "--b", "12", "--out", str(inst)])
+        run(["solve", "--input", str(inst), "--out", str(sol)])
+        doc = json.loads(sol.read_text())
+        k, edge = next((k, e) for k, e in enumerate(doc["edges"]) if e["lambda"] == -1.0)
+        edge["x"] = [2.0 * v for v in edge["x"]]
+        sol.write_text(json.dumps(doc))
+        assert run(["round", "--input", str(inst), "--solution", str(sol),
+                    "--out", str(out)]) == 2
+        assert f"edge {k}: point is not in the clipped cone" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestKnapsackCommand:

@@ -47,6 +47,34 @@ class TestConeMembership:
                 assert not cone.contains(np.append(outside, -1.0), 1e-9)
 
 
+class TestNonfiniteActivation:
+    """Every comparison with NaN is false, so each range test is written to
+    fail on NaN: a NaN activation is in no cone."""
+
+    nan = float("nan")
+
+    def test_flow_cone_refuses_nan(self, family_set):
+        point = np.append(np.zeros(family_set.dim), self.nan)
+        assert not FlowCone(family_set).contains(point)
+
+    def test_clipped_cone_refuses_nonfinite(self, family_set):
+        clipped = ClippedCone(FlowCone(family_set))
+        for s in (self.nan, math.inf, -math.inf):
+            assert not clipped.contains(np.append(np.zeros(family_set.dim), s))
+
+    def test_dominating_completion_refuses_nan(self, capped_cone):
+        with pytest.raises(ValueError, match="must lie in"):
+            capped_cone.dominating_completion([0.0, 0.0, self.nan])
+
+    def test_conic_instance_refuses_nan(self):
+        inst = Instance(n=2, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1)),),
+                        utility=LinearUtility([1.0, 4.0]))
+        conic = conic_rewrite(inst)
+        assert conic.edge_objective(0, [0.0, 0.0, self.nan]) == -math.inf
+        with pytest.raises(ValueError, match="activation must be -1"):
+            conic.to_original_flows([[0.0, 0.0, self.nan]])
+
+
 class TestPolar:
     def test_epigraph_examples(self, capped_cone):
         assert capped_cone.polar_contains([1.0, 4.0, 1.0])

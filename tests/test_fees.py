@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from convexflow.bench import gen_knapsack_instance
+from convexflow.calculus import minkowski_sum
+from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import EnumerationBudgetError, UnboundedProblemError
 from convexflow.fees import (brute_force_optimum, gap_bounds, q_membership,
                              round_relaxation)
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility)
-from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, ProductMarketEdge,
-                             as_vector, scaled_tol, support_from_kernel)
+from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
+                             ProductMarketEdge, as_vector, scaled_tol, support_from_kernel)
 from convexflow.solver import SolverOptions, solve
 
 from conftest import builtin_families
-from oracles import brute_force_reference, sample_members, subset_sum_reachable
+from oracles import (brute_force_reference, q_membership_reference, round_relaxation_reference,
+                     sample_members, subset_sum_reachable)
 
 
 class BelowHalfLine(FlowSet):
@@ -127,6 +130,114 @@ class TestRounding:
                 rounded = round_relaxation(inst, [(lam * np.asarray(t), -lam)])
                 assert q_membership(the_set, rounded.flows[0],
                                     rounded.activations[0], 1e-7), name
+
+
+class TestRoundingTestsQFirst:
+    """A point in Q_i is kept without meeting the clipped cone; the points
+    whose outcome that changes lie in Q_i within the tolerance but not in
+    the cone's, and were refused before."""
+
+    def test_half_line_point_within_tolerance_is_kept(self):
+        inst = Instance(n=1, edges=(Edge(HalfLineEdge(0.5), (0,), fee=1.0),),
+                        utility=LinearUtility([1.0]))
+        points = [(np.array([0.5 + 1e-9]), -1.0)]
+        with pytest.raises(ValueError):
+            round_relaxation_reference(inst, points)
+        rounded = round_relaxation(inst, points)
+        assert rounded.activations.tolist() == [-1.0]
+        assert rounded.flows[0].tolist() == [0.5 + 1e-9]
+        assert rounded.fee_delta == 0.0
+
+    def test_idle_capped_point_within_tolerance_is_kept(self):
+        inst = capped_fee_instance(1.0)
+        points = [(np.array([1e-10, 0.0]), 0.0)]
+        with pytest.raises(ValueError):
+            round_relaxation_reference(inst, points)
+        rounded = round_relaxation(inst, points)
+        assert rounded.activations.tolist() == [0.0]
+        assert rounded.flows[0].tolist() == [0.0, 0.0]
+        assert rounded.y_hat.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_activation_is_refused(self, lam):
+        inst = gen_knapsack_instance([3, 5], 5)
+        with pytest.raises(ValueError, match="edge 0: point is not in the clipped cone"):
+            round_relaxation(inst, [(np.array([0.0]), lam), (np.array([5.0]), -1.0)])
+
+    def test_fields_are_numpy_once(self):
+        rounded = round_relaxation(gen_knapsack_instance([3, 5], 5),
+                                   [(np.array([0.0]), 0.0), (np.array([5.0]), -1.0)])
+        assert all(type(x) is np.ndarray and x.dtype == float for x in rounded.flows)
+        for field in (rounded.activations, rounded.y_hat):
+            assert type(field) is np.ndarray and field.dtype == float
+        assert type(rounded.objective) is float and type(rounded.fee_delta) is float
+        assert rounded.objective == -5.0 and rounded.y_hat.tolist() == [5.0]
+
+
+def rounding_families():
+    """Every built-in family and a Minkowski sum."""
+    families = builtin_families()
+    families["minkowski_sum"] = minkowski_sum(CappedConcaveEdge(capacity=1.0),
+                                              LinearTickEdge(price=0.9, cap=1.5))
+    return families
+
+
+class TestRoundingMatchesReference:
+    """Sampled instances of three edges of one family, each point integral,
+    fractional, outside the cone or near its boundary, against the
+    cone-first reference."""
+
+    KINDS = ("active", "idle", "fractional", "outside", "near", "nan")
+
+    def point(self, the_set, rng, kind):
+        t = sample_members(the_set, rng, 2)[1]
+        lam = float(rng.uniform(0.05, 0.95))
+        if kind == "active":
+            return t, -1.0
+        if kind == "idle":
+            return np.zeros(the_set.dim), 0.0
+        if kind == "fractional":
+            return lam * t, -lam
+        if kind == "outside":
+            # above the upper bound of every member: outside T, so outside
+            # the cone at any activation in (0, 1]
+            return lam * (the_set.upper_bound + 0.5), -lam
+        if kind == "near":
+            return t * (1.0 + float(rng.choice([-1e-9, 1e-10, 1e-9]))), \
+                -1.0 + float(rng.choice([-5e-10, 0.0, 5e-10]))
+        return t, math.nan
+
+    @pytest.mark.parametrize("name", sorted(rounding_families()))
+    def test_sampled(self, rng, name):
+        the_set = rounding_families()[name]
+        nodes = [(0,), (1,), (2,)] if the_set.dim == 1 else [(0, 1), (1, 2), (2, 0)]
+        inst = Instance(n=3, edges=tuple(Edge(the_set, v, fee=float(rng.uniform(0.0, 0.5)))
+                                         for v in nodes),
+                        utility=QuadraticUtility([1.0, 1.2, 0.8], 0.3))
+        accepted = refused = 0
+        # a Minkowski sum's gauge bisects over a fan test of 720 directions
+        for _ in range(6 if name == "minkowski_sum" else 25):
+            points = [self.point(the_set, rng, kind) for kind in rng.choice(self.KINDS, 3)]
+            try:
+                expected = round_relaxation_reference(inst, points)
+            except ValueError:
+                refused += 1
+                cone = [ClippedCone(FlowCone(the_set)).contains(np.append(x, lam))
+                        for x, lam in points]
+                in_q = [q_membership_reference(the_set, x, lam) for x, lam in points]
+                if any(not c and not q for c, q in zip(cone, in_q)):
+                    with pytest.raises(ValueError):
+                        round_relaxation(inst, points)
+                continue
+            accepted += 1
+            got = round_relaxation(inst, points)
+            assert got.activations.tobytes() == expected.activations.tobytes()
+            assert got.y_hat.tobytes() == expected.y_hat.tobytes()
+            for x, y in zip(got.flows, expected.flows):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert got.objective == pytest.approx(expected.objective, rel=1e-12, abs=1e-15)
+            assert got.fee_delta == pytest.approx(expected.fee_delta, rel=1e-12, abs=1e-15)
+        assert accepted and refused
 
 
 class TestGapBounds:

@@ -311,6 +311,23 @@ class TestSerialization:
             with pytest.raises(SchemaError, match="edge 1: edge utilities are not supported"):
                 model.from_document(doc)
 
+    def test_unknown_key_of_any_object_is_refused_by_name(self):
+        # the document, the utility, each edge, its params and a gain
+        doc = model.to_document(Instance(
+            n=2, edges=(Edge(CappedConcaveEdge(gain=PiecewiseLinearGain([(0.5, 1.0), (2.0, 1.5)]),
+                                               capacity=1.5), (0, 1)),),
+            utility=LinearUtility([1.0, 1.0])))
+        objects = [(), ("utility",), ("edges", 0), ("edges", 0, "params"),
+                   ("edges", 0, "params", "gain")]
+        for path in objects:
+            edited = json.loads(json.dumps(doc))
+            target = edited
+            for key in path:
+                target = target[key]
+            target["extra"] = 1
+            with pytest.raises(SchemaError, match="unknown key 'extra'"):
+                model.from_document(edited)
+
     def test_meta_block_preserved(self):
         inst = self.build()
         doc = model.to_document(inst, meta={"generator": "test", "seed": 7})
@@ -329,7 +346,9 @@ class TestSerialization:
 _SCHEMA_WORDS = ["version", "n", "utility", "edges", "kind", "params", "nodes", "fee",
                  "edge_utility", "c", "mu", "b", "reserves", "cap", "price", "capacity",
                  "gain", "points", "linear", "quadratic", "threshold", "product_market",
-                 "half_line", "linear_tick", "capped_concave", "rational", "piecewise_linear"]
+                 "half_line", "linear_tick", "capped_concave", "rational", "piecewise_linear",
+                 # keys no object allows, and meta, which only the document allows
+                 "fees", "edge_utilty", "extra", "meta"]
 
 _json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                  | st.sampled_from(_SCHEMA_WORDS) | st.text(max_size=4))
@@ -366,7 +385,8 @@ _VALID_PATHS = list(_paths(_valid_document()))
 
 @st.composite
 def _edited_documents(draw):
-    """A valid document with the value at one of its paths replaced."""
+    """A valid document with the value at one of its paths replaced, or
+    with a schema word set as a key of the object at that path."""
     doc = _valid_document()
     path = draw(st.sampled_from(_VALID_PATHS))
     value = draw(_json_values)
@@ -375,7 +395,10 @@ def _edited_documents(draw):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    key = path[-1]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        key = draw(st.sampled_from(_SCHEMA_WORDS))  # a key of the object or a new one
+    parent[key] = value
     return doc
 
 
