@@ -6,7 +6,9 @@ larger node space, Minkowski sums, intersections, and the aggregate edge
 properties (closed convex, downward closed, contains 0), so each rule
 below returns another ``FlowSet`` oracle.
 
-Support functions compose exactly:
+Every rule computes its support once, in its float ``kernel``, from its
+children's kernels; ``support`` is the base class's vector adapter, as for
+the built-in families.  Support functions compose exactly:
 
     f_{aT}(xi)        = a * f_T(xi)
     f_{AT - R+}(xi)   = f_T(A.T @ xi)          for xi >= 0
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sets import (DEFAULT_TOL, FlowSet, Support, as_vector, scaled_tol,
+from .sets import (DEFAULT_TOL, FlowSet, Support, _index, _real, as_vector, scaled_tol,
                    support_from_kernel)
 
 FAN_SIZE = 720
@@ -82,10 +84,11 @@ class ScaledSet(FlowSet):
     """alpha * T for alpha >= 0; alpha = 0 collapses to the downward closure of {0}."""
 
     def __init__(self, base: FlowSet, alpha: float):
-        if alpha < 0.0:
-            raise ValueError("scaling factor must be nonnegative")
+        alpha = _real(alpha, "scaling factor")
+        if not 0.0 <= alpha < math.inf:  # NaN fails too
+            raise ValueError("scaling factor must be nonnegative and finite")
         self.base = base
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self.dim = base.dim
         if alpha == 0.0:
             self.upper_bound = np.zeros(base.dim)
@@ -98,17 +101,14 @@ class ScaledSet(FlowSet):
             return bool(np.all(v <= scaled_tol(tol, 0.0)))
         return self.base.contains(v / self.alpha, tol)
 
-    def support(self, price) -> Support:
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(math.inf, None)
-        if self.alpha == 0.0:
-            return Support(0.0, np.zeros(self.dim))
-        value, point = self.base.support(xi)
+    def kernel(self, xi):
+        alpha = self.alpha
+        if alpha == 0.0:
+            return 0.0, (0.0,) * self.dim
+        value, point = self.base.kernel(xi)
         if not math.isfinite(value):
-            return Support(value, None)
-        return Support(self.alpha * value,
-                       None if point is None else self.alpha * point)
+            return value, None
+        return alpha * value, None if point is None else tuple(alpha * x for x in point)
 
 
 class MatrixImageSet(FlowSet):
@@ -123,8 +123,8 @@ class MatrixImageSet(FlowSet):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[1] != base.dim:
             raise ValueError(f"matrix must have {base.dim} columns")
-        if np.any(a < 0.0):
-            raise ValueError("matrix entries must be nonnegative")
+        if not np.all((0.0 <= a) & (a < math.inf)):  # NaN fails too
+            raise ValueError("matrix entries must be nonnegative and finite")
         if np.linalg.matrix_rank(a) < a.shape[1]:
             raise ValueError("matrix must have a trivial null space")
         self.base = base
@@ -135,14 +135,11 @@ class MatrixImageSet(FlowSet):
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return _fan_contains(self, as_vector(x, self.dim), tol)
 
-    def support(self, price) -> Support:
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(math.inf, None)
-        value, point = self.base.support(self.matrix.T @ xi)
-        if not math.isfinite(value):
-            return Support(value, None)
-        return Support(value, None if point is None else self.matrix @ point)
+    def kernel(self, xi):
+        value, point = self.base.kernel((self.matrix.T @ np.array(xi)).tolist())
+        if not math.isfinite(value) or point is None:
+            return value, None
+        return value, tuple((self.matrix @ np.array(point)).tolist())
 
 
 class LiftedSet(FlowSet):
@@ -154,21 +151,20 @@ class LiftedSet(FlowSet):
     """
 
     def __init__(self, base: FlowSet, indices: Sequence[int], ambient_dim: int):
-        idx = [int(i) for i in indices]
+        ambient_dim = _index(ambient_dim, "ambient dimension")
+        idx = [_index(i, "index") for i in indices]
         if len(idx) != base.dim:
             raise ValueError("need one index per base coordinate")
         if len(set(idx)) != len(idx):
             raise ValueError("indices must be distinct")
-        if any(i < 0 or i >= ambient_dim for i in idx):
+        if any(i >= ambient_dim for i in idx):
             raise ValueError("index out of range")
         self.base = base
-        self.indices = np.array(idx, dtype=int)
-        self.dim = int(ambient_dim)
-        mask = np.ones(ambient_dim, dtype=bool)
-        mask[self.indices] = False
-        self._unselected = np.nonzero(mask)[0]
+        self.indices = idx
+        self.dim = ambient_dim
+        self._unselected = [i for i in range(ambient_dim) if i not in idx]
         ub = np.zeros(ambient_dim)
-        ub[self.indices] = base.upper_bound
+        ub[idx] = base.upper_bound
         self.upper_bound = ub
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
@@ -177,16 +173,14 @@ class LiftedSet(FlowSet):
             return False
         return self.base.contains(v[self.indices], tol)
 
-    def support(self, price) -> Support:
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(math.inf, None)
-        value, point = self.base.support(xi[self.indices])
+    def kernel(self, xi):
+        value, point = self.base.kernel([xi[i] for i in self.indices])
         if not math.isfinite(value) or point is None:
-            return Support(value, None)
-        lifted = np.zeros(self.dim)
-        lifted[self.indices] = point
-        return Support(value, lifted)
+            return value, None
+        lifted = [0.0] * self.dim
+        for i, x in zip(self.indices, point):
+            lifted[i] = x
+        return value, tuple(lifted)
 
     def gauge(self, x, tol: float = DEFAULT_TOL) -> float:
         v = as_vector(x, self.dim)
@@ -260,34 +254,29 @@ class IntersectionSet(FlowSet):
         v = as_vector(x, self.dim)
         return all(part.contains(v, tol) for part in self.parts)
 
-    def support(self, price) -> Support:
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(math.inf, None)
+    def kernel(self, xi):
+        xi = np.array(xi)
         first, second = self.parts
 
-        def split_value(z):
-            return first.support(z).value + second.support(xi - z).value
-
-        def split_grad(z):
-            pa = first.support(z).point
-            pb = second.support(xi - z).point
-            if pa is None or pb is None:
-                return None
-            return pa - pb
+        def split(z):
+            """The split's value at z and, when both maximizers exist, its
+            subgradient."""
+            value_a, pa = first.kernel(z.tolist())
+            value_b, pb = second.kernel((xi - z).tolist())
+            return value_a + value_b, None if pa is None or pb is None else np.subtract(pa, pb)
 
         z = 0.5 * xi
-        best_z, best = z.copy(), split_value(z)
+        best, grad = split(z)
+        best_z = z.copy()
         scale = float(np.max(xi)) or 1.0
         for k in range(1, DESCENT_STEPS + 1):
-            grad = split_grad(z)
             if grad is None:
                 break
             norm = float(np.linalg.norm(grad))
             if norm < 1e-14:
                 break
             z = np.clip(z - (0.5 * scale / math.sqrt(k)) * grad / norm, 0.0, xi)
-            value = split_value(z)
+            value, grad = split(z)
             if value < best:
                 best_z, best = z.copy(), value
         # refine with cyclic golden-section sweeps (convex along coordinates)
@@ -301,21 +290,21 @@ class IntersectionSet(FlowSet):
                 a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
                 za, zb = z.copy(), z.copy()
                 za[j], zb[j] = a, b
-                fa, fb = split_value(za), split_value(zb)
+                fa, fb = split(za)[0], split(zb)[0]
                 for _ in range(48):
                     if fa <= fb:
                         hi, b, fb = b, a, fa
                         a = hi - ratio * (hi - lo)
                         za[j] = a
-                        fa = split_value(za)
+                        fa = split(za)[0]
                     else:
                         lo, a, fa = a, b, fb
                         b = lo + ratio * (hi - lo)
                         zb[j] = b
-                        fb = split_value(zb)
+                        fb = split(zb)[0]
                 z[j] = a if fa <= fb else b
                 best = min(best, fa, fb)
-        return Support(best, None)
+        return best, None
 
 
 def scale(the_set: FlowSet, alpha: float) -> ScaledSet:

@@ -48,7 +48,7 @@ class FlowCone:
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         p = as_vector(point, self.dim)
         x, s = p[:-1], p[-1]
-        if not s <= scaled_tol(tol, 1.0):  # NaN fails too
+        if not -math.inf < s <= scaled_tol(tol, 1.0):  # NaN fails too
             return False
         level = max(0.0, -s)
         g = self.base.gauge(x, min(tol, DEFAULT_TOL))

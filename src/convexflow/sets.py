@@ -17,10 +17,11 @@ Downward closure makes the support infinite as soon as any price
 component is negative, and makes ``contains(x / lam)`` monotone in
 ``lam``, which is what the generic gauge bisection relies on.
 
-The dual solver evaluates supports through ``kernel(xi)``, the same
-supremum on prices already known to be nonnegative, taken and returned
-as Python floats.  Each built-in family computes its support in its
-kernel alone, and its ``support`` only adapts the vector interface.
+Every set, built-in or composed, computes its support once, in
+``kernel(xi)``: the supremum at prices already known to be nonnegative,
+taken and returned as Python floats.  The dual solver calls it directly.
+``support`` is the one vector adapter (``support_from_kernel``): it
+answers ``inf`` at any negative price and converts to and from numpy.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class FlowSet:
 
     Subclasses set ``dim`` and ``upper_bound`` (elementwise bound b with
     x <= b for every member; entries may be ``inf``) and implement
-    ``contains`` and ``support``.  Instances are immutable after
-    construction and all operations are pure, so they are safe to share
-    across threads.
+    ``contains`` and ``kernel``; ``support`` is derived from ``kernel``.
+    Instances are immutable after construction and all operations are
+    pure, so they are safe to share across threads.
 
     ``unique_maximizer`` is true when the support's maximizer is unique at
     every price vector with all components positive, so that the support
@@ -112,18 +113,16 @@ class FlowSet:
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         raise NotImplementedError
 
+    # The four families and ``MinkowskiSumSet`` repeat this method in their
+    # own class body, because perfbench's tracer counts support calls by
+    # wrapping exactly those classes' own ``support``.
     def support(self, price) -> Support:
-        raise NotImplementedError
+        return support_from_kernel(self, price)
 
     def kernel(self, xi: Sequence[float]) -> tuple[float, tuple[float, ...] | None]:
-        """``support`` at prices ``xi >= 0`` given as Python floats, with the
-        maximizer as a tuple of floats (or None when unattained).
-
-        This default goes through ``support``; the built-in families
-        override it with their closed forms.
-        """
-        value, point = self.support(xi)
-        return value, None if point is None else tuple(point.tolist())
+        """The support at prices ``xi >= 0`` given as Python floats, with the
+        maximizer as a tuple of floats (or None when unattained)."""
+        raise NotImplementedError
 
     def gauge(self, x, tol: float = DEFAULT_TOL) -> float:
         """Minkowski functional by bisection over the membership oracle.

@@ -172,8 +172,8 @@ class DualState:
     single evaluation).  ``converged`` is true for ``grad``, ``gap`` and
     ``exact``; it is read from ``stop``.
 
-    Inside the solver ``nu``, ``gradient`` and ``conjugate_maximizer`` are
-    lists of floats; the states it returns hold them as numpy arrays.
+    Inside the solver ``nu`` and ``gradient`` are lists of floats; the
+    states it returns hold them as numpy arrays.
     """
 
     nu: np.ndarray
@@ -183,8 +183,6 @@ class DualState:
     points: list[tuple[float, ...] | None]
     active: list[bool]
     tied: list[bool]
-    conjugate_value: float = 0.0
-    conjugate_maximizer: np.ndarray | None = None
     iterations: int = 0
     stop: str = "exact"
     certificate: Certificate | None = None
@@ -255,8 +253,7 @@ def _evaluate(utility: Utility, program: Program, prices: list[float],
     conj_value, conj_max = utility.conjugate(prices)
     m = len(program)
     state = DualState(nu=prices, g=math.inf, gradient=None, values=[math.nan] * m,
-                      points=[None] * m, active=[False] * m, tied=[False] * m,
-                      conjugate_value=conj_value, conjugate_maximizer=conj_max)
+                      points=[None] * m, active=[False] * m, tied=[False] * m)
     if not math.isfinite(conj_value):
         return state
     values, points, active, tied = state.values, state.points, state.active, state.tied
@@ -293,13 +290,10 @@ def _evaluate(utility: Utility, program: Program, prices: list[float],
 
 
 def _with_arrays(state: DualState) -> DualState:
-    """The state as it leaves the solver: numpy ``nu``, ``gradient`` and
-    ``conjugate_maximizer``."""
+    """The state as it leaves the solver: numpy ``nu`` and ``gradient``."""
     state.nu = np.array(state.nu)
     if state.gradient is not None:
         state.gradient = np.array(state.gradient)
-    if state.conjugate_maximizer is not None:
-        state.conjugate_maximizer = np.array(state.conjugate_maximizer)
     return state
 
 

@@ -125,13 +125,8 @@ class OrthantBoxSet(FlowSet):
         return bool(np.all(v <= self.upper_bound
                            + np.array([scaled_tol(tol, b) for b in self.upper_bound])))
 
-    def support(self, price):
-        from convexflow.sets import Support
-
-        xi = as_vector(price, self.dim)
-        if np.any(xi < 0.0):
-            return Support(float("inf"), None)
-        return Support(float(xi @ self.upper_bound), self.upper_bound.copy())
+    def kernel(self, xi):
+        return float(np.array(xi) @ self.upper_bound), tuple(self.upper_bound.tolist())
 
 
 def sample_members(the_set: FlowSet, rng: np.random.Generator, count: int,

@@ -44,6 +44,12 @@ class TestScale:
         with pytest.raises(ValueError):
             scale(CappedConcaveEdge(capacity=1.0), -0.5)
 
+    @pytest.mark.parametrize("alpha, error", [(math.nan, ValueError), (math.inf, ValueError),
+                                              (True, TypeError), ("2", TypeError)])
+    def test_invalid_alpha_rejected(self, alpha, error):
+        with pytest.raises(error):
+            scale(CappedConcaveEdge(capacity=1.0), alpha)
+
 
 class TestMatrixImage:
     def test_identity_matrix(self, rng):
@@ -66,6 +72,11 @@ class TestMatrixImage:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             nonneg_matrix_image(CappedConcaveEdge(), np.array([[1.0, -0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_nonfinite_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            nonneg_matrix_image(HalfLineEdge(1.0), [[entry]])
 
     def test_pullback_identity_sampled(self, rng):
         base = ProductMarketEdge([1.0, 2.0])
@@ -118,6 +129,13 @@ class TestLift:
             lift(base, [1, 1], 4)
         with pytest.raises(ValueError):
             lift(base, [0, 4], 4)
+        with pytest.raises(ValueError):
+            lift(base, [-1, 0], 4)
+
+    @pytest.mark.parametrize("indices, ambient_dim", [([1.5], 3), ([True], 3), ([0], 3.0)])
+    def test_non_integer_indices_rejected(self, indices, ambient_dim):
+        with pytest.raises(TypeError):
+            lift(HalfLineEdge(1.0), indices, ambient_dim)
 
 
 class TestMinkowskiSum:

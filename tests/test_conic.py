@@ -5,7 +5,7 @@ import pytest
 
 from convexflow.conic import ClippedCone, FlowCone, conic_rewrite
 from convexflow.model import Edge, Instance, LinearUtility, QuadraticUtility
-from convexflow.sets import CappedConcaveEdge, ProductMarketEdge
+from convexflow.sets import CappedConcaveEdge, HalfLineEdge, ProductMarketEdge
 from convexflow.solver import solve, solve_conic
 
 from conftest import builtin_families
@@ -56,6 +56,11 @@ class TestNonfiniteActivation:
     def test_flow_cone_refuses_nan(self, family_set):
         point = np.append(np.zeros(family_set.dim), self.nan)
         assert not FlowCone(family_set).contains(point)
+
+    def test_flow_cone_refuses_minus_inf(self):
+        # a level of inf would pass every gauge
+        assert not FlowCone(HalfLineEdge(1.0)).contains([5.0, -math.inf])
+        assert not FlowCone(CappedConcaveEdge(capacity=1.0)).contains([-1.0, 0.9, -math.inf])
 
     def test_clipped_cone_refuses_nonfinite(self, family_set):
         clipped = ClippedCone(FlowCone(family_set))

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexflow.calculus import intersection, minkowski_sum
+from convexflow.calculus import (aggregate, intersection, lift, minkowski_sum,
+                                 nonneg_matrix_image, scale)
 from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import InfeasibleProblemError, UnboundedProblemError
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
@@ -87,8 +88,8 @@ class TestDualValueAndGradient:
 
 def every_kind_instance(rng, n, utility, with_intersection=False):
     """One edge of every built-in family, a Minkowski sum and, optionally,
-    an intersection (the default kernel, through ``support``), on random
-    nodes with random fees."""
+    an intersection (a numerical kernel), on random nodes with random
+    fees."""
     def pair():
         return tuple(int(v) for v in rng.choice(n, size=2, replace=False))
 
@@ -212,10 +213,24 @@ class TestEvaluatorMatchesReference:
             assert [a for a, k in zip(masked.active, on) if k] == alone.active
 
 
-@pytest.mark.parametrize("name", sorted(builtin_families()) + ["minkowski_sum"])
+def composed_sets():
+    """One set of every calculus rule, some of them nested."""
+    market, capped = ProductMarketEdge([2.0, 3.0]), CappedConcaveEdge(capacity=1.0)
+    return {
+        "minkowski_sum": minkowski_sum(market, capped),
+        "scaled": scale(market, 1.7),
+        "scaled_zero": scale(capped, 0.0),
+        "matrix_image": nonneg_matrix_image(capped, [[1.0, 0.2], [0.0, 1.5], [0.5, 0.5]]),
+        "lifted": lift(market, [2, 0], 3),
+        "lifted_scaled": lift(scale(market, 0.6), [1, 3], 4),
+        "intersection": intersection(LinearTickEdge(price=1.2, cap=0.7), capped),
+        "aggregate": aggregate([(market, [0, 1]), (capped, [1, 2]), (HalfLineEdge(0.9), [2])], 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(builtin_families()) + sorted(composed_sets()))
 def test_support_equals_kernel(name, rng):
-    summed = minkowski_sum(ProductMarketEdge([2.0, 3.0]), CappedConcaveEdge(capacity=1.0))
-    the_set = {**builtin_families(), "minkowski_sum": summed}[name]
+    the_set = {**builtin_families(), **composed_sets()}[name]
     for _ in range(50):
         xi = prices_with_zeros(rng, the_set.dim)
         value, point = the_set.support(xi)
