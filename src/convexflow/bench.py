@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -114,6 +115,11 @@ def gen_knapsack_instance(weights: Sequence[int], target: int) -> Instance:
         raise ValueError("weights must be positive integers")
     if int(target) < 0:
         raise ValueError("target must be nonnegative")
+    # beyond the largest float, float() would raise OverflowError
+    if any(w > sys.float_info.max for w in ws):
+        raise ValueError(f"weights must be at most {sys.float_info.max:g}")
+    if int(target) > sys.float_info.max:
+        raise ValueError(f"target must be at most {sys.float_info.max:g}")
     edges = tuple(Edge(flow_set=HalfLineEdge(float(w)), nodes=(0,), fee=float(w))
                   for w in ws)
     return Instance(n=1, edges=edges, utility=ThresholdUtility(float(int(target))))

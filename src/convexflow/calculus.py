@@ -63,9 +63,11 @@ def direction_fan(dim: int) -> np.ndarray:
 
 
 def _fan_contains(the_set: FlowSet, x: np.ndarray, tol: float) -> bool:
-    for xi in direction_fan(the_set.dim):
-        value = the_set.support(xi).value
-        if xi @ x > value + scaled_tol(tol, value):
+    point = x.tolist()
+    for row in direction_fan(the_set.dim):
+        xi = row.tolist()
+        value = the_set.kernel(xi)[0]
+        if sum(a * b for a, b in zip(xi, point)) > value + scaled_tol(tol, value):
             return False
     return True
 

@@ -33,9 +33,15 @@ def _write_json(doc: dict, path: str | None):
             handle.write(text + "\n")
 
 
-def _load_instance(path: str) -> model.Instance:
+def _read(path: str, what: str):
+    """The JSON document at ``path``; SchemaError naming ``what`` when the
+    file is not JSON."""
     with open(path, encoding="utf-8") as handle:
-        return model.loads(handle.read())
+        return model._parse(handle.read(), what)
+
+
+def _load_instance(path: str) -> model.Instance:
+    return model.from_document(_read(path, "instance document"))
 
 
 # the keys ``solver.report_to_document`` writes
@@ -100,15 +106,17 @@ def _cmd_solve(args) -> int:
     opts = _solver_options(args)
     instance = _load_instance(args.input)
     report = solver.solve(instance, opts)
+    for name, value in (("objective_dual", report.dual_value),
+                        ("objective_primal", report.primal_value)):
+        if not math.isfinite(value):
+            raise SchemaError(f"solution: its {name} is {value!r}, which JSON cannot hold")
     _write_json(solver.report_to_document(report), args.out)
     return 0 if report.converged else 3
 
 
 def _cmd_round(args) -> int:
     instance = _load_instance(args.input)
-    with open(args.solution, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    rounded = fees.round_relaxation(instance, _solution_points(doc))
+    rounded = fees.round_relaxation(instance, _solution_points(_read(args.solution, "solution")))
     if rounded.objective == -math.inf:  # only a threshold utility is -inf
         raise SchemaError(f"solution: its net flow {float(rounded.y_hat[0])!r} misses "
                           f"the threshold demand b = {instance.utility.b!r}")

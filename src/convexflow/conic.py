@@ -129,7 +129,6 @@ class ConicInstance:
 
     base: "Instance"
     cones: tuple[FlowCone, ...]
-    clipped: tuple[ClippedCone, ...]
 
     @property
     def ambient_dim(self) -> int:
@@ -161,6 +160,5 @@ class ConicInstance:
 
 def conic_rewrite(instance: "Instance") -> ConicInstance:
     """Rewrite a flow instance over sets into the equivalent conic form."""
-    cones = tuple(FlowCone(edge.flow_set) for edge in instance.edges)
-    clipped = tuple(ClippedCone(cone) for cone in cones)
-    return ConicInstance(base=instance, cones=cones, clipped=clipped)
+    return ConicInstance(base=instance,
+                         cones=tuple(FlowCone(edge.flow_set) for edge in instance.edges))

@@ -131,9 +131,9 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     rather than solver drift.  Only the minimized dual value of each
     pattern is taken (the ``dual_value`` that ``solve`` would report on
     the instance of S); no primal point is recovered.  The solver's
-    program is built once with its fees zeroed, and each pattern masks
-    off the edges outside S, which evaluates exactly as the instance of S
-    would.  A threshold instance takes one pass over all patterns instead
+    program is built once with its fees zeroed, and each pattern hands
+    ``_minimize`` the entries of S alone, the program of the instance of
+    S.  A threshold instance takes one pass over all patterns instead
     (``solver._threshold_pattern_minima``), with the same values; ``opts``
     does not reach it.  Ties between patterns break toward the earlier
     pattern in mask order.
@@ -175,10 +175,9 @@ def _pattern_minima(utility: Utility, program: _solver.Program,
     """The minimized dual value of every activation pattern, by mask, each
     from its own ``_minimize``; None where the pattern is infeasible."""
     yield None
-    m = len(program)
-    for mask in range(1, 2 ** m):
+    for mask in range(1, 2 ** len(program)):
         try:
-            yield _solver._minimize(utility, program, opts,
-                                    [bool(mask >> i & 1) for i in range(m)]).g
+            yield _solver._minimize(
+                utility, [e for i, e in enumerate(program) if mask >> i & 1], opts).g
         except InfeasibleProblemError:
             yield None

@@ -417,11 +417,15 @@ def dumps(instance: Instance, meta: dict | None = None) -> str:
                       separators=(",", ":"))
 
 
-def loads(text: str) -> Instance:
+def _parse(text: str, what: str):
+    """The JSON value of ``text``; SchemaError naming ``what`` when it is not JSON."""
     # ValueError: bad JSON or an integer too long to convert;
     # RecursionError: arrays or objects nested too deeply to decode
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return from_document(doc)
+        raise SchemaError(f"{what}: not valid JSON: {exc}") from exc
+
+
+def loads(text: str) -> Instance:
+    return from_document(_parse(text, "instance document"))

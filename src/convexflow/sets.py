@@ -360,6 +360,8 @@ class ProductMarketEdge(FlowSet):
             raise ValueError("reserves must be two positive finite numbers")
         self._r1, self._r2 = r1, r2
         self.invariant = r1 * r2
+        if not 0.0 < self.invariant < math.inf:  # an infinite k would leave 0 outside T
+            raise ValueError("reserves must have a positive finite product")
 
     # numpy copies of the checked floats, built on first use: loading and
     # solving a document never read them

@@ -15,8 +15,7 @@ caller: the minimizers below, ``dual_value_and_gradient``, ``solve_conic``
 and the brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
 fee, unique)`` entries built once per instance, where ``kernel`` is the
 edge set's float support oracle (``FlowSet.kernel``) and ``unique`` its
-``FlowSet.unique_maximizer`` flag, read only by the quadratic branch; an
-optional edge mask evaluates a sub-instance without building it.
+``FlowSet.unique_maximizer`` flag, read only by the quadratic branch.
 
 The evaluator and the minimizers run on Python floats end to end: prices,
 maximizers, the conjugate (``utility.conjugate``), the gradient, the
@@ -143,7 +142,7 @@ class Certificate:
     """A point of the fee relaxation whose value bounds the dual from below.
 
     Per edge i, ``(flows[i], activations[i])`` lies in the clipped cone
-    conv(Q_i), with the activation in [-1, 0] (edges masked off hold zero).
+    conv(Q_i), with the activation in [-1, 0].
     ``value`` is P = U(min(y, c / mu)) + sum_i q_i * activations[i], where
     y is the net flow of the edge flows and the min disposes of its surplus
     above the utility's peak c / mu.  Weak duality gives P <= g(nu) at
@@ -240,11 +239,10 @@ def _program(edges: Sequence[Edge]) -> Program:
             for edge in edges]
 
 
-def _evaluate(utility: Utility, program: Program, prices: list[float],
-              on: Sequence[bool] | None = None) -> DualState:
+def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualState:
     """g and a supergradient at ``prices``, a list of nonnegative floats,
-    over the edges of ``program`` for which ``on`` is true (all of them by
-    default).  The state's ``nu`` is ``prices`` and its gradient a list.
+    over the edges of ``program``.  The state's ``nu`` is ``prices`` and
+    its gradient a list.
 
     Activations and ties follow ``TIE_TOL``.  The evaluation stops at the
     first infinite term, with g = inf.
@@ -260,8 +258,6 @@ def _evaluate(utility: Utility, program: Program, prices: list[float],
     grad = [0.0] * len(prices)
     g = conj_value
     for i, (kernel, nodes, fee, _) in enumerate(program):
-        if on is not None and not on[i]:
-            continue
         xi = [prices[j] for j in nodes]
         value, point = kernel(xi)
         values[i] = value
@@ -328,7 +324,7 @@ def _two_loop(history, grad: list[float]) -> list[float]:
 
 
 def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
-                              opts: SolverOptions, on: Sequence[bool] | None) -> DualState:
+                              opts: SolverOptions) -> DualState:
     """Projected L-BFGS over nu >= 0 from c clamped to >= 0.
 
     It stops on the projected gradient test or, after an iteration whose
@@ -337,7 +333,7 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
     accepted iterate and at a certified primal point's price it adopts.
     """
     nu = _clamped(utility._c)
-    state = _evaluate(utility, program, nu, on)
+    state = _evaluate(utility, program, nu)
     if not math.isfinite(state.g):
         raise UnboundedProblemError("dual function is infinite at the starting point")
     history: list[tuple[list[float], list[float], float]] = []
@@ -364,7 +360,7 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
             if not any(delta):
                 break
             if slope < 0.0:
-                trial_state = _evaluate(utility, program, trial, on)
+                trial_state = _evaluate(utility, program, trial)
                 if trial_state.g <= state.g + ARMIJO * slope:
                     accepted = (delta, trial, trial_state)
                     break
@@ -387,7 +383,7 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
                     "is unbounded and the primal infeasible")
         if rejected is not None:
             bundle = [other for other in (previous, rejected) if other is not None]
-            certified = _certify(utility, program, state, bundle, on)
+            certified = _certify(utility, program, state, bundle)
             if certified is not None:
                 if certified is not state:
                     trace.append(certified.g)
@@ -407,7 +403,7 @@ def _minimize_projected_lbfgs(utility: QuadraticUtility, program: Program,
 
 
 def _certify(utility: QuadraticUtility, program: Program, state: DualState,
-             bundle: Sequence[DualState], on: Sequence[bool] | None) -> DualState | None:
+             bundle: Sequence[DualState]) -> DualState | None:
     """The state to stop at with a certified duality gap, or None.
 
     Each edge's base choice is its choice in ``state``: (maximizer, fee)
@@ -425,7 +421,7 @@ def _certify(utility: QuadraticUtility, program: Program, state: DualState,
     flows: list[tuple[float, ...]] = []
     moves = []  # (edge, nodes, flow change, activation switch) toward each alternative
     for i, (_, nodes, _, unique) in enumerate(program):
-        active, point = state.active[i], state.points[i]  # masked-off edges are inactive
+        active, point = state.active[i], state.points[i]
         flows.append(point if active else (0.0,) * len(nodes))
         for other in bundle:
             other_active, other_point = other.active[i], other.points[i]
@@ -451,7 +447,7 @@ def _certify(utility: QuadraticUtility, program: Program, state: DualState,
         state.certificate = certificate
         return state
     primal_price = [max(cj - mu * yj, 0.0) for cj, yj in zip(c, y)]
-    candidate = _evaluate(utility, program, primal_price, on)
+    candidate = _evaluate(utility, program, primal_price)
     if candidate.g < state.g and candidate.g - value <= GAP_TOL * (1.0 + abs(candidate.g)):
         candidate.certificate = certificate
         return candidate
@@ -539,27 +535,23 @@ def _line_max(c: list[float], mu: float, y: list[float], nodes: Sequence[int],
     return hi
 
 
-def _unit_supplies(program: Program,
-                   on: Sequence[bool] | None = None) -> list[tuple[float, float]]:
-    """(h_i, q_i) of each edge of a threshold ``program`` for which ``on``
-    is true (all of them by default): its supply at unit price and its fee.
-    Edges masked off are not scanned."""
-    kept = [(kernel([1.0])[0], fee) for i, (kernel, _, fee, _) in enumerate(program)
-            if on is None or on[i]]
+def _unit_supplies(program: Program) -> list[tuple[float, float]]:
+    """(h_i, q_i) of each edge of a threshold ``program``: its supply at
+    unit price and its fee."""
+    kept = [(kernel([1.0])[0], fee) for kernel, _, fee, _ in program]
     if not all(math.isfinite(h) for h, _ in kept):
         raise UnboundedProblemError("an edge has unbounded supply at unit price")
     return kept
 
 
-def _minimize_threshold(utility: ThresholdUtility, program: Program,
-                        on: Sequence[bool] | None) -> DualState:
+def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualState:
     """Exact minimizer of the 1-D piecewise-linear threshold dual.
 
     g(nu) = -b * nu + sum_i max(h_i * nu - q_i, 0) with h_i the edge
     supply at unit price; the slope only changes at nu = q_i / h_i.
     """
     b = utility.b
-    kept = _unit_supplies(program, on)
+    kept = _unit_supplies(program)
     breakpoints = sorted({0.0} | {q / h for h, q in kept if h > 0.0})
 
     def slope_after(point: float) -> float:
@@ -575,7 +567,7 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program,
         raise InfeasibleProblemError(
             "threshold dual decreases without bound; total edge supply "
             "cannot reach the demanded net flow")
-    state = _evaluate(utility, program, [minimizer], on)
+    state = _evaluate(utility, program, [minimizer])
     state.iterations = 1
     return state
 
@@ -612,24 +604,21 @@ def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> Dual
     return _with_arrays(_minimize(instance.utility, _program(instance.edges), opts))
 
 
-def _minimize(utility: Utility, program: Program, opts: SolverOptions | None,
-              on: Sequence[bool] | None = None) -> DualState:
-    """``minimize_dual`` over the edges of ``program`` for which ``on`` is
-    true, with the same result as on the instance of those edges alone.
-    Only the L-BFGS reads ``opts`` (the defaults when None).  The state
-    stays on floats; callers that hand it out convert it with
-    ``_with_arrays``."""
+def _minimize(utility: Utility, program: Program, opts: SolverOptions | None) -> DualState:
+    """``minimize_dual`` over ``program``.  Only the L-BFGS reads ``opts``
+    (the defaults when None).  The state stays on floats; callers that
+    hand it out convert it with ``_with_arrays``."""
     if isinstance(utility, LinearUtility):
-        state = _evaluate(utility, program, _clamped(utility._c), on)
+        state = _evaluate(utility, program, _clamped(utility._c))
         if not math.isfinite(state.g):
             raise UnboundedProblemError(
                 "the dual is infinite at nu = c, so the linear-utility "
                 "problem is unbounded above")
         state.iterations = 1
     elif isinstance(utility, ThresholdUtility):
-        state = _minimize_threshold(utility, program, on)
+        state = _minimize_threshold(utility, program)
     elif isinstance(utility, QuadraticUtility):
-        state = _minimize_projected_lbfgs(utility, program, opts or SolverOptions(), on)
+        state = _minimize_projected_lbfgs(utility, program, opts or SolverOptions())
     else:
         raise TypeError(f"unsupported utility type: {type(utility).__name__}")
     return state
@@ -725,30 +714,29 @@ def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> Solv
     edge term is the clipped-cone support at (xi_i, q_i),
     max(f_i(xi_i) - q_i, 0): the evaluator's edge term with the fee as the
     cone's last price coordinate, read from the kernel of the cone's base
-    set.  ``ClippedCone.support`` is the per-edge reference for it.
+    set, which is the edge's flow set.  ``ClippedCone.support`` is the
+    per-edge reference for it.
     """
     instance = conic.base
     started = time.perf_counter()
-    program = [(clipped.base.kernel, edge.nodes, edge.fee, clipped.base.unique_maximizer)
-               for clipped, edge in zip(conic.clipped, instance.edges)]
-    state = _with_arrays(_minimize(instance.utility, program, opts))
+    state = _with_arrays(_minimize(instance.utility, _program(instance.edges), opts))
     report = recover_primal(state, instance)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report
 
 
 def report_to_document(report: SolveReport) -> dict:
-    """Solution document: {objective_dual, objective_primal, gap, nu, edges[]}."""
-    def _num(v: float):
-        return float(v) if math.isfinite(v) else repr(v)
+    """Solution document: {objective_dual, objective_primal, gap, nu, edges[]}.
 
+    Non-finite values stay floats, which a strict JSON writer refuses.
+    """
     return {
-        "objective_dual": _num(report.dual_value),
-        "objective_primal": _num(report.primal_value),
-        "gap": _num(report.gap),
+        "objective_dual": float(report.dual_value),
+        "objective_primal": float(report.primal_value),
+        "gap": float(report.gap),
         "nu": report.nu.tolist(),
         "edges": [
-            {"x": x.tolist(), "lambda": lam, "value": _num(value), "tied": bool(tied)}
+            {"x": x.tolist(), "lambda": lam, "value": float(value), "tied": bool(tied)}
             for x, lam, value, tied in zip(report.flows, report.activations.tolist(),
                                            report.edge_values, report.edge_tied)
         ],

@@ -56,6 +56,8 @@ def invalid_document_edits():
                         "reserves must be two positive finite numbers"),
         "inf_reserve": (first_edge("product_market", {"reserves": [1.0, inf]}),
                         "reserves must be two positive finite numbers"),
+        "overflowing_reserves": (first_edge("product_market", {"reserves": [1e200, 1e200]}),
+                                 "'product_market': reserves must have a positive finite product"),
         "nan_weight": (utility(lambda n: {"kind": "linear", "c": [nan] + [1.0] * (n - 1)}),
                        "c must hold finite numbers"),
         "nan_mu": (utility(lambda n: {"kind": "quadratic", "c": [1.0] * n, "mu": nan}),

@@ -82,6 +82,11 @@ class TestKnapsackGenerator:
             gen_knapsack_instance([0, 2], 1)
         with pytest.raises(ValueError):
             gen_knapsack_instance([2], -1)
+        # integers beyond float range are refused by name, not by OverflowError
+        with pytest.raises(ValueError, match="weights must be at most"):
+            gen_knapsack_instance([2, 10 ** 400], 1)
+        with pytest.raises(ValueError, match="target must be at most"):
+            gen_knapsack_instance([2], 10 ** 400)
 
 
 class TestSweep:

@@ -58,6 +58,17 @@ class TestSolveCommand:
         bad.write_text('{"version": 9}')
         assert run(["solve", "--input", str(bad)]) == 2
 
+    def test_nonfinite_report_is_exit_2_and_not_written(self, tmp_path, capsys):
+        # at price 0 the half line's maximizer is 0, so the recovered point
+        # misses the demand and the primal objective is -inf
+        inst, out = tmp_path / "i.json", tmp_path / "s.json"
+        inst.write_text('{"version": 1, "n": 1, "utility": {"kind": "threshold", "b": 1.0}, '
+                        '"edges": [{"kind": "half_line", "params": {"cap": 2.0}, '
+                        '"nodes": [0], "fee": 0.0}]}')
+        assert run(["solve", "--input", str(inst), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: solution: its objective_primal is -inf")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(invalid_document_edits()))
     def test_invalid_value_is_exit_2(self, tmp_path, capsys, name):
         inst = tmp_path / "i.json"
@@ -103,12 +114,13 @@ class TestRoundCommand:
         # a solution that meets the demand, with one key too many
         '{"edges": [{"x": [2], "lambda": -1}, {"x": [3], "lambda": -1}], "extra": 1}',
         '{"edges": [{"x": [2], "lambda": -1, "lamda": 0}, {"x": [3], "lambda": -1}]}',
+        "[" * 100000 + "]" * 100000,
     ], ids=["not_an_object", "edges_not_a_list", "entry_not_an_object",
             "lambda_not_a_number", "string_lambda", "nan_lambda", "bool_lambda",
             "string_x", "bool_x", "nan_x", "inf_x", "inf_string_x",
             "minus_infinity_string_x", "nan_string_x", "inf_string_lambda",
             "minus_infinity_string_lambda", "nan_string_lambda", "unknown_key",
-            "unknown_edge_key"])
+            "unknown_edge_key", "nested_too_deeply"])
     def test_malformed_solution_is_exit_2(self, tmp_path, capsys, text):
         inst, sol = tmp_path / "i.json", tmp_path / "s.json"
         run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
@@ -290,6 +302,7 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
 _numbers = st.sampled_from(["0", "1", "-1", "2.5", "nan", "inf", "1e309", "x", ""])
+_beyond_float = "1" + "0" * 400  # an integer that float() cannot hold
 
 
 @st.composite
@@ -318,8 +331,9 @@ def _argv(draw, folder: Path):
         argv = ["generate", "--n", draw(st.sampled_from(["-1", "1", "2", "5", "x"])),
                 "--mu", draw(_numbers), "--q0", draw(_numbers), "--seed", draw(_numbers)]
     elif command == "knapsack":
-        argv = ["knapsack", "--c", draw(st.sampled_from(["2,3", "", "0,4", "-1", "1,x", "7"])),
-                "--b", draw(_numbers)]
+        argv = ["knapsack", "--c", draw(st.sampled_from(["2,3", "", "0,4", "-1", "1,x", "7",
+                                                         "2," + _beyond_float])),
+                "--b", draw(_numbers | st.just(_beyond_float))]
     elif command == "bench":
         argv = ["bench", "--n", draw(st.sampled_from(["3", "4,5", "1", "", "x"])),
                 "--mu", draw(st.sampled_from(["0", "0.01", "-1", "nan"])),

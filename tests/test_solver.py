@@ -13,7 +13,7 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
 from convexflow.solver import (GAP_TOL, MAX_TIE_ENUM, SolveReport, SolverOptions,
-                               _evaluate, _minimize, _program, dual_value_and_gradient,
+                               _minimize, _program, dual_value_and_gradient,
                                minimize_dual, recover_primal, report_to_document, solve,
                                verify_optimality)
 
@@ -198,20 +198,6 @@ class TestEvaluatorMatchesReference:
                 for e in inst.edges)
             assert g == pytest.approx(conic_g, rel=1e-12, abs=1e-12)
 
-    def test_masked_edges_evaluate_as_the_sub_instance(self, rng):
-        for _ in range(20):
-            utility = QuadraticUtility(rng.uniform(0.5, 1.5, size=4), 0.4)
-            inst = every_kind_instance(rng, 4, utility)
-            on = [bool(b) for b in rng.integers(0, 2, size=inst.m)]
-            sub = Instance(n=4, edges=tuple(e for e, k in zip(inst.edges, on) if k),
-                           utility=utility)
-            nu = prices_with_zeros(rng, 4)
-            masked = _evaluate(utility, _program(inst.edges), nu.tolist(), on)
-            alone = _evaluate(utility, _program(sub.edges), nu.tolist())
-            assert masked.g == alone.g
-            assert np.array_equal(masked.gradient, alone.gradient)
-            assert [a for a, k in zip(masked.active, on) if k] == alone.active
-
 
 def composed_sets():
     """One set of every calculus rule, some of them nested."""
@@ -275,7 +261,7 @@ class TestThresholdScanMatchesReference:
             n=1, edges=tuple(e for e, k in zip(inst.edges, on) if k), utility=inst.utility)
 
         def scan():
-            state = _minimize(inst.utility, _program(inst.edges), SolverOptions(), on)
+            state = _minimize(inst.utility, _program(sub.edges), SolverOptions())
             return state.nu, state.g  # _minimize keeps the state on floats
 
         def reference():
@@ -420,7 +406,7 @@ class TestMinimizeDual:
             minimize_dual(inst)
 
 
-def assert_certificate_sound(inst, state, on=None):
+def assert_certificate_sound(inst, state):
     """The state's certificate, recomputed with numpy: every (flow,
     activation) lies in its edge's clipped cone, the value is U at the net
     flow capped at c / mu plus the activation-weighted fees, and it closes
@@ -431,8 +417,6 @@ def assert_certificate_sound(inst, state, on=None):
     for i, (edge, flow, lam) in enumerate(zip(inst.edges, cert.flows, cert.activations)):
         x = np.asarray(flow, dtype=float)
         assert -1.0 <= lam <= 0.0
-        if on is not None and not on[i]:
-            assert lam == 0.0 and not x.any()
         assert ClippedCone(FlowCone(edge.flow_set)).contains(np.append(x, lam)), (i, x, lam)
         y += dense_selector(edge.nodes, inst.n) @ x
         fees += edge.fee * lam
@@ -473,16 +457,15 @@ class TestGapCertificate:
     def test_kinked_patterns_end_certified(self):
         inst = mixed_tick_instance()
         free = replace(inst, edges=tuple(replace(e, fee=0.0) for e in inst.edges))
-        program = _program(free.edges)
         stops = set()
         for mask, before in PATTERN_DUALS.items():
-            on = [bool(mask >> i & 1) for i in range(inst.m)]
-            state = _minimize(inst.utility, program, SolverOptions(), on)
+            sub = replace(free, edges=tuple(e for i, e in enumerate(free.edges) if mask >> i & 1))
+            state = _minimize(inst.utility, _program(sub.edges), SolverOptions())
             stops.add(state.stop)
             assert state.converged and state.stop in ("grad", "gap"), mask
             assert state.g <= before + GAP_TOL * (1.0 + abs(before)), mask
             if state.stop == "gap":
-                assert_certificate_sound(free, state, on)
+                assert_certificate_sound(sub, state)
         assert stops == {"grad", "gap"}
 
     def test_fee_instance_ends_certified(self):
