@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -119,45 +119,54 @@ def gap_bounds(report: SolveReport, instance: Instance) -> GapBounds:
 class BruteForceResult:
     value: float
     pattern: tuple[int, ...]
+    # patterns whose value entered the comparison: the empty one, each
+    # minimized for itself and each that took a subset's value by the idle
+    # edge rule; a pattern skipped by the bound, or infeasible, is not counted
     evaluated: int
 
 
 def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -> BruteForceResult:
     """Ground-truth fixed-fee optimum by enumerating activation patterns.
 
-    Every subset S of edges is charged its fees and the fee-free convex
-    flow problem restricted to S is solved with the regular solver, so a
+    Every subset S of edges is charged its fees and valued by the minimum
+    of the fee-free dual of the convex flow problem restricted to S, the
+    ``dual_value`` that ``solve`` would report on the instance of S, so a
     disagreement with the dual heuristic isolates the rounding logic
-    rather than solver drift.  Only the minimized dual value of each
-    pattern is taken (the ``dual_value`` that ``solve`` would report on
-    the instance of S); no primal point is recovered.  The solver's
-    program is built once with its fees zeroed, and each pattern hands
-    ``_minimize`` the entries of S alone, the program of the instance of
-    S.  A threshold instance takes one pass over all patterns instead
+    rather than solver drift.  No primal point is recovered.  The
+    solver's program is built once with its fees zeroed, and a pattern
+    that is minimized hands ``_minimize`` the entries of S alone, the
+    program of the instance of S.  Patterns are compared in mask order,
+    and ties break toward the earlier pattern.
+
+    With a quadratic or linear utility ``_pattern_minima`` leaves out the
+    patterns that cannot change the answer: those below the full
+    pattern's bound, and those that take a subset's value because an
+    added edge is idle (both rules and why they are exact are set out
+    there).  A threshold instance takes one pass over all patterns instead
     (``solver._threshold_pattern_minima``), with the same values; ``opts``
-    does not reach it.  Ties between patterns break toward the earlier
-    pattern in mask order.
+    does not reach it.
     """
     m = instance.m
     if m > MAX_EDGES:
         raise EnumerationBudgetError(f"{m} edges exceed the {MAX_EDGES}-edge budget")
     program = [(kernel, nodes, 0.0, unique)
                for kernel, nodes, _, unique in _solver._program(instance.edges)]
+    fee_totals = [0]  # by mask: the fee of the pattern without its top edge, plus the top's
+    for edge in instance.edges:
+        fee_totals += [total + edge.fee for total in fee_totals]
     utility = instance.utility
     if isinstance(utility, ThresholdUtility):
         minima = _solver._threshold_pattern_minima(utility, program)
+
+        def value_of(mask: int, best: float) -> float | None:
+            return minima[mask]
     else:
-        minima = _pattern_minima(utility, program, opts or SolverOptions())
-    best = -math.inf
+        value_of = _pattern_minima(utility, program, fee_totals, opts or SolverOptions())
+    best = utility.value(np.zeros(instance.n))
     best_mask = 0
-    evaluated = 0
-    fee_totals = [0]
-    for mask, value in enumerate(minima):
-        if mask:
-            top = mask.bit_length() - 1
-            fee_totals.append(fee_totals[mask ^ (1 << top)] + instance.edges[top].fee)
-        else:
-            value = utility.value(np.zeros(instance.n))
+    evaluated = 1
+    for mask in range(1, 2 ** m):
+        value = value_of(mask, best)
         if value is None:
             continue
         evaluated += 1
@@ -170,14 +179,73 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
                             evaluated=evaluated)
 
 
-def _pattern_minima(utility: Utility, program: _solver.Program,
-                    opts: SolverOptions) -> Iterator[float | None]:
-    """The minimized dual value of every activation pattern, by mask, each
-    from its own ``_minimize``; None where the pattern is infeasible."""
-    yield None
-    for mask in range(1, 2 ** len(program)):
+def _pattern_minima(utility: Utility, program: _solver.Program, fee_totals: list[float],
+                    opts: SolverOptions) -> Callable[[int, float], float | None]:
+    """The value of pattern ``mask`` given the best total so far: the
+    minimized fee-free dual of the pattern, or None where the pattern is
+    infeasible or cannot beat that total.  Masks must come in increasing
+    order.  Two exact rules spare most minimizations.
+
+    Rule 1 (bound).  The full pattern is minimized first, and its state
+    is the last mask's value.  Every fee-free edge term max(f_i, 0) is
+    >= 0, so adding edges never lowers the dual: g_S <= g_full everywhere,
+    and by weak duality g_full at any price bounds the optimum of every
+    pattern S from above.  A pattern with g_full - fee(S) + GAP_TOL *
+    (1 + |g_full|) < best therefore cannot win and is skipped; the margin
+    covers a pattern minimized to within the solver's gap tolerance.  A
+    skipped pattern's supersets pay at least its fees and are skipped too.
+    When the full pattern is infeasible the bound is off.
+
+    Rule 2 (idle edge).  When a pattern S ended converged (``grad``,
+    ``gap`` or ``exact``) and edge j's kernel gives support <= 0.0 at S's
+    price nu_S, S + {j} takes S's state as it is: its term adds nothing
+    there, so g_{S+j}(nu_S) = g_S(nu_S), and g_{S+j} >= g_S everywhere, so
+    nu_S minimizes g_{S+j} as well.  S + {j} costs at least S's fees and
+    comes later in mask order, so it never displaces S.  The subsets
+    S = mask - {j} are tried in increasing j, and S + {j} is converged in
+    turn.  Only (g, nu) of each converged pattern is kept.
+    """
+    full = 2 ** len(program) - 1
+    converged: dict[int, tuple[float, list[float]]] = {}  # (g, price) by mask, for rule 2
+
+    def minimize(mask: int) -> _solver.DualState | None:
         try:
-            yield _solver._minimize(
-                utility, [e for i, e in enumerate(program) if mask >> i & 1], opts).g
+            return _solver._minimize(
+                utility, [e for i, e in enumerate(program) if mask >> i & 1], opts)
         except InfeasibleProblemError:
-            yield None
+            return None
+
+    full_state = minimize(full) if full else None
+    bound = margin = math.inf
+    if full_state is not None:
+        bound, margin = full_state.g, _solver.GAP_TOL * (1.0 + abs(full_state.g))
+
+    def value_of(mask: int, best: float) -> float | None:
+        if bound - fee_totals[mask] + margin < best:
+            return None
+        if mask == full:
+            return None if full_state is None else full_state.g
+        taken = _subset_with_idle_edge(program, converged, mask)
+        if taken is None:
+            state = minimize(mask)
+            if state is None:
+                return None
+            if not state.converged:
+                return state.g
+            taken = state.g, state.nu
+        converged[mask] = taken
+        return taken[0]
+
+    return value_of
+
+
+def _subset_with_idle_edge(program: _solver.Program,
+                           converged: dict[int, tuple[float, list[float]]],
+                           mask: int) -> tuple[float, list[float]] | None:
+    """(g, price) of the first converged subset mask - {j}, in increasing
+    j, at whose price edge j's support is <= 0.0; None if there is none."""
+    for j, (kernel, nodes, _, _) in enumerate(program):
+        subset = converged.get(mask ^ (1 << j)) if mask >> j & 1 else None
+        if subset is not None and kernel([subset[1][k] for k in nodes])[0] <= 0.0:
+            return subset
+    return None

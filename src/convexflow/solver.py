@@ -79,6 +79,7 @@ this module: ``GAP_TOL``, ``CERTIFICATE_SWEEPS``, ``MEMORY``, ``TIE_TOL``,
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -624,6 +625,15 @@ def _minimize(utility: Utility, program: Program, opts: SolverOptions | None) ->
     return state
 
 
+@functools.cache
+def _tie_patterns(t: int) -> np.ndarray:
+    """The (2^t, t) 0/1 pattern matrix whose row k holds the bits of k,
+    built once per t and read-only."""
+    bits = (np.arange(2 ** t)[:, None] >> np.arange(t)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     """Assemble a feasible primal point from the edge subproblem maximizers.
 
@@ -633,8 +643,8 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     kept, which is always feasible by the dominating-point property.
 
     The 2^t patterns of t enumerated ties are valued in one pass: with
-    ``bits`` the (2^t, t) 0/1 pattern matrix, the net flows are
-    ``y_base + bits @ C_tied`` and the fees ``fee_base + bits @ q_tied``,
+    ``bits`` the (2^t, t) 0/1 pattern matrix (``_tie_patterns``), the net
+    flows are ``y_base + bits @ C_tied`` and the fees ``fee_base + bits @ q_tied``,
     where row k of ``C_tied`` is tied edge k's maximizer scattered to its
     nodes.  The rows of ``C_tied`` and the entries of ``q_tied`` are built
     as Python lists, next to ``y_base`` and ``fee_base``, and each becomes
@@ -664,9 +674,12 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
             q_tied[k] = edge.fee
     active = list(state.active)
     if enumerated:
-        bits = (np.arange(2 ** len(enumerated))[:, None] >> np.arange(len(enumerated))) & 1
-        ys = np.array(y_base) + bits @ np.array(c_tied)
-        values = instance.utility.values(ys) - (fee_base + bits @ np.array(q_tied))
+        bits = _tie_patterns(len(enumerated))
+        # sums of flows or fees near the float maximum overflow to inf, which
+        # the selection below takes as it comes; numpy would warn on stderr
+        with np.errstate(over="ignore"):
+            ys = np.array(y_base) + bits @ np.array(c_tied)
+            values = instance.utility.values(ys) - (fee_base + bits @ np.array(q_tied))
         best = int(np.argmax(values))
         if not values[best] > values[-1]:
             best = len(values) - 1  # the base pattern: every tied edge active

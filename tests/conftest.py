@@ -6,8 +6,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from convexflow.calculus import minkowski_sum
+from convexflow.model import Edge, Instance, QuadraticUtility
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
-                             PiecewiseLinearGain, ProductMarketEdge)
+                             PiecewiseLinearGain, ProductMarketEdge, RationalGain)
+
+# the edge kinds of a mixed fee instance: every built-in family, the capped
+# family with each gain, and a Minkowski sum
+MIXED_KINDS = ("capped_rational", "capped_piecewise", "linear_tick", "product_market",
+               "half_line", "minkowski_sum")
 
 
 def builtin_families():
@@ -21,6 +28,40 @@ def builtin_families():
         "product_market": ProductMarketEdge([2.0, 5.0]),
         "half_line": HalfLineEdge(3.0),
     }
+
+
+def mixed_instance(rng, n, kinds, fee_high=0.4):
+    """A fee instance with one edge per kind on random nodes, fees uniform
+    in [0, fee_high) and a quadratic utility, drawn from the ranges of the
+    benchmark's mixed instances."""
+    def uniform(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def make(kind):
+        if kind == "capped_rational":
+            return CappedConcaveEdge(gain=RationalGain(), capacity=uniform(0.5, 2.0))
+        if kind == "capped_piecewise":
+            cap = uniform(0.5, 1.5)
+            return CappedConcaveEdge(
+                gain=PiecewiseLinearGain([(0.5 * cap, 0.6 * cap), (2.0 * cap, cap)]), capacity=cap)
+        if kind == "linear_tick":
+            return LinearTickEdge(price=uniform(0.5, 2.0), cap=uniform(0.5, 2.0))
+        if kind == "product_market":
+            return ProductMarketEdge([uniform(1.0, 5.0), uniform(1.0, 5.0)])
+        if kind == "half_line":
+            return HalfLineEdge(uniform(0.5, 2.0))
+        if kind == "minkowski_sum":
+            return minkowski_sum(make("capped_rational"), make("linear_tick"))
+        raise ValueError(f"unknown edge kind {kind!r}")
+
+    edges = []
+    for kind in kinds:
+        the_set = make(kind)
+        nodes = tuple(int(v) for v in rng.choice(n, size=the_set.dim, replace=False))
+        edges.append(Edge(the_set, nodes, fee=uniform(0.0, fee_high)))
+    return Instance(n=n, edges=tuple(edges),
+                    utility=QuadraticUtility([uniform(0.5, 1.5) for _ in range(n)],
+                                             uniform(0.1, 0.5)))
 
 
 def invalid_document_edits():

@@ -20,7 +20,7 @@ from convexflow.model import (Instance, LinearUtility, QuadraticUtility,
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
                              LinearTickEdge, ProductMarketEdge, as_vector,
                              scaled_tol)
-from convexflow.solver import (ARMIJO, BACKTRACK, MAX_BACKTRACKS, MEMORY, TIE_TOL,
+from convexflow.solver import (ARMIJO, BACKTRACK, GAP_TOL, MAX_BACKTRACKS, MEMORY, TIE_TOL,
                                SolverOptions, dual_value_and_gradient, solve)
 
 
@@ -159,26 +159,41 @@ def sample_cone_points(the_set: FlowSet, rng: np.random.Generator, count: int,
 
 
 def brute_force_reference(instance, opts=None):
-    """(value, pattern, evaluated) of the best activation pattern, with a
-    full ``solve`` (primal recovery included) of every fee-free pattern."""
-    best, best_pattern, evaluated = -math.inf, (), 0
+    """(value, pattern, feasible, kept) of the best activation pattern, with
+    a full ``solve`` (primal recovery included) of every fee-free pattern.
+
+    ``feasible`` counts the empty pattern and every feasible one.  ``kept``
+    counts the empty pattern and every feasible S that the full pattern's
+    bound keeps: g_full - fee(S) + GAP_TOL * (1 + |g_full|) is not below
+    the best total of the patterns before S (every feasible S when the
+    full pattern is infeasible).
+    """
+    values, fee_totals = [], []
     for mask in range(2 ** instance.m):
         pattern = tuple(i for i in range(instance.m) if mask >> i & 1)
-        fee_total = sum(instance.edges[i].fee for i in pattern)
+        fee_totals.append(sum(instance.edges[i].fee for i in pattern))
         if not pattern:
-            value = instance.utility.value(np.zeros(instance.n))
-        else:
-            sub = Instance(n=instance.n,
-                           edges=tuple(replace(instance.edges[i], fee=0.0) for i in pattern),
-                           utility=instance.utility)
-            try:
-                value = solve(sub, opts).dual_value
-            except InfeasibleProblemError:
-                continue
-        evaluated += 1
+            values.append(instance.utility.value(np.zeros(instance.n)))
+            continue
+        sub = Instance(n=instance.n,
+                       edges=tuple(replace(instance.edges[i], fee=0.0) for i in pattern),
+                       utility=instance.utility)
+        try:
+            values.append(solve(sub, opts).dual_value)
+        except InfeasibleProblemError:
+            values.append(None)
+    g_full = values[-1]
+    best, best_mask, feasible, kept = -math.inf, 0, 0, 0
+    for mask, (value, fee_total) in enumerate(zip(values, fee_totals)):
+        if value is None:
+            continue
+        feasible += 1
+        if (not mask or g_full is None
+                or not g_full - fee_total + GAP_TOL * (1.0 + abs(g_full)) < best):
+            kept += 1
         if value - fee_total > best:
-            best, best_pattern = value - fee_total, pattern
-    return best, best_pattern, evaluated
+            best, best_mask = value - fee_total, mask
+    return best, tuple(i for i in range(instance.m) if best_mask >> i & 1), feasible, kept
 
 
 def q_membership_reference(flow_set: FlowSet, x, lam: float, tol: float = 1e-9) -> bool:

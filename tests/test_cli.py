@@ -195,6 +195,18 @@ class TestKnapsackCommand:
         assert doc["objective_dual"] == pytest.approx(-5.0)
         assert doc["objective_primal"] == pytest.approx(-5.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_weights_near_the_float_maximum_solve_quietly(self, tmp_path, capsys):
+        # the tie enumeration's flow and fee sums overflow to inf; the answer
+        # is still right, and no numpy warning reaches stderr
+        big = str(10 ** 308)
+        inst, sol = tmp_path / "k.json", tmp_path / "ks.json"
+        assert run(["knapsack", "--c", f"{big},{big}", "--b", big, "--out", str(inst)]) == 0
+        assert run(["solve", "--input", str(inst), "--out", str(sol)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(sol.read_text())
+        assert (doc["objective_dual"], doc["objective_primal"], doc["gap"]) == (-1e308, -1e308, 0.0)
+
 
 class TestEdgeUtilityRefused:
     """An instance whose edges carry edge utilities is refused by every
@@ -360,7 +372,16 @@ def _exit_code(argv) -> int:
             return exc.code
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("argv", [["knapsack", "--c", "2," + _beyond_float, "--b", "1"],
+                                  ["knapsack", "--c", "2,3", "--b", _beyond_float]],
+                         ids=["weight", "target"])
+def test_knapsack_beyond_float_range_is_exit_2(argv):
+    # the property's knapsack samples hold these; checked here on every run
+    assert _exit_code(argv) == 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_exit_code_is_0_2_or_3(data):
     base = data.draw(st.sampled_from([

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from convexflow import solver
 from convexflow.bench import gen_knapsack_instance
 from convexflow.calculus import minkowski_sum
 from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import EnumerationBudgetError, UnboundedProblemError
-from convexflow.fees import (brute_force_optimum, gap_bounds, q_membership,
+from convexflow.fees import (_pattern_minima, brute_force_optimum, gap_bounds, q_membership,
                              round_relaxation)
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility)
@@ -15,7 +17,7 @@ from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTic
                              ProductMarketEdge, as_vector, scaled_tol, support_from_kernel)
 from convexflow.solver import SolverOptions, solve
 
-from conftest import builtin_families
+from conftest import MIXED_KINDS, builtin_families, mixed_instance
 from oracles import (brute_force_reference, q_membership_reference, round_relaxation_reference,
                      sample_members, subset_sum_reachable)
 
@@ -297,13 +299,22 @@ class TestBruteForce:
         assert result.pattern == ()
 
 
+def assert_matches_full_solves(inst, opts=None):
+    """Value and pattern bit-equal to full solves of every pattern, and
+    ``evaluated`` the patterns whose value was taken: with the full
+    pattern's bound (quadratic and linear utilities) those it keeps, else
+    every feasible one, the empty pattern included."""
+    result = brute_force_optimum(inst, opts=opts)
+    value, pattern, feasible, kept = brute_force_reference(inst, opts)
+    assert (result.value, result.pattern) == (value, pattern)
+    assert result.evaluated == (feasible if isinstance(inst.utility, ThresholdUtility) else kept)
+
+
 class TestBruteForceMatchesFullSolves:
     """The dual value of each pattern equals a full solve's dual_value."""
 
     def assert_same(self, inst, opts=None):
-        result = brute_force_optimum(inst, opts=opts)
-        assert (result.value, result.pattern, result.evaluated) == \
-            brute_force_reference(inst, opts)
+        assert_matches_full_solves(inst, opts)
 
     def test_random_knapsacks(self, rng):
         for _ in range(12):
@@ -368,6 +379,111 @@ class TestBruteForceMatchesFullSolves:
     def test_linear_capped_fee(self):
         for fee in (0.5, 1.0, 2.0):
             self.assert_same(capped_fee_instance(fee))
+
+
+def pattern_values(inst, opts=None):
+    """The value ``_pattern_minima`` gives each nonempty pattern, by
+    mask, with no bound to skip it."""
+    program = [(kernel, nodes, 0.0, unique)
+               for kernel, nodes, _, unique in solver._program(inst.edges)]
+    value_of = _pattern_minima(inst.utility, program, [0.0] * 2 ** inst.m,
+                               opts or SolverOptions())
+    return {mask: value_of(mask, -math.inf) for mask in range(1, 2 ** inst.m)}
+
+
+def sub_minimum(inst, pattern, opts=None):
+    """The minimized fee-free dual of the instance restricted to ``pattern``."""
+    sub = Instance(n=inst.n, edges=tuple(replace(inst.edges[i], fee=0.0) for i in pattern),
+                   utility=inst.utility)
+    return solver.minimize_dual(sub, opts)
+
+
+def count_minimizations(monkeypatch):
+    """Count ``solver._minimize`` calls from here on; the count is item 0."""
+    calls = [0]
+    minimize = solver._minimize
+
+    def counted(*args):
+        calls[0] += 1
+        return minimize(*args)
+
+    monkeypatch.setattr(solver, "_minimize", counted)
+    return calls
+
+
+def idle_edge_instance(fees=(0.1, 0.1, 0.1)):
+    """Edge 0 supplies node 1 and lowers its price below node 0's.  Edge 1
+    sends node 0 to node 1 with gain at most 1, so it is idle wherever node
+    1 is cheaper; edge 2 sends node 1 to node 0, which then pays."""
+    edges = (Edge(HalfLineEdge(1.0), (1,), fee=fees[0]),
+             Edge(CappedConcaveEdge(capacity=1.0), (0, 1), fee=fees[1]),
+             Edge(CappedConcaveEdge(capacity=1.0), (1, 0), fee=fees[2]))
+    return Instance(n=2, edges=edges, utility=QuadraticUtility([2.0, 1.0], 0.5))
+
+
+class TestBruteForcePruning:
+    """The bound and the idle-edge rule skip patterns without changing the
+    answer."""
+
+    @pytest.mark.parametrize("kind", MIXED_KINDS)
+    def test_random_mixed_instances(self, kind):
+        # each instance holds an edge of ``kind`` and two edges of random kinds
+        for j in range(60):
+            rng = np.random.default_rng([MIXED_KINDS.index(kind), j])
+            kinds = (kind,) + tuple(rng.choice(MIXED_KINDS, size=2))
+            assert_matches_full_solves(mixed_instance(rng, int(rng.integers(2, 5)), kinds))
+
+    def test_idle_edge_takes_its_subsets_value(self, monkeypatch):
+        inst = idle_edge_instance()
+        g_0 = sub_minimum(inst, (0,))
+        assert g_0.converged
+        price = g_0.nu.tolist()
+        assert inst.edges[1].flow_set.kernel(price)[0] <= 0.0
+        assert inst.edges[2].flow_set.kernel([price[1], price[0]])[0] > 0.0
+        calls = count_minimizations(monkeypatch)
+        values = pattern_values(inst)
+        assert values[0b011].hex() == values[0b001].hex() == g_0.g.hex()
+        assert values[0b101] > values[0b001]  # edge 2 pays at {0}'s price: minimized
+        assert calls[0] < 2 ** inst.m - 1
+        calls[0] = 0
+        brute_force_optimum(inst)
+        assert calls[0] < 2 ** inst.m - 1
+        assert_matches_full_solves(inst)
+
+    def test_nonconverged_state_is_not_reused(self, monkeypatch):
+        opts = SolverOptions(max_iter=1)
+        inst = idle_edge_instance()
+        g_0 = sub_minimum(inst, (0,), opts)
+        assert not g_0.converged
+        assert inst.edges[1].flow_set.kernel(g_0.nu.tolist())[0] <= 0.0
+        calls = count_minimizations(monkeypatch)
+        values = pattern_values(inst, opts)
+        assert calls[0] == 2 ** inst.m - 1  # every pattern minimized for itself
+        assert values[0b011] == sub_minimum(inst, (0, 1), opts).g
+        assert_matches_full_solves(inst, opts)
+
+    def test_large_fee_is_skipped_by_the_bound(self, monkeypatch):
+        inst = idle_edge_instance(fees=(0.1, 0.1, 50.0))
+        _, _, feasible, kept = brute_force_reference(inst)
+        assert kept < feasible
+        calls = count_minimizations(monkeypatch)
+        result = brute_force_optimum(inst)
+        assert result.evaluated == kept
+        assert 2 not in result.pattern
+        assert calls[0] <= 2 ** (inst.m - 1)  # the full pattern, and none other with edge 2
+        assert_matches_full_solves(inst)
+
+    @pytest.mark.parametrize("cap, pattern", [(0.0, (0,)), (1e-12, (0, 1))],
+                             ids=["tie_earlier_mask_wins", "later_mask_wins_by_a_hair"])
+    def test_near_tie_with_the_full_pattern(self, cap, pattern):
+        # the full pattern's total ties pattern {0} or beats it by 1e-12, far
+        # inside the bound's margin
+        inst = Instance(n=2, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1), fee=0.5),
+                                    Edge(HalfLineEdge(cap), (0,), fee=0.0)),
+                        utility=LinearUtility([1.0, 4.0]))
+        result = brute_force_optimum(inst)
+        assert result.pattern == pattern
+        assert_matches_full_solves(inst)
 
 
 class TestKnapsackSoundness:
