@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import solver as _solver
 from .conic import ClippedCone, FlowCone
 from .errors import EnumerationBudgetError, InfeasibleProblemError
-from .model import Instance, ThresholdUtility, Utility
+from .model import Instance, ThresholdUtility, Utility, _floats
 from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
@@ -34,10 +33,12 @@ MAX_EDGES = 20
 
 
 def q_membership(flow_set: FlowSet, x, lam: float, tol: float = DEFAULT_TOL) -> bool:
-    """(x, lam) in Q = {0} ∪ (T × {-1}), with tolerances."""
-    v = as_vector(x, flow_set.dim)
+    """(x, lam) in Q = {0} ∪ (T × {-1}), with tolerances.  The activation
+    is tested first and the flow read as floats once: an idle point's flow
+    must be 0, and an active point's must lie in T."""
     eps = scaled_tol(tol, 1.0)
-    if abs(lam) <= eps and all(abs(t) <= eps for t in v.tolist()):
+    v = _floats(x, flow_set.dim)
+    if abs(lam) <= eps and all(abs(t) <= eps for t in v):
         return True
     if abs(lam + 1.0) <= eps:
         return flow_set.contains(v, tol)
@@ -77,24 +78,25 @@ def round_relaxation(instance: Instance, points, tol: float = DEFAULT_TOL) -> Ro
     for i, (edge, point) in enumerate(zip(instance.edges, points)):
         x, lam = point
         x = as_vector(x, edge.degree)
+        flow = x.tolist()
         lam = float(lam)
-        if q_membership(edge.flow_set, x, lam, tol):
+        if q_membership(edge.flow_set, flow, lam, tol):
             rounded = -1.0 if lam < -0.5 else 0.0
             if rounded == 0.0:
                 x = np.zeros(edge.degree)
+                flow = [0.0] * edge.degree
         elif ClippedCone(FlowCone(edge.flow_set)).contains(np.append(x, lam), tol):
             rounded = -1.0
         else:
             raise ValueError(f"edge {i}: point is not in the clipped cone")
         flows.append(x)
         activations.append(rounded)
-        for j, v in zip(edge.nodes, x.tolist()):
+        for j, v in zip(edge.nodes, flow):
             y[j] += v
         fee_term += edge.fee * rounded
         fee_delta += edge.fee * (lam - rounded)
-    y_hat = np.array(y)
-    return RoundedSolution(flows=flows, activations=np.array(activations), y_hat=y_hat,
-                           objective=instance.utility.value(y_hat) + fee_term,
+    return RoundedSolution(flows=flows, activations=np.array(activations), y_hat=np.array(y),
+                           objective=instance.utility.value(y) + fee_term,
                            fee_delta=fee_delta)
 
 
@@ -119,9 +121,8 @@ def gap_bounds(report: SolveReport, instance: Instance) -> GapBounds:
 class BruteForceResult:
     value: float
     pattern: tuple[int, ...]
-    # patterns whose value entered the comparison: the empty one, each
-    # minimized for itself and each that took a subset's value by the idle
-    # edge rule; a pattern skipped by the bound, or infeasible, is not counted
+    # the empty pattern and every feasible pattern minimized (with a
+    # threshold utility, every feasible pattern)
     evaluated: int
 
 
@@ -135,16 +136,30 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     rather than solver drift.  No primal point is recovered.  The
     solver's program is built once with its fees zeroed, and a pattern
     that is minimized hands ``_minimize`` the entries of S alone, the
-    program of the instance of S.  Patterns are compared in mask order,
-    and ties break toward the earlier pattern.
+    program of the instance of S.  Among patterns of equal total the
+    earlier in mask order wins.
 
-    With a quadratic or linear utility ``_pattern_minima`` leaves out the
-    patterns that cannot change the answer: those below the full
-    pattern's bound, and those that take a subset's value because an
-    added edge is idle (both rules and why they are exact are set out
-    there).  A threshold instance takes one pass over all patterns instead
-    (``solver._threshold_pattern_minima``), with the same values; ``opts``
-    does not reach it.
+    A threshold instance takes one pass over all patterns, in mask order
+    (``solver._threshold_pattern_minima``); ``opts`` does not reach it.
+
+    With a quadratic or linear utility the enumeration is a best-first
+    branch and bound (``_best_first``).  Every fee-free edge term
+    max(f_i, 0) is >= 0, so adding edges never lowers the dual: g_S <=
+    g_full at every price.  The full pattern is minimized first, at price
+    nu_full, and each other pattern S is evaluated once there; by weak
+    duality bound(S) = g_S(nu_full) - fee(S) is at least the best total S
+    can reach, and it is never above g_full - fee(S).  Patterns are
+    minimized in decreasing bound order, equal bounds in mask order, and
+    the pass ends at the first pattern with bound(S) + GAP_TOL * (1 +
+    |g_full|) < best, the best total so far: no pattern from there on can
+    win.  The margin covers a pattern minimized to within the solver's gap
+    tolerance.  The order changes which patterns are minimized, never the
+    answer, since an equal total displaces the best only from an earlier
+    mask.  When the full pattern is infeasible there is no bound, and
+    every pattern is minimized in mask order.
+
+    ``evaluated`` counts the empty pattern and every feasible pattern
+    minimized, or, with a threshold utility, every feasible pattern.
     """
     m = instance.m
     if m > MAX_EDGES:
@@ -155,97 +170,54 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     for edge in instance.edges:
         fee_totals += [total + edge.fee for total in fee_totals]
     utility = instance.utility
+    best, best_mask, evaluated = utility.value([0.0] * instance.n), 0, 1
     if isinstance(utility, ThresholdUtility):
-        minima = _solver._threshold_pattern_minima(utility, program)
-
-        def value_of(mask: int, best: float) -> float | None:
-            return minima[mask]
-    else:
-        value_of = _pattern_minima(utility, program, fee_totals, opts or SolverOptions())
-    best = utility.value(np.zeros(instance.n))
-    best_mask = 0
-    evaluated = 1
-    for mask in range(1, 2 ** m):
-        value = value_of(mask, best)
-        if value is None:
-            continue
-        evaluated += 1
-        total = value - fee_totals[mask]
-        if total > best:
-            best = total
-            best_mask = mask
+        for mask, value in enumerate(_solver._threshold_pattern_minima(utility, program)):
+            if value is not None:
+                evaluated += 1
+                if value - fee_totals[mask] > best:
+                    best, best_mask = value - fee_totals[mask], mask
+    elif m:
+        best, best_mask, minimized = _best_first(utility, program, fee_totals,
+                                                 opts or SolverOptions(), best)
+        evaluated += minimized
     return BruteForceResult(value=best,
                             pattern=tuple(i for i in range(m) if best_mask >> i & 1),
                             evaluated=evaluated)
 
 
-def _pattern_minima(utility: Utility, program: _solver.Program, fee_totals: list[float],
-                    opts: SolverOptions) -> Callable[[int, float], float | None]:
-    """The value of pattern ``mask`` given the best total so far: the
-    minimized fee-free dual of the pattern, or None where the pattern is
-    infeasible or cannot beat that total.  Masks must come in increasing
-    order.  Two exact rules spare most minimizations.
+def _best_first(utility: Utility, program: _solver.Program, fee_totals: list[float],
+                opts: SolverOptions, best: float) -> tuple[float, int, int]:
+    """(best total, its mask, feasible patterns minimized) over the
+    nonempty patterns of ``program``, given ``best``, the empty pattern's
+    value, by the branch and bound of ``brute_force_optimum``."""
+    full = len(fee_totals) - 1
 
-    Rule 1 (bound).  The full pattern is minimized first, and its state
-    is the last mask's value.  Every fee-free edge term max(f_i, 0) is
-    >= 0, so adding edges never lowers the dual: g_S <= g_full everywhere,
-    and by weak duality g_full at any price bounds the optimum of every
-    pattern S from above.  A pattern with g_full - fee(S) + GAP_TOL *
-    (1 + |g_full|) < best therefore cannot win and is skipped; the margin
-    covers a pattern minimized to within the solver's gap tolerance.  A
-    skipped pattern's supersets pay at least its fees and are skipped too.
-    When the full pattern is infeasible the bound is off.
+    def entries(mask: int) -> _solver.Program:
+        return [e for i, e in enumerate(program) if mask >> i & 1]
 
-    Rule 2 (idle edge).  When a pattern S ended converged (``grad``,
-    ``gap`` or ``exact``) and edge j's kernel gives support <= 0.0 at S's
-    price nu_S, S + {j} takes S's state as it is: its term adds nothing
-    there, so g_{S+j}(nu_S) = g_S(nu_S), and g_{S+j} >= g_S everywhere, so
-    nu_S minimizes g_{S+j} as well.  S + {j} costs at least S's fees and
-    comes later in mask order, so it never displaces S.  The subsets
-    S = mask - {j} are tried in increasing j, and S + {j} is converged in
-    turn.  Only (g, nu) of each converged pattern is kept.
-    """
-    full = 2 ** len(program) - 1
-    converged: dict[int, tuple[float, list[float]]] = {}  # (g, price) by mask, for rule 2
-
-    def minimize(mask: int) -> _solver.DualState | None:
+    bounds, margin = [math.inf] * full, 0.0  # by mask; entry 0 unused
+    best_mask = minimized = 0
+    try:
+        full_state = _solver._minimize(utility, program, opts)
+    except InfeasibleProblemError:
+        pass
+    else:
+        minimized = 1
+        if full_state.g - fee_totals[full] > best:
+            best, best_mask = full_state.g - fee_totals[full], full
+        margin = _solver.GAP_TOL * (1.0 + abs(full_state.g))
+        bounds = [_solver._evaluate(utility, entries(mask), full_state.nu).g - fee_totals[mask]
+                  if mask else math.inf for mask in range(full)]
+    for mask in sorted(range(1, full), key=lambda mask: -bounds[mask]):
+        if bounds[mask] + margin < best:
+            break
         try:
-            return _solver._minimize(
-                utility, [e for i, e in enumerate(program) if mask >> i & 1], opts)
+            g = _solver._minimize(utility, entries(mask), opts).g
         except InfeasibleProblemError:
-            return None
-
-    full_state = minimize(full) if full else None
-    bound = margin = math.inf
-    if full_state is not None:
-        bound, margin = full_state.g, _solver.GAP_TOL * (1.0 + abs(full_state.g))
-
-    def value_of(mask: int, best: float) -> float | None:
-        if bound - fee_totals[mask] + margin < best:
-            return None
-        if mask == full:
-            return None if full_state is None else full_state.g
-        taken = _subset_with_idle_edge(program, converged, mask)
-        if taken is None:
-            state = minimize(mask)
-            if state is None:
-                return None
-            if not state.converged:
-                return state.g
-            taken = state.g, state.nu
-        converged[mask] = taken
-        return taken[0]
-
-    return value_of
-
-
-def _subset_with_idle_edge(program: _solver.Program,
-                           converged: dict[int, tuple[float, list[float]]],
-                           mask: int) -> tuple[float, list[float]] | None:
-    """(g, price) of the first converged subset mask - {j}, in increasing
-    j, at whose price edge j's support is <= 0.0; None if there is none."""
-    for j, (kernel, nodes, _, _) in enumerate(program):
-        subset = converged.get(mask ^ (1 << j)) if mask >> j & 1 else None
-        if subset is not None and kernel([subset[1][k] for k in nodes])[0] <= 0.0:
-            return subset
-    return None
+            continue
+        minimized += 1
+        total = g - fee_totals[mask]
+        if total > best or (total == best and mask < best_mask):
+            best, best_mask = total, mask
+    return best, best_mask, minimized

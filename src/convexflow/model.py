@@ -19,7 +19,10 @@ Each utility's ``conjugate(nu)`` is the solver's one call per dual
 evaluation, so it computes on Python floats: it takes the solver's price
 list as it is (any other vector goes through ``as_vector``) and returns
 the value with a maximizer as a list of floats, or None when there is no
-unique one.
+unique one.  ``value(y)`` computes on floats the same way, since its
+callers (rounding, brute force, the conic objective) value one net flow
+of a few nodes at a time; ``values(ys)`` stays on numpy for the rows of
+recovery's tie pass and for its one no-tie net flow.
 
 The loader (``from_document``) checks Python-typed values in one pass per
 edge, without numpy: every numeric parameter goes through
@@ -56,12 +59,13 @@ def _weights(c: Sequence[float]) -> list[float]:
     return weights
 
 
-def _prices(nu, dim: int) -> list[float]:
-    """nu as a list of floats.  The solver's own price lists pass through;
-    anything else goes through ``as_vector``."""
-    if type(nu) is list and len(nu) == dim:
-        return nu
-    return as_vector(nu, dim).tolist()
+def _floats(v, dim: int) -> list[float]:
+    """A price or net-flow vector as a list of floats.  A list of length
+    ``dim``, such as the solver's own prices, passes through; anything else
+    goes through ``as_vector``."""
+    if type(v) is list and len(v) == dim:
+        return v
+    return as_vector(v, dim).tolist()
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -81,7 +85,7 @@ class LinearUtility:
         return self.c.size
 
     def value(self, y) -> float:
-        return float(self.values(as_vector(y, self.dim)[None])[0])
+        return float(_dot(_floats(y, self.dim), self._c))
 
     def values(self, ys: np.ndarray) -> np.ndarray:
         """U at each row of ys."""
@@ -89,7 +93,7 @@ class LinearUtility:
 
     def conjugate(self, nu) -> tuple[float, None]:
         """sup_y U(y) - nu @ y: 0 on nu = c, +inf elsewhere (no unique maximizer)."""
-        prices = _prices(nu, self.dim)
+        prices = _floats(nu, self.dim)
         if all(abs(p - c) <= self._tol for p, c in zip(prices, self._c)):
             return 0.0, None
         return math.inf, None
@@ -115,7 +119,8 @@ class QuadraticUtility:
         return self.c.size
 
     def value(self, y) -> float:
-        return float(self.values(as_vector(y, self.dim)[None])[0])
+        y = _floats(y, self.dim)
+        return float(_dot(y, self._c) - 0.5 * self.mu * _dot(y, y))
 
     def values(self, ys: np.ndarray) -> np.ndarray:
         """U at each row of ys."""
@@ -123,7 +128,7 @@ class QuadraticUtility:
 
     def conjugate(self, nu) -> tuple[float, list[float]]:
         """(c - nu) @ (c - nu) / (2 mu), attained at y = (c - nu) / mu."""
-        diff = list(map(operator.sub, self._c, _prices(nu, self.dim)))
+        diff = list(map(operator.sub, self._c, _floats(nu, self.dim)))
         mu = self.mu
         return _dot(diff, diff) / (2.0 * mu), [d / mu for d in diff]
 
@@ -139,20 +144,21 @@ class ThresholdUtility:
         self.b = _real(b, "b")
         if not math.isfinite(self.b):
             raise ValueError("b must be finite")
+        self._floor = self.b - scaled_tol(1e-9, self.b)  # the least net flow that reaches b
 
     @property
     def dim(self) -> int:
         return 1
 
     def value(self, y) -> float:
-        return float(self.values(as_vector(y, 1)[None])[0])
+        return 0.0 if _floats(y, 1)[0] >= self._floor else -math.inf
 
     def values(self, ys: np.ndarray) -> np.ndarray:
         """U at each row of ys."""
-        return np.where(ys[:, 0] >= self.b - scaled_tol(1e-9, self.b), 0.0, -math.inf)
+        return np.where(ys[:, 0] >= self._floor, 0.0, -math.inf)
 
     def conjugate(self, nu) -> tuple[float, list[float] | None]:
-        price = _prices(nu, 1)[0]
+        price = _floats(nu, 1)[0]
         if price < 0.0:
             return math.inf, None
         return -price * self.b, [self.b]

@@ -54,18 +54,21 @@ Utility branches:
 * linear     -- the conjugate domain is the single point c, so the dual
   is evaluated there directly,
 * threshold  -- one-dimensional piecewise-linear dual, minimized exactly
-  by a breakpoint scan.  The brute force of a threshold instance does not
-  scan each activation pattern: without fees every breakpoint is 0, so
+  by a breakpoint scan; at a minimizer of 0 each active edge takes its
+  maximizer just above 0, so recovery can meet the demand.  The brute
+  force of a threshold instance does not scan each activation pattern:
+  without fees every breakpoint is 0, so
   ``_threshold_pattern_minima`` values all patterns in one pass, from the
   subset sums of the edge supplies and one evaluation at price 0.
 
 Primal recovery scatters the maximizers of the active, untied edges into
 a feasible net flow on Python floats; tied edges are enumerated (up to
 ``MAX_TIE_ENUM``) in one numpy pass, the only numpy work of recovery, and
-the best-valued primal kept.  The tie matrices of that pass (each tied
-edge's scattered maximizer and its fee) are built as Python lists and
-become numpy arrays once; without a tie the base net flow is valued
-alone, with no pattern matrix.  The report's flows, activations, net flow and
+the best-valued primal kept.  The tie matrix of that pass (each tied
+edge's scattered maximizer and its fee, one row per edge) is built as
+Python lists and becomes one numpy array, multiplied once by the cached
+pattern matrix; without a tie the base net flow is valued alone, with no
+pattern matrix.  The report's flows, activations, net flow and
 prices become numpy arrays once, as the report leaves.  Weak duality
 makes [primal value, dual value] a bracket on the true optimum in every
 case.
@@ -550,6 +553,11 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualStat
 
     g(nu) = -b * nu + sum_i max(h_i * nu - q_i, 0) with h_i the edge
     supply at unit price; the slope only changes at nu = q_i / h_i.
+
+    At a minimizer of 0 a set's maximizer may be 0 (a half line's is), so
+    recovery would leave the demand unmet; each active edge there takes
+    its maximizer just above price 0 (``_fallback_maximizer``), a half
+    line its cap, and the gradient follows.
     """
     b = utility.b
     kept = _unit_supplies(program)
@@ -569,6 +577,12 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualStat
             "threshold dual decreases without bound; total edge supply "
             "cannot reach the demanded net flow")
     state = _evaluate(utility, program, [minimizer])
+    if minimizer == 0.0:
+        points = state.points
+        for i, (kernel, _, _, _) in enumerate(program):
+            if state.active[i]:
+                points[i] = _fallback_maximizer(kernel, [0.0])
+        state.gradient = [sum(p[0] for p, on in zip(points, state.active) if on) - b]
     state.iterations = 1
     return state
 
@@ -627,9 +641,9 @@ def _minimize(utility: Utility, program: Program, opts: SolverOptions | None) ->
 
 @functools.cache
 def _tie_patterns(t: int) -> np.ndarray:
-    """The (2^t, t) 0/1 pattern matrix whose row k holds the bits of k,
-    built once per t and read-only."""
-    bits = (np.arange(2 ** t)[:, None] >> np.arange(t)) & 1
+    """The (2^t, t) float64 0/1 pattern matrix whose row k holds the bits
+    of k, built once per t and read-only."""
+    bits = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(float)
     bits.flags.writeable = False
     return bits
 
@@ -642,24 +656,24 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     and the best-valued primal kept; beyond the cap the active branch is
     kept, which is always feasible by the dominating-point property.
 
-    The 2^t patterns of t enumerated ties are valued in one pass: with
-    ``bits`` the (2^t, t) 0/1 pattern matrix (``_tie_patterns``), the net
-    flows are ``y_base + bits @ C_tied`` and the fees ``fee_base + bits @ q_tied``,
-    where row k of ``C_tied`` is tied edge k's maximizer scattered to its
-    nodes.  The rows of ``C_tied`` and the entries of ``q_tied`` are built
-    as Python lists, next to ``y_base`` and ``fee_base``, and each becomes
-    one numpy array.  The base pattern (every tied edge active, the last
-    row) is kept unless another pattern is strictly better; among equally
-    good patterns the first in mask order wins.  Without an enumerated tie
-    there is one pattern, ``y_base``, valued once, with no matrix product.
+    The 2^t patterns of t enumerated ties are valued in one pass, with one
+    matrix product: ``bits``, the (2^t, t) 0/1 pattern matrix
+    (``_tie_patterns``), times ``[C_tied | q_tied]``, whose row k is tied
+    edge k's maximizer scattered to its nodes followed by its fee.  The
+    first n columns of the product plus ``y_base`` are the net flows, and
+    its last column plus ``fee_base`` the fees.  The rows are built as
+    Python lists, next to ``y_base`` and ``fee_base``, and become one numpy
+    array.  The base pattern (every tied edge active, the last row) is kept
+    unless another pattern is strictly better; among equally good patterns
+    the first in mask order wins.  Without an enumerated tie there is one
+    pattern, ``y_base``, valued once, with no matrix product.
     """
     n = instance.n
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
     row = {i: k for k, i in enumerate(enumerated)}
     y_base, fee_base = [0.0] * n, 0.0
-    c_tied = [[0.0] * n for _ in enumerated]
-    q_tied = [0.0] * len(enumerated)
+    tied_rows = [[0.0] * (n + 1) for _ in enumerated]  # [C_tied | q_tied]
     for i, (edge, on, point) in enumerate(zip(instance.edges, state.active, state.points)):
         if not on:
             continue
@@ -670,17 +684,17 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
             fee_base += edge.fee
         else:
             for j, x in zip(edge.nodes, point):
-                c_tied[k][j] = x
-            q_tied[k] = edge.fee
+                tied_rows[k][j] = x
+            tied_rows[k][n] = edge.fee
     active = list(state.active)
     if enumerated:
-        bits = _tie_patterns(len(enumerated))
         # sums of flows or fees near the float maximum overflow to inf, which
         # the selection below takes as it comes; numpy would warn on stderr
         with np.errstate(over="ignore"):
-            ys = np.array(y_base) + bits @ np.array(c_tied)
-            values = instance.utility.values(ys) - (fee_base + bits @ np.array(q_tied))
-        best = int(np.argmax(values))
+            sums = _tie_patterns(len(enumerated)) @ np.array(tied_rows)
+            ys = sums[:, :n] + y_base
+            values = instance.utility.values(ys) - (sums[:, n] + fee_base)
+        best = int(values.argmax())
         if not values[best] > values[-1]:
             best = len(values) - 1  # the base pattern: every tied edge active
         for k, i in enumerate(enumerated):

@@ -158,41 +158,68 @@ def sample_cone_points(the_set: FlowSet, rng: np.random.Generator, count: int,
     return out
 
 
-def brute_force_reference(instance, opts=None):
-    """(value, pattern, feasible, kept) of the best activation pattern, with
-    a full ``solve`` (primal recovery included) of every fee-free pattern.
-
-    ``feasible`` counts the empty pattern and every feasible one.  ``kept``
-    counts the empty pattern and every feasible S that the full pattern's
-    bound keeps: g_full - fee(S) + GAP_TOL * (1 + |g_full|) is not below
-    the best total of the patterns before S (every feasible S when the
-    full pattern is infeasible).
-    """
-    values, fee_totals = [], []
+def brute_force_patterns(instance, opts=None):
+    """(values, fee_totals, bounds), each by mask.  ``values`` holds the
+    ``dual_value`` of a full ``solve`` (primal recovery included) of each
+    fee-free pattern, U(0) for the empty one and None where the pattern is
+    infeasible; ``fee_totals`` each pattern's fees; ``bounds`` each
+    pattern's dual at the full pattern's price less its fees,
+    g_S(nu_full) - fee(S), or None when m = 0 or the full pattern is
+    infeasible."""
+    values, fee_totals, bounds, subs = [], [], [], []
+    full_report = None
     for mask in range(2 ** instance.m):
         pattern = tuple(i for i in range(instance.m) if mask >> i & 1)
         fee_totals.append(sum(instance.edges[i].fee for i in pattern))
-        if not pattern:
-            values.append(instance.utility.value(np.zeros(instance.n)))
-            continue
         sub = Instance(n=instance.n,
                        edges=tuple(replace(instance.edges[i], fee=0.0) for i in pattern),
                        utility=instance.utility)
+        subs.append(sub)
+        if not pattern:
+            values.append(instance.utility.value(np.zeros(instance.n)))
+            continue
         try:
-            values.append(solve(sub, opts).dual_value)
+            full_report = solve(sub, opts)
+            values.append(full_report.dual_value)
         except InfeasibleProblemError:
+            full_report = None
             values.append(None)
-    g_full = values[-1]
-    best, best_mask, feasible, kept = -math.inf, 0, 0, 0
+    if full_report is None:  # the last report is the full pattern's
+        return values, fee_totals, None
+    bounds = [dual_value_and_gradient(sub, full_report.nu)[0] - fee_total
+              for sub, fee_total in zip(subs, fee_totals)]
+    return values, fee_totals, bounds
+
+
+def brute_force_reference(instance, opts=None):
+    """(value, pattern, feasible, kept) of the best activation pattern, from
+    the full solves of ``brute_force_patterns``.
+
+    ``feasible`` counts the empty pattern and every feasible one.  ``kept``
+    counts the empty pattern, the full one and every feasible S that a
+    best-first pass over the bounds reaches: the nonempty patterns below
+    the full one in decreasing bound order (equal bounds in mask order),
+    up to the first with bound + GAP_TOL * (1 + |g_full|) below the best
+    total so far.  Without bounds ``kept`` is ``feasible``.
+    """
+    values, fee_totals, bounds = brute_force_patterns(instance, opts)
+    best, best_mask, feasible = -math.inf, 0, 0
     for mask, (value, fee_total) in enumerate(zip(values, fee_totals)):
         if value is None:
             continue
         feasible += 1
-        if (not mask or g_full is None
-                or not g_full - fee_total + GAP_TOL * (1.0 + abs(g_full)) < best):
-            kept += 1
         if value - fee_total > best:
             best, best_mask = value - fee_total, mask
+    kept = feasible
+    if bounds is not None:
+        margin = GAP_TOL * (1.0 + abs(values[-1]))
+        reached, kept = max(values[0], values[-1] - fee_totals[-1]), 2
+        for mask in sorted(range(1, len(values) - 1), key=lambda mask: -bounds[mask]):
+            if bounds[mask] + margin < reached:
+                break
+            if values[mask] is not None:
+                kept += 1
+                reached = max(reached, values[mask] - fee_totals[mask])
     return best, tuple(i for i in range(instance.m) if best_mask >> i & 1), feasible, kept
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,11 +11,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convexflow.model as model
+import convexflow.solver as solver
 from convexflow.bench import BenchConfig, gen_bench_instance, gen_knapsack_instance
 from convexflow.cli import main
 from convexflow.solver import report_to_document, solve
 
 from conftest import invalid_document_edits
+
+
+# a zero-fee half line of cap 2 and a threshold demand of 1: the dual is
+# minimized at price 0
+ZERO_FEE_HALF_LINE = ('{"version": 1, "n": 1, "utility": {"kind": "threshold", "b": 1.0}, '
+                      '"edges": [{"kind": "half_line", "params": {"cap": 2.0}, '
+                      '"nodes": [0], "fee": 0.0}]}')
 
 
 def run(args):
@@ -58,16 +67,28 @@ class TestSolveCommand:
         bad.write_text('{"version": 9}')
         assert run(["solve", "--input", str(bad)]) == 2
 
-    def test_nonfinite_report_is_exit_2_and_not_written(self, tmp_path, capsys):
-        # at price 0 the half line's maximizer is 0, so the recovered point
-        # misses the demand and the primal objective is -inf
+    def test_nonfinite_report_is_exit_2_and_not_written(self, tmp_path, capsys, monkeypatch):
+        # a report whose recovered point misses the demand: primal objective -inf
+        def missed_demand(instance, opts=None):
+            report = solve(instance, opts)
+            report.primal_value = -math.inf
+            return report
+
+        monkeypatch.setattr(solver, "solve", missed_demand)
         inst, out = tmp_path / "i.json", tmp_path / "s.json"
-        inst.write_text('{"version": 1, "n": 1, "utility": {"kind": "threshold", "b": 1.0}, '
-                        '"edges": [{"kind": "half_line", "params": {"cap": 2.0}, '
-                        '"nodes": [0], "fee": 0.0}]}')
+        inst.write_text(model.dumps(gen_knapsack_instance([3, 5], 5)))
         assert run(["solve", "--input", str(inst), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: solution: its objective_primal is -inf")
         assert not out.exists()
+
+    def test_threshold_minimized_at_price_zero(self, tmp_path):
+        # the half line supplies its cap at price 0, which meets the demand
+        inst, out = tmp_path / "i.json", tmp_path / "s.json"
+        inst.write_text(ZERO_FEE_HALF_LINE)
+        assert run(["solve", "--input", str(inst), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["objective_primal"] == doc["objective_dual"] == doc["gap"] == 0.0
+        assert doc["edges"][0]["x"] == [2.0] and doc["edges"][0]["lambda"] == -1.0
 
     @pytest.mark.parametrize("name", sorted(invalid_document_edits()))
     def test_invalid_value_is_exit_2(self, tmp_path, capsys, name):

@@ -8,9 +8,9 @@ from convexflow import solver
 from convexflow.bench import gen_knapsack_instance
 from convexflow.calculus import minkowski_sum
 from convexflow.conic import ClippedCone, FlowCone
-from convexflow.errors import EnumerationBudgetError, UnboundedProblemError
-from convexflow.fees import (_pattern_minima, brute_force_optimum, gap_bounds, q_membership,
-                             round_relaxation)
+from convexflow.errors import (EnumerationBudgetError, InfeasibleProblemError,
+                               UnboundedProblemError)
+from convexflow.fees import brute_force_optimum, gap_bounds, q_membership, round_relaxation
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility)
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
@@ -18,8 +18,8 @@ from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTic
 from convexflow.solver import SolverOptions, solve
 
 from conftest import MIXED_KINDS, builtin_families, mixed_instance
-from oracles import (brute_force_reference, q_membership_reference, round_relaxation_reference,
-                     sample_members, subset_sum_reachable)
+from oracles import (brute_force_patterns, brute_force_reference, q_membership_reference,
+                     round_relaxation_reference, sample_members, subset_sum_reachable)
 
 
 class BelowHalfLine(FlowSet):
@@ -301,9 +301,9 @@ class TestBruteForce:
 
 def assert_matches_full_solves(inst, opts=None):
     """Value and pattern bit-equal to full solves of every pattern, and
-    ``evaluated`` the patterns whose value was taken: with the full
-    pattern's bound (quadratic and linear utilities) those it keeps, else
-    every feasible one, the empty pattern included."""
+    ``evaluated`` the empty pattern and every feasible one minimized: with
+    a quadratic or linear utility those the best-first pass reaches, else
+    every feasible one."""
     result = brute_force_optimum(inst, opts=opts)
     value, pattern, feasible, kept = brute_force_reference(inst, opts)
     assert (result.value, result.pattern) == (value, pattern)
@@ -381,16 +381,6 @@ class TestBruteForceMatchesFullSolves:
             self.assert_same(capped_fee_instance(fee))
 
 
-def pattern_values(inst, opts=None):
-    """The value ``_pattern_minima`` gives each nonempty pattern, by
-    mask, with no bound to skip it."""
-    program = [(kernel, nodes, 0.0, unique)
-               for kernel, nodes, _, unique in solver._program(inst.edges)]
-    value_of = _pattern_minima(inst.utility, program, [0.0] * 2 ** inst.m,
-                               opts or SolverOptions())
-    return {mask: value_of(mask, -math.inf) for mask in range(1, 2 ** inst.m)}
-
-
 def sub_minimum(inst, pattern, opts=None):
     """The minimized fee-free dual of the instance restricted to ``pattern``."""
     sub = Instance(n=inst.n, edges=tuple(replace(inst.edges[i], fee=0.0) for i in pattern),
@@ -421,9 +411,34 @@ def idle_edge_instance(fees=(0.1, 0.1, 0.1)):
     return Instance(n=2, edges=edges, utility=QuadraticUtility([2.0, 1.0], 0.5))
 
 
+def supply_instance(caps, fees):
+    """One node with U(y) = 2y - y^2 / 2, at most 2 at its peak y = 2, and
+    one half line per cap.  A pattern is worth U(min(its caps' sum, 2))
+    less its fees, and at price 0, the full pattern's minimizer when the
+    caps sum to 2 or more, every pattern's dual is 2: its bound is 2 less
+    its fees."""
+    return Instance(n=1, edges=tuple(Edge(HalfLineEdge(cap), (0,), fee=fee)
+                                     for cap, fee in zip(caps, fees)),
+                    utility=QuadraticUtility([2.0], 1.0))
+
+
+def mask_order_minimizations(inst):
+    """The minimizations of a pass over the same bounds in mask order,
+    which skips a pattern below the best so far but cannot stop early."""
+    values, fee_totals, bounds = brute_force_patterns(inst)
+    margin = solver.GAP_TOL * (1.0 + abs(values[-1]))
+    best, count = max(values[0], values[-1] - fee_totals[-1]), 1
+    for mask in range(1, 2 ** inst.m - 1):
+        if bounds[mask] + margin >= best:
+            count += 1
+            best = max(best, values[mask] - fee_totals[mask])
+    return count
+
+
 class TestBruteForcePruning:
-    """The bound and the idle-edge rule skip patterns without changing the
-    answer."""
+    """Patterns are minimized in decreasing order of their bound at the
+    full pattern's price, and the pass stops at the first that cannot win,
+    without changing the answer."""
 
     @pytest.mark.parametrize("kind", MIXED_KINDS)
     def test_random_mixed_instances(self, kind):
@@ -433,34 +448,68 @@ class TestBruteForcePruning:
             kinds = (kind,) + tuple(rng.choice(MIXED_KINDS, size=2))
             assert_matches_full_solves(mixed_instance(rng, int(rng.integers(2, 5)), kinds))
 
-    def test_idle_edge_takes_its_subsets_value(self, monkeypatch):
-        inst = idle_edge_instance()
-        g_0 = sub_minimum(inst, (0,))
-        assert g_0.converged
-        price = g_0.nu.tolist()
-        assert inst.edges[1].flow_set.kernel(price)[0] <= 0.0
-        assert inst.edges[2].flow_set.kernel([price[1], price[0]])[0] > 0.0
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_random_larger_mixed_instances(self, m):
+        for j in range(34):
+            rng = np.random.default_rng([15, m, j])
+            kinds = tuple(rng.choice(MIXED_KINDS, size=m))
+            assert_matches_full_solves(mixed_instance(rng, int(rng.integers(2, 5)), kinds))
+
+    def test_best_first_minimizes_fewer_patterns(self, monkeypatch):
+        # {1, 2} wins with 2 - 0.2 = 1.8.  In bound order {1} and {2} (bound
+        # 1.9, total 1.5 - 0.1) come first, then {1, 2} (bound 1.8), and {0}
+        # (bound 1.7) ends the pass.  Mask order minimizes {0} as well, since
+        # its bound beats the full pattern's total of 2 - 0.5 = 1.5.
+        inst = supply_instance(caps=(2.0, 1.0, 1.0), fees=(0.3, 0.1, 0.1))
         calls = count_minimizations(monkeypatch)
-        values = pattern_values(inst)
-        assert values[0b011].hex() == values[0b001].hex() == g_0.g.hex()
-        assert values[0b101] > values[0b001]  # edge 2 pays at {0}'s price: minimized
-        assert calls[0] < 2 ** inst.m - 1
-        calls[0] = 0
-        brute_force_optimum(inst)
-        assert calls[0] < 2 ** inst.m - 1
+        result = brute_force_optimum(inst)
+        assert calls[0] == 4  # the full pattern, {1}, {2} and {1, 2}
+        assert result.pattern == (1, 2) and result.evaluated == 5
+        assert result.value == pytest.approx(1.8, rel=1e-12)
+        assert mask_order_minimizations(inst) == 5
         assert_matches_full_solves(inst)
 
-    def test_nonconverged_state_is_not_reused(self, monkeypatch):
-        opts = SolverOptions(max_iter=1)
-        inst = idle_edge_instance()
-        g_0 = sub_minimum(inst, (0,), opts)
-        assert not g_0.converged
-        assert inst.edges[1].flow_set.kernel(g_0.nu.tolist())[0] <= 0.0
+    @pytest.mark.parametrize("caps, fees, pattern", [
+        ((2.0, 1.0, 1.0, 0.0), (0.3, 0.1, 0.1, 0.0), (1, 2)),
+        ((1.0, 1.0, 0.0), (0.1, 0.1, 0.0), (0, 1)),
+    ], ids=["superset_comes_later", "superset_is_the_full_pattern"])
+    def test_zero_fee_superset_tie_goes_to_the_earlier_mask(self, caps, fees, pattern):
+        # the cap-0, fee-0 edge adds nothing at any price, so a pattern with
+        # it ties the pattern without it bit for bit: with equal bounds the
+        # earlier mask comes first, and the full pattern is minimized first
+        inst = supply_instance(caps, fees)
+        result = brute_force_optimum(inst)
+        assert result.pattern == pattern
+        with_zero = sub_minimum(inst, pattern + (len(caps) - 1,))
+        assert sub_minimum(inst, pattern).g.hex() == with_zero.g.hex()
+        assert_matches_full_solves(inst)
+
+    def test_infeasible_full_pattern_minimizes_every_pattern(self, monkeypatch):
+        # a fee-free quadratic dual is never below 0, so the full pattern is
+        # made infeasible by the minimizer itself; without its bound every
+        # pattern is minimized, in mask order
+        inst = supply_instance(caps=(2.0, 1.0, 1.0), fees=(0.3, 0.1, 0.1))
+        minimize = solver._minimize
+
+        def full_is_infeasible(utility, program, opts):
+            if len(program) == inst.m:
+                raise InfeasibleProblemError("full pattern")
+            return minimize(utility, program, opts)
+
+        monkeypatch.setattr(solver, "_minimize", full_is_infeasible)
         calls = count_minimizations(monkeypatch)
-        values = pattern_values(inst, opts)
-        assert calls[0] == 2 ** inst.m - 1  # every pattern minimized for itself
-        assert values[0b011] == sub_minimum(inst, (0, 1), opts).g
-        assert_matches_full_solves(inst, opts)
+        result = brute_force_optimum(inst)
+        assert calls[0] == 2 ** inst.m - 1
+        assert result.pattern == (1, 2) and result.evaluated == 2 ** inst.m - 1
+        assert_matches_full_solves(inst)
+
+    @pytest.mark.parametrize("utility", [QuadraticUtility([1.0, 2.0], 0.5),
+                                         LinearUtility([1.0, 2.0])], ids=["quadratic", "linear"])
+    def test_no_edges(self, monkeypatch, utility):
+        calls = count_minimizations(monkeypatch)
+        result = brute_force_optimum(Instance(n=2, edges=(), utility=utility))
+        assert (result.value, result.pattern, result.evaluated) == (0.0, (), 1)
+        assert calls[0] == 0
 
     def test_large_fee_is_skipped_by_the_bound(self, monkeypatch):
         inst = idle_edge_instance(fees=(0.1, 0.1, 50.0))

@@ -12,7 +12,7 @@ from convexflow.errors import SchemaError
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility, net_flow, node_degrees)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
-                             PiecewiseLinearGain, ProductMarketEdge)
+                             PiecewiseLinearGain, ProductMarketEdge, scaled_tol)
 from convexflow.solver import dual_value_and_gradient
 
 from conftest import invalid_document_edits
@@ -134,6 +134,54 @@ class TestConjugates:
             value, y = u.conjugate(nu)
             if y is not None:
                 assert u.value(y) - nu @ y == pytest.approx(value, abs=1e-10)
+
+
+class TestFloatValues:
+    """``value`` computes on floats and agrees with ``values`` on the same
+    row: bit for bit for the threshold, within 1e-12 relative otherwise."""
+
+    UTILITIES = {"linear": LinearUtility([1.5, -0.7, 2.0]),
+                 "quadratic": QuadraticUtility([1.5, 0.7, 2.0], 0.3),
+                 "threshold": ThresholdUtility(5.0)}
+
+    def assert_agrees(self, u, row):
+        expected = float(u.values(np.array([row], dtype=float))[0])
+        vector = np.array(row, dtype=float)
+        inputs = [list(row), vector] + ([float(row[0])] if u.dim == 1 else [])
+        for y in inputs:
+            got = u.value(y)
+            assert type(got) is float
+            if isinstance(u, ThresholdUtility) or not math.isfinite(expected):
+                assert got.hex() == expected.hex()
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_random_rows(self, rng, name):
+        u = self.UTILITIES[name]
+        for _ in range(50):
+            self.assert_agrees(u, [float(v) for v in rng.uniform(-10.0, 10.0, u.dim)])
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_nan_entry(self, name):
+        u = self.UTILITIES[name]
+        self.assert_agrees(u, [math.nan] + [1.0] * (u.dim - 1))
+
+    def test_threshold_boundary(self):
+        for b in (5.0, -3.0, 0.0, 1e12):
+            u = ThresholdUtility(b)
+            edge = b - scaled_tol(1e-9, b)
+            for y in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+                self.assert_agrees(u, [y])
+            assert u.value([edge]) == 0.0
+            assert u.value([math.nextafter(edge, -math.inf)]) == -math.inf
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_wrong_length_is_refused(self, name):
+        u = self.UTILITIES[name]
+        for y in ([1.0] * (u.dim + 1), np.ones(u.dim + 1), []):
+            with pytest.raises(ValueError):
+                u.value(y)
 
 
 class TestDualView:

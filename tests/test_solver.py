@@ -8,6 +8,7 @@ from convexflow.calculus import (aggregate, intersection, lift, minkowski_sum,
                                  nonneg_matrix_image, scale)
 from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import InfeasibleProblemError, UnboundedProblemError
+from convexflow.fees import brute_force_optimum
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
@@ -398,6 +399,23 @@ class TestMinimizeDual:
         assert state.nu == pytest.approx([1.0])
         assert state.g == pytest.approx(-5.0)
         assert all(state.tied)
+
+    @pytest.mark.parametrize("caps, fees", [((2.0,), (0.0,)), ((2.0, 3.0), (0.0, 1.0))],
+                             ids=["one_edge", "fee_edge_idle"])
+    def test_threshold_minimized_at_price_zero(self, caps, fees):
+        # the zero-fee half line meets b = 1 at price 0, where its kernel's
+        # maximizer is 0; the state takes its cap, so recovery meets b
+        inst = Instance(n=1, edges=tuple(Edge(HalfLineEdge(cap), (0,), fee=fee)
+                                         for cap, fee in zip(caps, fees)),
+                        utility=ThresholdUtility(1.0))
+        state = minimize_dual(inst)
+        assert state.nu.tolist() == [0.0] and state.gradient.tolist() == [1.0]
+        report = solve(inst)
+        assert report.primal_value == report.dual_value == report.gap == 0.0
+        assert report.y_hat.tolist() == [2.0]
+        assert report.activations.tolist() == [-1.0] + [0.0] * (len(caps) - 1)
+        optimum = brute_force_optimum(inst)
+        assert optimum.value == report.primal_value and optimum.pattern == (0,)
 
     def test_threshold_infeasible(self):
         inst = Instance(n=1, edges=(Edge(HalfLineEdge(2.0), (0,), fee=2.0),),
