@@ -24,7 +24,7 @@ import numpy as np
 from . import solver as _solver
 from .conic import ClippedCone, FlowCone
 from .errors import EnumerationBudgetError, InfeasibleProblemError
-from .model import Instance, ThresholdUtility, Utility, _floats
+from .model import Instance, LinearUtility, ThresholdUtility, Utility, _floats
 from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
@@ -156,7 +156,9 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     tolerance.  The order changes which patterns are minimized, never the
     answer, since an equal total displaces the best only from an earlier
     mask.  When the full pattern is infeasible there is no bound, and
-    every pattern is minimized in mask order.
+    every pattern is minimized in mask order.  A linear pattern is
+    minimized by its one evaluation at nu = c, the full pattern's price,
+    so its bound is its total and it is not evaluated again.
 
     ``evaluated`` counts the empty pattern and every feasible pattern
     minimized, or, with a threshold utility, every feasible pattern.
@@ -209,15 +211,20 @@ def _best_first(utility: Utility, program: _solver.Program, fee_totals: list[flo
         margin = _solver.GAP_TOL * (1.0 + abs(full_state.g))
         bounds = [_solver._evaluate(utility, entries(mask), full_state.nu).g - fee_totals[mask]
                   if mask else math.inf for mask in range(full)]
+    # a linear pattern's minimum is its one evaluation at nu = c, the full
+    # pattern's price: its bound is already its total
+    linear = isinstance(utility, LinearUtility)
     for mask in sorted(range(1, full), key=lambda mask: -bounds[mask]):
         if bounds[mask] + margin < best:
             break
-        try:
-            g = _solver._minimize(utility, entries(mask), opts).g
-        except InfeasibleProblemError:
-            continue
+        if linear:
+            total = bounds[mask]
+        else:
+            try:
+                total = _solver._minimize(utility, entries(mask), opts).g - fee_totals[mask]
+            except InfeasibleProblemError:
+                continue
         minimized += 1
-        total = g - fee_totals[mask]
         if total > best or (total == best and mask < best_mask):
             best, best_mask = total, mask
     return best, best_mask, minimized

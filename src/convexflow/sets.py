@@ -398,6 +398,36 @@ class ProductMarketEdge(FlowSet):
         point = (r1 - math.sqrt(k * x2 / x1), r2 - math.sqrt(k * x1 / x2))
         return max(value, 0.0), point
 
+    @staticmethod
+    def batch_kernel(markets: Sequence[ProductMarketEdge]):
+        """``kernel`` of every market of ``markets`` in one numpy pass.
+
+        The returned function takes the array x of nonnegative prices of
+        all markets, interleaved (x1, x2 of the first, then of the next),
+        and returns the arrays (values, points) of their supports and of
+        their maximizers, also interleaved.  Each row takes the float
+        operations of ``kernel``'s closed form, so it equals ``kernel`` bit
+        for bit.  Where a row has a zero price its value is still
+        ``kernel``'s (the root term is 0), but its point is not: the caller
+        takes that row's point from ``kernel``.  Such a row divides by
+        zero, and an extreme price overflows, so the caller sets numpy's
+        error state.
+        """
+        count = len(markets)
+        r1 = np.fromiter((s._r1 for s in markets), float, count)
+        r2 = np.fromiter((s._r2 for s in markets), float, count)
+        k = r1 * r2  # each market's invariant, bit for bit
+        reserves, invariants = np.stack((r1, r2), axis=1).ravel(), np.repeat(k, 2)
+
+        def batched(x: np.ndarray):
+            x1, x2 = x[0::2], x[1::2]
+            values = np.maximum(x1 * r1 + x2 * r2 - 2.0 * np.sqrt(k * x1 * x2), 0.0)
+            # row by row, (r1 - sqrt(k x2 / x1), r2 - sqrt(k x1 / x2))
+            swapped = x.reshape(count, 2)[:, ::-1].ravel()
+            return values, reserves - np.sqrt(invariants * swapped / x)
+
+        return batched
+
 
 class HalfLineEdge(FlowSet):
     """One-node edge supplying at most ``cap`` units: T = {z : z <= cap}.

@@ -22,12 +22,21 @@ maximizers, the conjugate (``utility.conjugate``), the gradient, the
 L-BFGS direction and history, and the threshold scan are float lists,
 because the instances the fee checks solve thousands of times have one
 to four nodes, where a numpy call costs more than the arithmetic it does.
-Numpy appears only where a state leaves the solver: the ``DualState``
-returned by ``minimize_dual`` and ``dual_value_and_gradient`` (and the
-one ``solve_conic`` recovers from) holds numpy ``nu`` and ``gradient``,
-and ``SolveReport`` its numpy fields.  Internal callers that read only
-the dual value, such as brute force, take the float state of
-``_minimize`` as it is.
+The one exception is the routing experiment's scale: a program with at
+least ``BATCH_MIN`` constant-product markets is a ``BatchedProgram``,
+which also carries them as one numpy block
+(``ProductMarketEdge.batch_kernel``).  ``_evaluate`` computes the block
+in one pass by the per-edge loop's float operations and adds it to g
+and the gradient in edge order, so a program of markets alone gets the
+loop's state bit for bit.  ``BATCH_MIN`` is measured: with fewer
+markets, building the block and evaluating it once costs more than the
+loop.  The fee checks' programs, with one market at most, stay plain
+lists.  Otherwise numpy appears only where a state leaves the
+solver: the ``DualState`` returned by ``minimize_dual`` and
+``dual_value_and_gradient`` (and the one ``solve_conic`` recovers from)
+holds numpy ``nu`` and ``gradient``, and ``SolveReport`` its numpy
+fields.  Internal callers that read only the dual value, such as brute
+force, take the float state of ``_minimize`` as it is.
 
 Utility branches:
 
@@ -48,9 +57,11 @@ Utility branches:
   coordinate ascent moves to the best primal value P; the solver stops
   when g - P <= GAP_TOL * (1 + |g|), or when the price of that primal
   point, nu' = max(c - mu * y, 0), has a lower g that passes the same
-  test (``_certify``).  Without an alternative nothing runs, so fee-free
-  instances of sets with unique maximizers keep the gradient test alone.
-  Otherwise it ends on ``line_search`` or ``max_iter``,
+  test (``_certify``).  Without an alternative the point is the
+  iterate's own choices, and only its gap at the iterate is tested: this
+  certifies the fee-free solves whose line search gives up within
+  rounding of the optimum.  Otherwise it ends on ``line_search`` or
+  ``max_iter``,
 * linear     -- the conjugate domain is the single point c, so the dual
   is evaluated there directly,
 * threshold  -- one-dimensional piecewise-linear dual, minimized exactly
@@ -76,19 +87,20 @@ case.
 ``SolverOptions`` holds the two settings a caller chooses, the L-BFGS's
 ``max_iter`` and ``grad_tol``.  Every other parameter is a constant of
 this module: ``GAP_TOL``, ``CERTIFICATE_SWEEPS``, ``MEMORY``, ``TIE_TOL``,
-``ARMIJO``, ``BACKTRACK``, ``MAX_BACKTRACKS``, ``DUAL_FLOOR`` and
-``MAX_TIE_ENUM``.
+``ARMIJO``, ``BACKTRACK``, ``MAX_BACKTRACKS``, ``DUAL_FLOOR``,
+``MAX_TIE_ENUM`` and ``BATCH_MIN``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,7 +108,7 @@ from .conic import ConicInstance
 from .errors import InfeasibleProblemError, UnboundedProblemError
 from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
                     ThresholdUtility, Utility, _dot)
-from .sets import as_vector
+from .sets import ProductMarketEdge, as_vector
 
 # one entry per edge: (the flow set's kernel, the edge's nodes, its fee,
 # whether the set's maximizer is unique at every positive price)
@@ -121,8 +133,32 @@ MAX_BACKTRACKS = 40
 DUAL_FLOOR = -1e15
 # tied edges that recovery enumerates at most; beyond, all stay active
 MAX_TIE_ENUM = 12
+# constant-product edges from which a program evaluates them as one numpy
+# block: the fewest at which building and evaluating the block once beats
+# the per-edge loop (measured)
+BATCH_MIN = 36
 # the stops of a converged solve
 CONVERGED = ("grad", "gap", "exact")
+
+
+class _Block(NamedTuple):
+    """The constant-product edges of a program, evaluated as one numpy block."""
+
+    kernel: Callable         # ``ProductMarketEdge.batch_kernel`` of their sets
+    rows: list[int]          # their program indices, in edge order
+    nodes: np.ndarray        # each one's two nodes, interleaved in edge order
+    fees: np.ndarray
+    others: list[tuple]      # (index, entry) of every other edge, in edge order
+
+
+class BatchedProgram(list):
+    """A ``Program`` that also carries its constant-product edges as one
+    numpy block, ``block``.  ``_program`` builds one when there are at
+    least ``BATCH_MIN`` of them; every other program is a plain list,
+    such as the fee checks' and each pattern of brute force.
+    """
+
+    block: _Block
 
 
 @dataclass(frozen=True)
@@ -239,8 +275,27 @@ def _fallback_maximizer(kernel: Callable, xi: list[float]) -> tuple[float, ...]:
 
 
 def _program(edges: Sequence[Edge]) -> Program:
-    return [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
-            for edge in edges]
+    entries = [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
+               for edge in edges]
+    if len(edges) < BATCH_MIN:  # the fee checks' programs: no scan for markets
+        return entries
+    rows = [i for i, edge in enumerate(edges) if type(edge.flow_set) is ProductMarketEdge]
+    count = len(rows)
+    if count < BATCH_MIN:
+        return entries
+    if count == len(edges):
+        markets, others = edges, []
+    else:
+        markets, kept = [edges[i] for i in rows], set(rows)
+        others = [(i, entry) for i, entry in enumerate(entries) if i not in kept]
+    program = BatchedProgram(entries)
+    program.block = _Block(
+        kernel=ProductMarketEdge.batch_kernel([edge.flow_set for edge in markets]),
+        rows=rows,
+        nodes=np.fromiter(itertools.chain.from_iterable(edge.nodes for edge in markets),
+                          np.intp, 2 * count),
+        fees=np.fromiter((edge.fee for edge in markets), float, count), others=others)
+    return program
 
 
 def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualState:
@@ -250,6 +305,17 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
 
     Activations and ties follow ``TIE_TOL``.  The evaluation stops at the
     first infinite term, with g = inf.
+
+    A ``BatchedProgram``'s block is evaluated first, in one numpy pass,
+    by the float operations of the per-edge loop below: the terms of g
+    are added one by one in edge order, and the maximizers scattered into
+    the gradient by ``np.bincount``, which also adds in edge order.  So a
+    program of constant-product edges alone gets the loop's state bit for
+    bit.  A block edge with a zero price takes its point from its
+    ``kernel``, through ``_fallback_maximizer`` when active, as the loop
+    does.  A block with a value that is not finite is left to the loop,
+    which stops at the first infinite term.  The loop then evaluates the
+    program's other edges.
     """
     tie_tol = TIE_TOL
     conj_value, conj_max = utility.conjugate(prices)
@@ -261,7 +327,51 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
     values, points, active, tied = state.values, state.points, state.active, state.tied
     grad = [0.0] * len(prices)
     g = conj_value
-    for i, (kernel, nodes, fee, _) in enumerate(program):
+    rest = enumerate(program)  # the edges the loop evaluates, with their indices
+    block = getattr(program, "block", None)  # a ``BatchedProgram``'s
+    if block is not None:
+        # a zero price divides by zero and an extreme one overflows, as in
+        # the float kernel, which warns of neither
+        with np.errstate(all="ignore"):
+            pulled = np.array(prices)[block.nodes]
+            supports, maximizers = block.kernel(pulled)
+            excess = supports - block.fees
+            # each edge's term, value - fee where value > fee and else 0,
+            # added one by one in edge order (unlike sum()); a value that
+            # is not finite leaves the sum so
+            terms = np.maximum(excess, 0.0)
+            terms[0] += g
+            block_g = float(terms.cumsum()[-1])
+        if math.isfinite(block_g):
+            g = block_g
+            # scale = max(1, |value|, fee), each value being >= 0
+            tol = tie_tol * np.maximum(np.maximum(supports, 1.0), block.fees)
+            on = supports >= block.fees - tol
+            weights = np.where(np.repeat(on, 2), maximizers, 0.0)
+            pairs = iter(maximizers.tolist())
+            block_points = list(zip(pairs, pairs))
+            block_active = on.tolist()
+            if 0.0 in prices:
+                for k in np.flatnonzero((pulled == 0.0).reshape(-1, 2).any(axis=1)).tolist():
+                    kernel, nodes = program[block.rows[k]][:2]
+                    xi = [prices[j] for j in nodes]
+                    point = kernel(xi)[1]
+                    if block_active[k]:
+                        if point is None:
+                            point = _fallback_maximizer(kernel, xi)
+                        weights[2 * k:2 * k + 2] = point
+                    block_points[k] = point
+            grad = np.bincount(block.nodes, weights, len(prices)).tolist()
+            records = (supports.tolist(), block_points, block_active,
+                       (np.abs(excess) <= tol).tolist())
+            if not block.others:
+                state.values, state.points, state.active, state.tied = records
+            else:
+                for record, target in zip(records, (values, points, active, tied)):
+                    for i, item in zip(block.rows, record):
+                        target[i] = item
+            rest = block.others
+    for i, (kernel, nodes, fee, _) in rest:
         xi = [prices[j] for j in nodes]
         value, point = kernel(xi)
         values[i] = value
@@ -419,7 +529,10 @@ def _certify(utility: QuadraticUtility, program: Program, state: DualState,
     feasible; ``_ascend`` maximizes P(theta) of ``Certificate``.  The gap
     g - P is tested at ``state`` and then once at the price of the primal
     point, nu' = max(c - mu * y(theta), 0), which is adopted only if it
-    lowers g and passes the same test.
+    lowers g and passes the same test.  Without an alternative the point
+    is the base point itself, whose P is U(min(y, c / mu)) less the fees
+    of the active edges (activation -1), and only the gap at ``state`` is
+    tested.
     """
     c, mu = utility._c, utility.mu
     flows: list[tuple[float, ...]] = []
@@ -436,20 +549,22 @@ def _certify(utility: QuadraticUtility, program: Program, state: DualState,
                 moves.append((i, nodes, [b - a for a, b in zip(flows[i], target)],
                               other_active - active))
                 break
-    if not moves:
-        return None
     activations = [-1.0 if active else 0.0 for active in state.active]
-    theta = _ascend(c, mu, _net_flow(len(c), program, flows),
-                    [(nodes, change, switch * program[i][2]) for i, nodes, change, switch in moves])
-    for (i, _, change, switch), t in zip(moves, theta):
-        flows[i] = tuple(a + t * d for a, d in zip(flows[i], change))
-        activations[i] -= t * switch
+    if moves:
+        theta = _ascend(c, mu, _net_flow(len(c), program, flows),
+                        [(nodes, change, switch * program[i][2])
+                         for i, nodes, change, switch in moves])
+        for (i, _, change, switch), t in zip(moves, theta):
+            flows[i] = tuple(a + t * d for a, d in zip(flows[i], change))
+            activations[i] -= t * switch
     y = _net_flow(len(c), program, flows)
     value = _disposal_value(c, mu, y) + _dot([fee for _, _, fee, _ in program], activations)
     certificate = Certificate(value=value, flows=flows, activations=activations)
     if state.g - value <= GAP_TOL * (1.0 + abs(state.g)):
         state.certificate = certificate
         return state
+    if not moves:
+        return None
     primal_price = [max(cj - mu * yj, 0.0) for cj, yj in zip(c, y)]
     candidate = _evaluate(utility, program, primal_price)
     if candidate.g < state.g and candidate.g - value <= GAP_TOL * (1.0 + abs(candidate.g)):

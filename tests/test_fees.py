@@ -535,6 +535,29 @@ class TestBruteForcePruning:
         assert_matches_full_solves(inst)
 
 
+    def test_linear_patterns_are_evaluated_once(self, monkeypatch):
+        # every edge supplies 1 at nu = c: the full pattern, then one bound
+        # per other pattern, and {0, 2} (bound 2 - 0.7) wins at its bound,
+        # which is its minimum, without a second evaluation; {2} (bound 0.8)
+        # ends the pass
+        inst = Instance(n=2, edges=tuple(Edge(CappedConcaveEdge(capacity=1.0), (0, 1), fee=fee)
+                                         for fee in (0.5, 3.9, 0.2)),
+                        utility=LinearUtility([1.0, 4.0]))
+        calls = [0]
+        evaluate = solver._evaluate
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "_evaluate", counted)
+        result = brute_force_optimum(inst)
+        assert calls[0] == 7
+        assert result.pattern == (0, 2) and result.evaluated == 3
+        assert result.value == 2.0 - (0.5 + 0.2)
+        assert_matches_full_solves(inst)
+
+
 class TestKnapsackSoundness:
     def test_matches_subset_sum_dp(self, rng):
         for _ in range(12):

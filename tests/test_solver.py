@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convexflow.bench import BenchConfig, gen_bench_instance, gen_knapsack_instance
 from convexflow.calculus import (aggregate, intersection, lift, minkowski_sum,
                                  nonneg_matrix_image, scale)
 from convexflow.conic import ClippedCone, FlowCone
@@ -13,12 +16,12 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
-from convexflow.solver import (GAP_TOL, MAX_TIE_ENUM, SolveReport, SolverOptions,
-                               _minimize, _program, dual_value_and_gradient,
+from convexflow.solver import (BATCH_MIN, GAP_TOL, MAX_TIE_ENUM, SolveReport, SolverOptions,
+                               _evaluate, _minimize, _program, dual_value_and_gradient,
                                minimize_dual, recover_primal, report_to_document, solve,
                                verify_optimality)
 
-from conftest import builtin_families
+from conftest import builtin_families, mixed_instance
 from oracles import (central_difference, conjugate_reference, dense_selector,
                      evaluate_dual_reference, lbfgs_reference,
                      recover_primal_reference, threshold_minimizer_reference)
@@ -246,6 +249,113 @@ def test_float_conjugate_matches_vector_formula(kind, rng):
             assert utility.conjugate(nu) == utility.conjugate(nu.tolist())
 
 
+class FixedConjugate:
+    """A utility whose conjugate is the same at every price, so that any
+    price, inf included, reaches the edge terms of ``_evaluate``."""
+
+    def __init__(self, value, maximizer):
+        self.value, self.maximizer = value, maximizer
+
+    def conjugate(self, prices):
+        return self.value, self.maximizer
+
+
+def _bits(value):
+    """``value`` with every float replaced by its hex form, so that ==
+    compares floats bit for bit, nan included, and lists and tuples stay
+    apart."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bits(v) for v in value)
+    return value
+
+
+# node prices: zeros (with few nodes, often both of a market's), ties,
+# infinities, and magnitudes whose products overflow
+_prices = st.sampled_from([0.0, 0.0, math.inf, 1e-300, 1e200]) | st.floats(0.0, 3.0)
+
+
+@st.composite
+def _market_edges(draw, n: int, prices: list[float]) -> list[Edge]:
+    """At least ``BATCH_MIN`` product markets on ``n`` nodes, about half
+    with a fee equal to their support at ``prices``: an exact tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = []
+    for _ in range(int(rng.integers(BATCH_MIN, BATCH_MIN + 13))):
+        market = ProductMarketEdge(rng.uniform(0.5, 100.0, size=2))
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        fee = float(rng.choice([0.0, 0.01, 1.0, rng.uniform(0.0, 5.0)]))
+        tie = market.kernel([prices[a], prices[b]])[0]
+        if rng.random() < 0.5 and math.isfinite(tie):
+            fee = tie
+        edges.append(Edge(market, (a, b), fee=fee))
+    return edges
+
+
+def _evaluations(data, edges, n, prices):
+    """``_evaluate`` of ``edges`` at ``prices`` with their block and, from
+    the same entries, without one, under a utility drawn from ``data``."""
+    utility = FixedConjugate(data.draw(st.floats(-2.0, 2.0)),
+                             data.draw(st.none() | st.just([0.5] * n)))
+    program = _program(edges)
+    assert program.block is not None
+    return _evaluate(utility, program, prices), _evaluate(utility, list(program), prices)
+
+
+class TestBatchedProductMarkets:
+    """The numpy block of a program's constant-product edges against the
+    per-edge loop it replaces."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_market_programs_are_bit_equal(self, data):
+        n = data.draw(st.integers(2, 6))
+        prices = data.draw(st.lists(_prices, min_size=n, max_size=n))
+        edges = data.draw(_market_edges(n, prices))
+        batched, looped = _evaluations(data, edges, n, prices)
+        for name in ("g", "gradient", "values", "points", "active", "tied"):
+            assert _bits(getattr(batched, name)) == _bits(getattr(looped, name)), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mixed_programs_agree(self, data):
+        # the other families' terms are added after the block's, so g and
+        # the gradient agree to rounding; each edge's own record is equal
+        n = data.draw(st.integers(3, 6))
+        prices = data.draw(st.lists(_prices, min_size=n, max_size=n))
+        edges = data.draw(_market_edges(n, prices))
+        families = [f for name, f in builtin_families().items() if name != "product_market"]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        for _ in range(int(rng.integers(1, 9))):
+            the_set = families[rng.integers(len(families))]
+            nodes = tuple(int(v) for v in rng.choice(n, size=the_set.dim, replace=False))
+            edges.insert(int(rng.integers(len(edges) + 1)),
+                         Edge(the_set, nodes, fee=float(rng.uniform(0.0, 2.0))))
+        batched, looped = _evaluations(data, edges, n, prices)
+        if looped.g == math.inf:
+            assert batched.g == math.inf
+            return
+        assert batched.g == pytest.approx(looped.g, rel=1e-12, abs=1e-12)
+        if looped.gradient is not None:
+            assert batched.gradient == pytest.approx(looped.gradient, rel=1e-12, abs=1e-12)
+        for name in ("values", "points", "active", "tied"):
+            assert _bits(getattr(batched, name)) == _bits(getattr(looped, name)), name
+
+    def test_small_programs_build_no_block(self):
+        # the benchmark's fee instances: knapsacks of half lines, and the
+        # mixed instances with one product market each
+        assert type(_program(gen_knapsack_instance([3, 5, 7, 11, 13], 19).edges)) is list
+        for n, kinds in ((3, ("capped_rational", "capped_piecewise", "product_market",
+                              "half_line")),
+                         (4, ("linear_tick", "product_market", "half_line", "minkowski_sum"))):
+            inst = mixed_instance(np.random.default_rng(n), n, kinds)
+            assert type(_program(inst.edges)) is list
+        markets = [Edge(ProductMarketEdge([2.0, 3.0]), (0, 1))] * BATCH_MIN
+        assert type(_program(markets[1:])) is list
+        assert _program(markets).block is not None
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type of the solver error it raised."""
     try:
@@ -325,7 +435,9 @@ def smooth_market_instance(rng, n):
 def test_lbfgs_matches_vector_reference():
     # the float L-BFGS against the numpy one it replaced, where the
     # reference converges: the dot products round differently, so the
-    # iterates agree to rounding, not bit for bit
+    # iterates agree to rounding, not bit for bit.  The reference has no
+    # certificate; a solve that stops earlier on one is held to its own
+    # contract instead: sound, and g within the gap tolerance
     compared = 0
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -335,8 +447,13 @@ def test_lbfgs_matches_vector_reference():
             continue
         state = minimize_dual(inst)
         assert state.converged
-        assert state.g == pytest.approx(ref_g, rel=1e-10)
-        assert state.nu == pytest.approx(ref_nu, rel=0, abs=1e-8)
+        if state.stop == "gap":
+            assert_certificate_sound(inst, state)
+            assert abs(state.g - ref_g) <= GAP_TOL * (1.0 + abs(state.g))
+        else:
+            assert state.stop == "grad"
+            assert state.g == pytest.approx(ref_g, rel=1e-10)
+            assert state.nu == pytest.approx(ref_nu, rel=0, abs=1e-8)
         assert isinstance(state.nu, np.ndarray) and isinstance(state.gradient, np.ndarray)
         compared += 1
     assert compared >= 8
@@ -511,14 +628,43 @@ class TestGapCertificate:
 
     def test_fee_free_smooth_instances_keep_their_trajectory(self):
         # no edge of a product-market instance without fees has an
-        # alternative, so the certificate never runs
+        # alternative, so a certificate is the iterate's own choices: it
+        # can only end the reference's trajectory early
+        stops = []
         for seed in range(12):
             rng = np.random.default_rng(seed)
             inst = smooth_market_instance(rng, int(rng.integers(3, 11)))
             state = minimize_dual(inst)
-            _, _, _, ref_converged = lbfgs_reference(inst)
-            assert state.certificate is None and state.stop != "gap"
-            assert state.stop == ("grad" if ref_converged else "line_search")
+            _, _, ref_iterations, ref_converged = lbfgs_reference(inst)
+            stops.append(state.stop)
+            if state.stop == "gap":
+                assert_certificate_sound(inst, state)
+                assert state.certificate.activations == [-1.0] * inst.m
+                assert state.iterations <= ref_iterations
+            else:
+                assert state.certificate is None
+                assert state.stop == ("grad" if ref_converged else "line_search")
+        assert "gap" in stops
+
+    def test_certified_values_stay_at_or_below_the_best_known_dual(self, rng):
+        # weak duality: P <= g at every price, so a certificate's P is at
+        # or below the lower of the two solvers' duals, up to rounding
+        # (1e-12 relative); a fee term with the wrong sign raises P above
+        # it by far more on the fee cells
+        cells = [gen_bench_instance(BenchConfig(n=10, mu=0.01, q0=q0, seed=seed))
+                 for q0 in (0.0, 0.01, 1.0) for seed in range(3)]
+        cells += [smooth_market_instance(np.random.default_rng(seed), 3 + seed % 8)
+                  for seed in range(12)]
+        cells += [random_instance(rng, n_max=5, m_max=8) for _ in range(12)]
+        certified = 0
+        for inst in cells:
+            state = minimize_dual(inst)
+            if state.stop != "gap":
+                continue
+            best = min(state.g, lbfgs_reference(inst)[1])
+            assert state.certificate.value <= best + 1e-12 * (1.0 + abs(best))
+            certified += 1
+        assert certified >= 10
 
     def test_exact_paths_and_report(self):
         assert minimize_dual(capped_instance(0.5)).stop == "exact"
@@ -634,7 +780,7 @@ class TestTieEnumerationMatchesPerMaskLoop:
     def test_linear_routing_instances(self, q0):
         # the routing workload at mu = 0: one evaluation at nu = c, then
         # recovery over every product market
-        from convexflow.bench import BenchConfig, gen_bench_instance
+        from convexflow.bench import BenchConfig, gen_bench_instance, gen_knapsack_instance
 
         for seed in range(3):
             inst = gen_bench_instance(BenchConfig(n=10, mu=0.0, q0=q0, seed=seed))
