@@ -16,15 +16,14 @@ resulting objective loss is at most (n + 1) times the largest fee.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import solver as _solver
 from .conic import ClippedCone, FlowCone
-from .errors import EnumerationBudgetError, InfeasibleProblemError
-from .model import Instance, LinearUtility, ThresholdUtility, Utility, _floats
+from .errors import EnumerationBudgetError
+from .model import Instance, LinearUtility, QuadraticUtility, ThresholdUtility, _floats
 from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
@@ -121,8 +120,8 @@ def gap_bounds(report: SolveReport, instance: Instance) -> GapBounds:
 class BruteForceResult:
     value: float
     pattern: tuple[int, ...]
-    # the empty pattern and every feasible pattern minimized (with a
-    # threshold utility, every feasible pattern)
+    # the empty pattern and every feasible pattern valued: with a quadratic
+    # utility, those the branch and bound minimizes
     evaluated: int
 
 
@@ -133,98 +132,101 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     of the fee-free dual of the convex flow problem restricted to S, the
     ``dual_value`` that ``solve`` would report on the instance of S, so a
     disagreement with the dual heuristic isolates the rounding logic
-    rather than solver drift.  No primal point is recovered.  The
-    solver's program is built once with its fees zeroed, and a pattern
-    that is minimized hands ``_minimize`` the entries of S alone, the
-    program of the instance of S.  Among patterns of equal total the
-    earlier in mask order wins.
+    rather than solver drift.  No primal point is recovered.  Among
+    patterns of equal total the earlier in mask order wins.
 
-    A threshold instance takes one pass over all patterns, in mask order
-    (``solver._threshold_pattern_minima``); ``opts`` does not reach it.
+    One evaluation, subset sums: the solver's program is built once with
+    its fees zeroed, so at any price nu the dual of S is Ubar(nu) plus
+    the terms max(f_i(nu), 0) of the edges in S.  One evaluation of the
+    full program therefore gives every pattern's dual at nu, as the
+    subset sums of its edge terms (``_subset_sums``), added in the order
+    ``solver._evaluate`` adds them; the fee totals are subset sums too.
 
-    With a quadratic or linear utility the enumeration is a best-first
-    branch and bound (``_best_first``).  Every fee-free edge term
-    max(f_i, 0) is >= 0, so adding edges never lowers the dual: g_S <=
-    g_full at every price.  The full pattern is minimized first, at price
-    nu_full, and each other pattern S is evaluated once there; by weak
-    duality bound(S) = g_S(nu_full) - fee(S) is at least the best total S
-    can reach, and it is never above g_full - fee(S).  Patterns are
-    minimized in decreasing bound order, equal bounds in mask order, and
-    the pass ends at the first pattern with bound(S) + GAP_TOL * (1 +
-    |g_full|) < best, the best total so far: no pattern from there on can
-    win.  The margin covers a pattern minimized to within the solver's gap
-    tolerance.  The order changes which patterns are minimized, never the
-    answer, since an equal total displaces the best only from an earlier
-    mask.  When the full pattern is infeasible there is no bound, and
-    every pattern is minimized in mask order.  A linear pattern is
-    minimized by its one evaluation at nu = c, the full pattern's price,
-    so its bound is its total and it is not evaluated again.
+    * threshold -- without fees every breakpoint is 0: a pattern is
+      feasible when its supplies at unit price reach b, and is then
+      minimized at price 0, where its dual is the full program's.  One
+      evaluation at 0 values every feasible pattern.
+    * linear -- every pattern's dual is minimized at nu = c, so the full
+      program's one evaluation there values every pattern.
+    * quadratic -- a best-first branch and bound (``_best_first``).  The
+      full pattern is minimized first, at price nu_full, and by weak
+      duality bound(S) = g_S(nu_full) - fee(S) is at least the best total
+      S can reach.  The other patterns are minimized, each on its own
+      entries of the program (the program of the instance of S), in
+      decreasing bound order, equal bounds in mask order, and the pass
+      ends at the first pattern with bound(S) + GAP_TOL * (1 + |g_full|)
+      < best, the best total so far: no pattern from there on can win.
+      The margin covers a pattern minimized to within the solver's gap
+      tolerance.  The order changes which patterns are minimized, never
+      the answer, since an equal total displaces the best only from an
+      earlier mask.  A fee-free quadratic dual is never below 0, so every
+      pattern is feasible.
 
-    ``evaluated`` counts the empty pattern and every feasible pattern
-    minimized, or, with a threshold utility, every feasible pattern.
+    Only the quadratic minimizations read ``opts``.  ``evaluated`` counts
+    the empty pattern and every feasible pattern valued, or with a
+    quadratic utility every pattern minimized.
     """
     m = instance.m
     if m > MAX_EDGES:
         raise EnumerationBudgetError(f"{m} edges exceed the {MAX_EDGES}-edge budget")
     program = [(kernel, nodes, 0.0, unique)
                for kernel, nodes, _, unique in _solver._program(instance.edges)]
-    fee_totals = [0]  # by mask: the fee of the pattern without its top edge, plus the top's
-    for edge in instance.edges:
-        fee_totals += [total + edge.fee for total in fee_totals]
+    fee_totals = _subset_sums(0.0, [edge.fee for edge in instance.edges])
     utility = instance.utility
     best, best_mask, evaluated = utility.value([0.0] * instance.n), 0, 1
+    values: list[float | None] = []  # by mask: each pattern's minimum, None when infeasible
     if isinstance(utility, ThresholdUtility):
-        for mask, value in enumerate(_solver._threshold_pattern_minima(utility, program)):
-            if value is not None:
-                evaluated += 1
-                if value - fee_totals[mask] > best:
-                    best, best_mask = value - fee_totals[mask], mask
+        reach = _subset_sums(0.0, [h for h, _ in _solver._unit_supplies(program)])
+        value = _solver._evaluate(utility, program, [0.0]).g
+        values = [value if -utility.b + r >= 0.0 else None for r in reach]
     elif m:
-        best, best_mask, minimized = _best_first(utility, program, fee_totals,
-                                                 opts or SolverOptions(), best)
-        evaluated += minimized
+        full = _solver._minimize(utility, program, opts)
+        at_full = _subset_sums(utility.conjugate(full.nu)[0], full.values)
+        if isinstance(utility, LinearUtility):
+            values = at_full
+        else:
+            best, best_mask, evaluated = _best_first(utility, program, fee_totals, opts,
+                                                     best, at_full)
+    for mask in range(1, len(values)):
+        if values[mask] is not None:
+            evaluated += 1
+            if values[mask] - fee_totals[mask] > best:
+                best, best_mask = values[mask] - fee_totals[mask], mask
     return BruteForceResult(value=best,
                             pattern=tuple(i for i in range(m) if best_mask >> i & 1),
                             evaluated=evaluated)
 
 
-def _best_first(utility: Utility, program: _solver.Program, fee_totals: list[float],
-                opts: SolverOptions, best: float) -> tuple[float, int, int]:
-    """(best total, its mask, feasible patterns minimized) over the
-    nonempty patterns of ``program``, given ``best``, the empty pattern's
-    value, by the branch and bound of ``brute_force_optimum``."""
+def _subset_sums(start: float, terms: list[float]) -> list[float]:
+    """By mask (bit i set when term i is in), ``start`` plus the pattern's
+    terms that are > 0.0.  A pattern's sum is that of the pattern without
+    its top term, plus the top term, so the terms are added in index
+    order, as ``solver._evaluate`` adds the edge terms above a zero fee."""
+    sums = [start]
+    for term in terms:
+        sums += [s + term for s in sums] if term > 0.0 else sums
+    return sums
+
+
+def _best_first(utility: QuadraticUtility, program: _solver.Program, fee_totals: list[float],
+                opts: SolverOptions | None, best: float,
+                at_full: list[float]) -> tuple[float, int, int]:
+    """(best total, its mask, ``evaluated``) over the patterns of
+    ``program``, given ``best``, the empty pattern's value, and
+    ``at_full``, each pattern's dual at the full pattern's minimizer, by
+    the branch and bound of ``brute_force_optimum``."""
     full = len(fee_totals) - 1
-
-    def entries(mask: int) -> _solver.Program:
-        return [e for i, e in enumerate(program) if mask >> i & 1]
-
-    bounds, margin = [math.inf] * full, 0.0  # by mask; entry 0 unused
-    best_mask = minimized = 0
-    try:
-        full_state = _solver._minimize(utility, program, opts)
-    except InfeasibleProblemError:
-        pass
-    else:
-        minimized = 1
-        if full_state.g - fee_totals[full] > best:
-            best, best_mask = full_state.g - fee_totals[full], full
-        margin = _solver.GAP_TOL * (1.0 + abs(full_state.g))
-        bounds = [_solver._evaluate(utility, entries(mask), full_state.nu).g - fee_totals[mask]
-                  if mask else math.inf for mask in range(full)]
-    # a linear pattern's minimum is its one evaluation at nu = c, the full
-    # pattern's price: its bound is already its total
-    linear = isinstance(utility, LinearUtility)
+    bounds = [g - fee for g, fee in zip(at_full, fee_totals)]
+    margin = _solver.GAP_TOL * (1.0 + abs(at_full[full]))
+    best_mask, evaluated = 0, 2  # the empty pattern and the full one
+    if bounds[full] > best:  # the full pattern's bound is its total
+        best, best_mask = bounds[full], full
     for mask in sorted(range(1, full), key=lambda mask: -bounds[mask]):
         if bounds[mask] + margin < best:
             break
-        if linear:
-            total = bounds[mask]
-        else:
-            try:
-                total = _solver._minimize(utility, entries(mask), opts).g - fee_totals[mask]
-            except InfeasibleProblemError:
-                continue
-        minimized += 1
+        entries = [e for i, e in enumerate(program) if mask >> i & 1]
+        total = _solver._minimize(utility, entries, opts).g - fee_totals[mask]
+        evaluated += 1
         if total > best or (total == best and mask < best_mask):
             best, best_mask = total, mask
-    return best, best_mask, minimized
+    return best, best_mask, evaluated

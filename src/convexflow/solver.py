@@ -12,9 +12,11 @@ lambda_i = -1 exactly when f_i >= q_i, with ties recorded.
 One evaluator, ``_evaluate``, computes g and a supergradient for every
 caller: the minimizers below, ``dual_value_and_gradient``, ``solve_conic``
 (whose clipped-cone support at price (xi_i, q_i) is the same edge term)
-and the brute force of ``fees``.  It runs over a program of ``(kernel, nodes,
-fee, unique)`` entries built once per instance, where ``kernel`` is the
-edge set's float support oracle (``FlowSet.kernel``) and ``unique`` its
+and the brute force of ``fees``, which values every activation pattern
+at one price by subset sums of the edge terms of one evaluation.  It
+runs over a program of ``(kernel, nodes, fee, unique)`` entries built
+once per instance, where ``kernel`` is the edge set's float support
+oracle (``FlowSet.kernel``) and ``unique`` its
 ``FlowSet.unique_maximizer`` flag, read only by the quadratic branch.
 
 The evaluator and the minimizers run on Python floats end to end: prices,
@@ -35,8 +37,8 @@ lists.  Otherwise numpy appears only where a state leaves the
 solver: the ``DualState`` returned by ``minimize_dual`` and
 ``dual_value_and_gradient`` (and the one ``solve_conic`` recovers from)
 holds numpy ``nu`` and ``gradient``, and ``SolveReport`` its numpy
-fields.  Internal callers that read only the dual value, such as brute
-force, take the float state of ``_minimize`` as it is.
+fields.  Internal callers, such as brute force, take the float state
+of ``_minimize`` as it is.
 
 Utility branches:
 
@@ -66,11 +68,7 @@ Utility branches:
   is evaluated there directly,
 * threshold  -- one-dimensional piecewise-linear dual, minimized exactly
   by a breakpoint scan; at a minimizer of 0 each active edge takes its
-  maximizer just above 0, so recovery can meet the demand.  The brute
-  force of a threshold instance does not scan each activation pattern:
-  without fees every breakpoint is 0, so
-  ``_threshold_pattern_minima`` values all patterns in one pass, from the
-  subset sums of the edge supplies and one evaluation at price 0.
+  maximizer just above 0, so recovery can meet the demand.
 
 Primal recovery scatters the maximizers of the active, untied edges into
 a feasible net flow on Python floats; tied edges are enumerated (up to
@@ -700,33 +698,6 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualStat
         state.gradient = [sum(p[0] for p, on in zip(points, state.active) if on) - b]
     state.iterations = 1
     return state
-
-
-def _threshold_pattern_minima(utility: ThresholdUtility,
-                              program: Program) -> list[float | None]:
-    """``_minimize_threshold(...).g`` of every activation pattern of a
-    fee-free ``program``, indexed by mask (bit i set when edge i is on),
-    None where the pattern cannot reach b; entry 0 is None.
-
-    Without fees every breakpoint q_i / h_i is 0, so the scan's only test
-    is the slope after 0, -b + (sum of the pattern's positive h_i), and a
-    pattern that passes it has its minimum at price 0, where the dual is
-    the same for every pattern.  The sums are built in mask order,
-    H[mask] = H[mask without its top edge] + h_top, which adds in edge
-    order as the scan does.
-    """
-    supplies = [h for h, _ in _unit_supplies(program)]
-    minimum = _evaluate(utility, program, [0.0]).g
-    b = utility.b
-    reach = [0]
-    minima: list[float | None] = [None]
-    for mask in range(1, 1 << len(program)):
-        top = mask.bit_length() - 1
-        h = supplies[top]
-        below = reach[mask ^ (1 << top)]
-        reach.append(below + h if h > 0.0 else below)
-        minima.append(minimum if -b + reach[mask] >= 0.0 else None)
-    return minima
 
 
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:

@@ -8,8 +8,7 @@ from convexflow import solver
 from convexflow.bench import gen_knapsack_instance
 from convexflow.calculus import minkowski_sum
 from convexflow.conic import ClippedCone, FlowCone
-from convexflow.errors import (EnumerationBudgetError, InfeasibleProblemError,
-                               UnboundedProblemError)
+from convexflow.errors import EnumerationBudgetError, UnboundedProblemError
 from convexflow.fees import brute_force_optimum, gap_bounds, q_membership, round_relaxation
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility)
@@ -301,13 +300,13 @@ class TestBruteForce:
 
 def assert_matches_full_solves(inst, opts=None):
     """Value and pattern bit-equal to full solves of every pattern, and
-    ``evaluated`` the empty pattern and every feasible one minimized: with
-    a quadratic or linear utility those the best-first pass reaches, else
-    every feasible one."""
+    ``evaluated`` the empty pattern and every feasible one valued: with a
+    quadratic utility those the best-first pass reaches, else every
+    feasible one."""
     result = brute_force_optimum(inst, opts=opts)
     value, pattern, feasible, kept = brute_force_reference(inst, opts)
     assert (result.value, result.pattern) == (value, pattern)
-    assert result.evaluated == (feasible if isinstance(inst.utility, ThresholdUtility) else kept)
+    assert result.evaluated == (kept if isinstance(inst.utility, QuadraticUtility) else feasible)
 
 
 class TestBruteForceMatchesFullSolves:
@@ -422,6 +421,18 @@ def supply_instance(caps, fees):
                     utility=QuadraticUtility([2.0], 1.0))
 
 
+def under_linear(inst):
+    """The instance with its quadratic utility's c as a linear utility."""
+    return replace(inst, utility=LinearUtility(inst.utility.c))
+
+
+def and_linear(values):
+    """Each value with linear False (id the value), then with linear True
+    (id the value and "-linear")."""
+    return [pytest.param(value, linear, id=f"{value}" + "-linear" * linear)
+            for linear in (False, True) for value in values]
+
+
 def mask_order_minimizations(inst):
     """The minimizations of a pass over the same bounds in mask order,
     which skips a pattern below the best so far but cannot stop early."""
@@ -440,20 +451,22 @@ class TestBruteForcePruning:
     full pattern's price, and the pass stops at the first that cannot win,
     without changing the answer."""
 
-    @pytest.mark.parametrize("kind", MIXED_KINDS)
-    def test_random_mixed_instances(self, kind):
+    @pytest.mark.parametrize("kind, linear", and_linear(MIXED_KINDS))
+    def test_random_mixed_instances(self, kind, linear):
         # each instance holds an edge of ``kind`` and two edges of random kinds
         for j in range(60):
             rng = np.random.default_rng([MIXED_KINDS.index(kind), j])
             kinds = (kind,) + tuple(rng.choice(MIXED_KINDS, size=2))
-            assert_matches_full_solves(mixed_instance(rng, int(rng.integers(2, 5)), kinds))
+            inst = mixed_instance(rng, int(rng.integers(2, 5)), kinds)
+            assert_matches_full_solves(under_linear(inst) if linear else inst)
 
-    @pytest.mark.parametrize("m", [4, 5, 6])
-    def test_random_larger_mixed_instances(self, m):
+    @pytest.mark.parametrize("m, linear", and_linear([4, 5, 6]))
+    def test_random_larger_mixed_instances(self, m, linear):
         for j in range(34):
             rng = np.random.default_rng([15, m, j])
             kinds = tuple(rng.choice(MIXED_KINDS, size=m))
-            assert_matches_full_solves(mixed_instance(rng, int(rng.integers(2, 5)), kinds))
+            inst = mixed_instance(rng, int(rng.integers(2, 5)), kinds)
+            assert_matches_full_solves(under_linear(inst) if linear else inst)
 
     def test_best_first_minimizes_fewer_patterns(self, monkeypatch):
         # {1, 2} wins with 2 - 0.2 = 1.8.  In bound order {1} and {2} (bound
@@ -482,25 +495,6 @@ class TestBruteForcePruning:
         assert result.pattern == pattern
         with_zero = sub_minimum(inst, pattern + (len(caps) - 1,))
         assert sub_minimum(inst, pattern).g.hex() == with_zero.g.hex()
-        assert_matches_full_solves(inst)
-
-    def test_infeasible_full_pattern_minimizes_every_pattern(self, monkeypatch):
-        # a fee-free quadratic dual is never below 0, so the full pattern is
-        # made infeasible by the minimizer itself; without its bound every
-        # pattern is minimized, in mask order
-        inst = supply_instance(caps=(2.0, 1.0, 1.0), fees=(0.3, 0.1, 0.1))
-        minimize = solver._minimize
-
-        def full_is_infeasible(utility, program, opts):
-            if len(program) == inst.m:
-                raise InfeasibleProblemError("full pattern")
-            return minimize(utility, program, opts)
-
-        monkeypatch.setattr(solver, "_minimize", full_is_infeasible)
-        calls = count_minimizations(monkeypatch)
-        result = brute_force_optimum(inst)
-        assert calls[0] == 2 ** inst.m - 1
-        assert result.pattern == (1, 2) and result.evaluated == 2 ** inst.m - 1
         assert_matches_full_solves(inst)
 
     @pytest.mark.parametrize("utility", [QuadraticUtility([1.0, 2.0], 0.5),
@@ -536,10 +530,9 @@ class TestBruteForcePruning:
 
 
     def test_linear_patterns_are_evaluated_once(self, monkeypatch):
-        # every edge supplies 1 at nu = c: the full pattern, then one bound
-        # per other pattern, and {0, 2} (bound 2 - 0.7) wins at its bound,
-        # which is its minimum, without a second evaluation; {2} (bound 0.8)
-        # ends the pass
+        # every edge supplies 1 at nu = c: the full pattern's one evaluation
+        # there values all 8 patterns by subset sums, and {0, 2} wins with
+        # 2 - 0.7
         inst = Instance(n=2, edges=tuple(Edge(CappedConcaveEdge(capacity=1.0), (0, 1), fee=fee)
                                          for fee in (0.5, 3.9, 0.2)),
                         utility=LinearUtility([1.0, 4.0]))
@@ -552,8 +545,8 @@ class TestBruteForcePruning:
 
         monkeypatch.setattr(solver, "_evaluate", counted)
         result = brute_force_optimum(inst)
-        assert calls[0] == 7
-        assert result.pattern == (0, 2) and result.evaluated == 3
+        assert calls[0] == 1
+        assert result.pattern == (0, 2) and result.evaluated == 2 ** inst.m
         assert result.value == 2.0 - (0.5 + 0.2)
         assert_matches_full_solves(inst)
 

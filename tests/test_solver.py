@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexflow import solver
 from convexflow.bench import BenchConfig, gen_bench_instance, gen_knapsack_instance
 from convexflow.calculus import (aggregate, intersection, lift, minkowski_sum,
                                  nonneg_matrix_image, scale)
@@ -613,6 +614,34 @@ class TestGapCertificate:
         assert state.g <= 1.3170369321883737
         report = solve(inst)
         assert report.stop == "gap" and report.converged
+
+    def test_certificate_adopts_the_primal_points_price(self, monkeypatch):
+        # a fee-free tick from node 0 to node 1 and a half line at node 1:
+        # the first step idles the tick, a kernel kink against its flow at
+        # the start.  The best point, the half line's supply of 1 alone, is
+        # worth P = 1.375, short of g = 1.4238 at the iterate, and closes
+        # the gap at its own price nu' = max(c - mu * y, 0) = (1, 1.25)
+        inst = Instance(n=2, edges=(Edge(LinearTickEdge(price=0.75, cap=0.5), (0, 1)),
+                                    Edge(HalfLineEdge(1.0), (1,))),
+                        utility=QuadraticUtility([1.0, 1.5], 0.25))
+        iterates = []
+        certify = solver._certify
+
+        def recorded(utility, program, state, bundle):
+            iterates.append(state)
+            return certify(utility, program, state, bundle)
+
+        monkeypatch.setattr(solver, "_certify", recorded)
+        state = minimize_dual(inst)
+        iterate = iterates[-1]  # the last accepted iterate
+        assert state.stop == "gap" and state.iterations == 1
+        assert state.nu.tolist() != iterate.nu and state.g < iterate.g
+        assert state.trace[-2:] == [iterate.g, state.g]
+        y = sum(dense_selector(edge.nodes, inst.n) @ np.asarray(flow)
+                for edge, flow in zip(inst.edges, state.certificate.flows))
+        assert state.nu.tolist() == pytest.approx(np.maximum(inst.utility.c - 0.25 * y, 0.0))
+        assert state.nu.tolist() == pytest.approx([1.0, 1.25])
+        assert_certificate_sound(inst, state)
 
     def test_random_fee_instances_are_sound(self, rng):
         stops = []
