@@ -25,12 +25,17 @@ of a few nodes at a time; ``values(ys)`` stays on numpy for the rows of
 recovery's tie pass and for its one no-tie net flow.
 
 The loader (``from_document``) checks Python-typed values in one pass per
-edge, without numpy: every numeric parameter goes through
-``sets._real``, which takes an ``int`` or a ``float`` (or another real
-number type such as a numpy scalar) and refuses booleans, strings and
-everything else; counts and node indices go through ``sets._index``;
-each constructor then checks its range with chained comparisons.  Node
-ranges are checked once over all edges in ``Instance``.
+edge, without numpy, with one decoder per set kind.  A value of the type
+JSON gives it passes on one exact-type test: a nonnegative ``int`` node,
+a ``float`` fee or reserve.  Any other value goes through ``sets._real``,
+which takes an ``int`` or a ``float`` (or another real number type such
+as a numpy scalar) and refuses booleans, strings and everything else, or
+through ``sets._index`` for counts and node indices; each constructor
+then checks its range with chained comparisons.  Node ranges are checked
+once over all edges in ``Instance``.  Every refusal names its field: a
+missing key, a value that is not an array (``sets._array``), an entry
+that is not a number or is out of its range, an integer beyond float
+range.
 """
 
 from __future__ import annotations
@@ -45,15 +50,15 @@ import numpy as np
 
 from .errors import SchemaError
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
-                   PiecewiseLinearGain, ProductMarketEdge, RationalGain, _index, _real,
-                   as_vector, scaled_tol)
+                   PiecewiseLinearGain, ProductMarketEdge, RationalGain, _array, _index,
+                   _real, as_vector, scaled_tol)
 
 SCHEMA_VERSION = 1
 
 
 def _weights(c: Sequence[float]) -> list[float]:
     """Utility weights as a list of finite floats."""
-    weights = [_real(v, "c") for v in c]
+    weights = [_real(v, "c") for v in _array(c, "c")]
     if not all(map(math.isfinite, weights)):
         raise ValueError("c must hold finite numbers")
     return weights
@@ -171,9 +176,9 @@ Utility = LinearUtility | QuadraticUtility | ThresholdUtility
 class Edge:
     """One hyperedge: a flow set, the global nodes it touches, and a fixed fee.
 
-    The constructor checks and converts every field before it sets it, so
-    that each field of a frozen instance is written once: a loaded
-    document builds one edge per market.
+    The constructor checks and converts every field before it sets it,
+    and writes the three frozen fields in one update of the instance's
+    dict: a loaded document builds one edge per market.
     """
 
     flow_set: FlowSet
@@ -181,17 +186,22 @@ class Edge:
     fee: float = 0.0
 
     def __init__(self, flow_set: FlowSet, nodes: Sequence[int], fee: float = 0.0):
-        nodes = tuple([_index(v, "edge node") for v in nodes])
+        nodes = _array(nodes, "nodes")
+        # JSON's nonnegative ints and float fee pass as they are; any other
+        # value goes through _index or _real, which convert or refuse it
+        for v in nodes:
+            if type(v) is not int or v < 0:
+                nodes = tuple([_index(v, "edge node") for v in nodes])
+                break
         if len(nodes) != flow_set.dim:
             raise ValueError("need one node per flow-set coordinate")
         if len(set(nodes)) != len(nodes):
             raise ValueError("edge nodes must be distinct")
-        fee = _real(fee, "fee")
+        if type(fee) is not float:
+            fee = _real(fee, "fee")
         if not 0.0 <= fee < math.inf:
             raise ValueError(f"fee must be finite and nonnegative, got {fee!r}")
-        object.__setattr__(self, "flow_set", flow_set)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "fee", fee)
+        self.__dict__.update(flow_set=flow_set, nodes=nodes, fee=fee)
 
     @property
     def degree(self) -> int:
@@ -215,7 +225,8 @@ class Instance:
             raise ValueError("utility dimension must equal the node count")
         # one pass over the nodes of every edge; each is already a nonnegative int
         if max((v for edge in edges for v in edge.nodes), default=-1) >= n:
-            raise ValueError("edge node index out of range")
+            i, v = next((i, v) for i, edge in enumerate(edges) for v in edge.nodes if v >= n)
+            raise ValueError(f"edge {i}: nodes must be less than n = {n}, got {v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
@@ -287,6 +298,14 @@ def _unknown_key(doc: dict, allowed: frozenset, where: str) -> SchemaError:
     return SchemaError(f"{where}: unknown key {unknown}")
 
 
+def _reason(exc: Exception) -> str:
+    """Why a field was refused: a missing key (``KeyError``) by its name,
+    any other error by its message."""
+    if isinstance(exc, KeyError):
+        return f"missing field {exc.args[0]!r}"
+    return str(exc)
+
+
 def _encode_gain(gain) -> dict:
     if isinstance(gain, RationalGain):
         return {"kind": "rational"}
@@ -337,7 +356,7 @@ def _decode_set(kind: str, params: dict) -> FlowSet:
             return LinearTickEdge(price=params["price"], cap=params["cap"])
         return HalfLineEdge(params["cap"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad parameters for set kind {kind!r}: {exc}") from exc
+        raise SchemaError(f"bad parameters for set kind {kind!r}: {_reason(exc)}") from exc
 
 
 def _encode_utility(utility: Utility) -> dict:
@@ -363,7 +382,7 @@ def _decode_utility(doc: dict) -> Utility:
             return QuadraticUtility(doc["c"], doc["mu"])
         return ThresholdUtility(doc["b"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad parameters for utility kind {kind!r}: {exc}") from exc
+        raise SchemaError(f"bad parameters for utility kind {kind!r}: {_reason(exc)}") from exc
 
 
 def to_document(instance: Instance, meta: dict | None = None) -> dict:
@@ -393,7 +412,7 @@ def from_document(doc: dict) -> Instance:
         raise _unknown_key(doc, _DOCUMENT_KEYS, "instance document")
     for key in ("n", "utility", "edges"):
         if key not in doc:
-            raise SchemaError(f"missing field: {key!r}")
+            raise SchemaError(f"missing field {key!r}")
     if not isinstance(doc["edges"], list) or not isinstance(doc["utility"], dict):
         raise SchemaError("edges must be an array and utility an object")
     edges = []
@@ -404,12 +423,11 @@ def from_document(doc: dict) -> Instance:
             if "edge_utility" in edge_doc:
                 raise SchemaError(f"edge {i}: edge utilities are not supported")
             raise _unknown_key(edge_doc, _EDGE_KEYS, f"edge {i}")
-        the_set = _decode_set(edge_doc.get("kind"), edge_doc.get("params", {}))
         try:
-            edges.append(Edge(flow_set=the_set, nodes=edge_doc["nodes"],
-                              fee=edge_doc.get("fee", 0.0)))
+            the_set = _decode_set(edge_doc.get("kind"), edge_doc["params"])
+            edges.append(Edge(the_set, edge_doc["nodes"], edge_doc.get("fee", 0.0)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"edge {i}: {exc}") from exc
+            raise SchemaError(f"edge {i}: {_reason(exc)}") from exc
     try:
         return Instance(n=doc["n"], edges=tuple(edges),
                         utility=_decode_utility(doc["utility"]))

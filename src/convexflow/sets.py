@@ -60,13 +60,25 @@ def as_vector(x, dim: int) -> np.ndarray:
 def _real(value, what: str) -> float:
     """A real number as a Python float.  JSON's int and float pass by their
     exact type; any other ``numbers.Real`` (numpy scalars) is converted;
-    bools, strings and everything else are refused.  Range checks stay
-    with the caller."""
+    bools, strings, an int beyond float range and everything else are
+    refused by name.  Range checks stay with the caller."""
     if type(value) is float:
         return value
     if type(value) is int or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the largest float
+            raise OverflowError(f"{what} is an integer too large for a float") from None
     raise TypeError(f"{what} must be a real number, got {value!r}")
+
+
+def _array(value, what: str) -> tuple:
+    """The entries of an array as a tuple; anything that is not iterable
+    is refused by name."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an array, got {value!r}") from None
 
 
 def _index(value, what: str) -> int:
@@ -199,7 +211,12 @@ class PiecewiseLinearGain:
     kind = "piecewise_linear"
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        pts = [(_real(w, "gain point"), _real(h, "gain point")) for w, h in points]
+        pts = []
+        for point in _array(points, "points"):
+            pair = _array(point, "gain point")
+            if len(pair) != 2:
+                raise ValueError(f"gain point must be two numbers, got {point!r}")
+            pts.append((_real(pair[0], "gain point"), _real(pair[1], "gain point")))
         if not pts:
             raise ValueError("piecewise gain needs at least one breakpoint")
         ws = [0.0] + [p[0] for p in pts]
@@ -352,10 +369,17 @@ class ProductMarketEdge(FlowSet):
     unique_maximizer = True
 
     def __init__(self, reserves: Sequence[float]):
-        r = list(reserves)
-        if len(r) != 2:
-            raise ValueError("reserves must be two positive finite numbers")
-        r1, r2 = _real(r[0], "reserves"), _real(r[1], "reserves")
+        try:
+            r1, r2 = reserves
+        except TypeError:
+            raise TypeError(f"reserves must be an array, got {reserves!r}") from None
+        except ValueError:  # not two entries
+            raise ValueError("reserves must be two positive finite numbers") from None
+        # JSON's floats pass as they are; anything else through _real
+        if type(r1) is not float:
+            r1 = _real(r1, "reserves")
+        if type(r2) is not float:
+            r2 = _real(r2, "reserves")
         if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
             raise ValueError("reserves must be two positive finite numbers")
         self._r1, self._r2 = r1, r2
@@ -399,31 +423,29 @@ class ProductMarketEdge(FlowSet):
         return max(value, 0.0), point
 
     @staticmethod
-    def batch_kernel(markets: Sequence[ProductMarketEdge]):
-        """``kernel`` of every market of ``markets`` in one numpy pass.
+    def batch_kernel(reserves: np.ndarray):
+        """``kernel`` of a run of markets in one numpy pass, given their
+        reserves interleaved (r1, r2 of the first market, then of the next).
 
         The returned function takes the array x of nonnegative prices of
-        all markets, interleaved (x1, x2 of the first, then of the next),
-        and returns the arrays (values, points) of their supports and of
-        their maximizers, also interleaved.  Each row takes the float
-        operations of ``kernel``'s closed form, so it equals ``kernel`` bit
-        for bit.  Where a row has a zero price its value is still
-        ``kernel``'s (the root term is 0), but its point is not: the caller
-        takes that row's point from ``kernel``.  Such a row divides by
-        zero, and an extreme price overflows, so the caller sets numpy's
-        error state.
+        the markets, interleaved the same way, and returns the arrays
+        (values, points) of their supports and of their maximizers, also
+        interleaved.  Each row takes the float operations of ``kernel``'s
+        closed form, so it equals ``kernel`` bit for bit.  Where a row has
+        a zero price its value is still ``kernel``'s (the root term is 0),
+        but its point is not: the caller takes that row's point from
+        ``kernel``.  Such a row divides by zero, and an extreme price
+        overflows, so the caller sets numpy's error state.
         """
-        count = len(markets)
-        r1 = np.fromiter((s._r1 for s in markets), float, count)
-        r2 = np.fromiter((s._r2 for s in markets), float, count)
+        r1, r2 = reserves[0::2], reserves[1::2]
         k = r1 * r2  # each market's invariant, bit for bit
-        reserves, invariants = np.stack((r1, r2), axis=1).ravel(), np.repeat(k, 2)
+        invariants = np.repeat(k, 2)
 
         def batched(x: np.ndarray):
             x1, x2 = x[0::2], x[1::2]
             values = np.maximum(x1 * r1 + x2 * r2 - 2.0 * np.sqrt(k * x1 * x2), 0.0)
             # row by row, (r1 - sqrt(k x2 / x1), r2 - sqrt(k x1 / x2))
-            swapped = x.reshape(count, 2)[:, ::-1].ravel()
+            swapped = x.reshape(-1, 2)[:, ::-1].ravel()
             return values, reserves - np.sqrt(invariants * swapped / x)
 
         return batched

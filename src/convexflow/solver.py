@@ -27,7 +27,10 @@ to four nodes, where a numpy call costs more than the arithmetic it does.
 The one exception is the routing experiment's scale: a program with at
 least ``BATCH_MIN`` constant-product markets is a ``BatchedProgram``,
 which also carries them as one numpy block
-(``ProductMarketEdge.batch_kernel``).  ``_evaluate`` computes the block
+(``ProductMarketEdge.batch_kernel``).  ``_program`` reads every edge's
+entry and each market's reserves, nodes and fee in one pass over the
+edges, and turns the markets' columns into arrays once.  ``_evaluate``
+computes the block
 in one pass by the per-edge loop's float operations and adds it to g
 and the gradient in edge order, so a program of markets alone gets the
 loop's state bit for bit.  ``BATCH_MIN`` is measured: with fewer
@@ -71,16 +74,17 @@ Utility branches:
   maximizer just above 0, so recovery can meet the demand.
 
 Primal recovery scatters the maximizers of the active, untied edges into
-a feasible net flow on Python floats; tied edges are enumerated (up to
-``MAX_TIE_ENUM``) in one numpy pass, the only numpy work of recovery, and
-the best-valued primal kept.  The tie matrix of that pass (each tied
-edge's scattered maximizer and its fee, one row per edge) is built as
-Python lists and becomes one numpy array, multiplied once by the cached
+a feasible net flow on Python floats, in the same pass that lays every
+edge's flow (its maximizer when active, else zeros) out flat: the
+report's flows are views of the one numpy array this makes.  Tied edges
+are enumerated (up to ``MAX_TIE_ENUM``) in one numpy pass and the
+best-valued primal kept.  The tie matrix of that pass (each tied edge's
+scattered maximizer and its fee, one row per edge) is built as one flat
+Python list and becomes one numpy array, multiplied once by the cached
 pattern matrix; without a tie the base net flow is valued alone, with no
-pattern matrix.  The report's flows, activations, net flow and
-prices become numpy arrays once, as the report leaves.  Weak duality
-makes [primal value, dual value] a bracket on the true optimum in every
-case.
+pattern matrix.  The report's activations, net flow and prices become
+numpy arrays once, as the report leaves.  Weak duality makes [primal
+value, dual value] a bracket on the true optimum in every case.
 
 ``SolverOptions`` holds the two settings a caller chooses, the L-BFGS's
 ``max_iter`` and ``grad_tol``.  Every other parameter is a constant of
@@ -273,26 +277,30 @@ def _fallback_maximizer(kernel: Callable, xi: list[float]) -> tuple[float, ...]:
 
 
 def _program(edges: Sequence[Edge]) -> Program:
-    entries = [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
-               for edge in edges]
     if len(edges) < BATCH_MIN:  # the fee checks' programs: no scan for markets
-        return entries
-    rows = [i for i, edge in enumerate(edges) if type(edge.flow_set) is ProductMarketEdge]
+        return [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
+                for edge in edges]
+    # one pass reads each edge's entry and each market's reserves, nodes and fee
+    entries, rows, reserves, nodes, fees, others = [], [], [], [], [], []
+    for i, edge in enumerate(edges):
+        the_set, edge_nodes, fee = edge.flow_set, edge.nodes, edge.fee
+        entry = (the_set.kernel, edge_nodes, fee, the_set.unique_maximizer)
+        entries.append(entry)
+        if type(the_set) is ProductMarketEdge:
+            rows.append(i)
+            reserves += (the_set._r1, the_set._r2)
+            nodes += edge_nodes
+            fees.append(fee)
+        else:
+            others.append((i, entry))
     count = len(rows)
     if count < BATCH_MIN:
         return entries
-    if count == len(edges):
-        markets, others = edges, []
-    else:
-        markets, kept = [edges[i] for i in rows], set(rows)
-        others = [(i, entry) for i, entry in enumerate(entries) if i not in kept]
     program = BatchedProgram(entries)
     program.block = _Block(
-        kernel=ProductMarketEdge.batch_kernel([edge.flow_set for edge in markets]),
-        rows=rows,
-        nodes=np.fromiter(itertools.chain.from_iterable(edge.nodes for edge in markets),
-                          np.intp, 2 * count),
-        fees=np.fromiter((edge.fee for edge in markets), float, count), others=others)
+        kernel=ProductMarketEdge.batch_kernel(np.fromiter(reserves, float, 2 * count)),
+        rows=rows, nodes=np.fromiter(nodes, np.intp, 2 * count),
+        fees=np.fromiter(fees, float, count), others=others)
     return program
 
 
@@ -747,37 +755,48 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     (``_tie_patterns``), times ``[C_tied | q_tied]``, whose row k is tied
     edge k's maximizer scattered to its nodes followed by its fee.  The
     first n columns of the product plus ``y_base`` are the net flows, and
-    its last column plus ``fee_base`` the fees.  The rows are built as
-    Python lists, next to ``y_base`` and ``fee_base``, and become one numpy
-    array.  The base pattern (every tied edge active, the last row) is kept
-    unless another pattern is strictly better; among equally good patterns
-    the first in mask order wins.  Without an enumerated tie there is one
+    its last column plus ``fee_base`` the fees.  The rows are built in one
+    flat Python list, which becomes one numpy array.  The base pattern
+    (every tied edge active, the last row) is kept unless another pattern
+    is strictly better; among equally good patterns the first in mask
+    order wins.  Without an enumerated tie there is one
     pattern, ``y_base``, valued once, with no matrix product.
     """
-    n = instance.n
+    n, edges = instance.n, instance.edges
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
-    row = {i: k for k, i in enumerate(enumerated)}
-    y_base, fee_base = [0.0] * n, 0.0
-    tied_rows = [[0.0] * (n + 1) for _ in enumerated]  # [C_tied | q_tied]
-    for i, (edge, on, point) in enumerate(zip(instance.edges, state.active, state.points)):
+    # one pass lays every edge's flow (its maximizer when active, else
+    # zeros) out flat in edge order, and scatters the active edges that are
+    # not enumerated into y_base and fee_base
+    skipped = state.tied if enumerated else itertools.repeat(False)
+    y_base, fee_base, entries, starts = [0.0] * n, 0.0, [], []
+    for edge, on, point, skip in zip(edges, state.active, state.points, skipped):
+        starts.append(len(entries))
         if not on:
+            entries += (0.0,) * len(edge.nodes)
             continue
-        k = row.get(i)
-        if k is None:
+        entries += point
+        if not skip:
             for j, x in zip(edge.nodes, point):
                 y_base[j] += x
             fee_base += edge.fee
-        else:
-            for j, x in zip(edge.nodes, point):
-                tied_rows[k][j] = x
-            tied_rows[k][n] = edge.fee
+    data = np.array(entries, dtype=float)
+    starts.append(len(entries))
+    flows = [data[a:b] for a, b in zip(starts, starts[1:])]
     active = list(state.active)
     if enumerated:
+        # [C_tied | q_tied], row by row in one flat list; a tied edge is
+        # active, since |f - q| <= tol gives f >= q - tol
+        t, width = len(enumerated), n + 1
+        tied_rows = [0.0] * (t * width)
+        for row, i in zip(range(0, t * width, width), enumerated):
+            for j, x in zip(edges[i].nodes, state.points[i]):
+                tied_rows[row + j] = x
+            tied_rows[row + n] = edges[i].fee
         # sums of flows or fees near the float maximum overflow to inf, which
         # the selection below takes as it comes; numpy would warn on stderr
         with np.errstate(over="ignore"):
-            sums = _tie_patterns(len(enumerated)) @ np.array(tied_rows)
+            sums = _tie_patterns(t) @ np.array(tied_rows).reshape(t, width)
             ys = sums[:, :n] + y_base
             values = instance.utility.values(ys) - (sums[:, n] + fee_base)
         best = int(values.argmax())
@@ -785,12 +804,12 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
             best = len(values) - 1  # the base pattern: every tied edge active
         for k, i in enumerate(enumerated):
             active[i] = bool(best >> k & 1)  # bits[best, k]
+            if not active[i]:
+                flows[i] = np.zeros(len(edges[i].nodes))
         y_hat, value = ys[best].copy(), float(values[best])
     else:
         y_hat = np.array(y_base)
         value = float(instance.utility.values(y_hat[None])[0]) - fee_base
-    flows = [np.array(point) if on else np.zeros(edge.degree)
-             for edge, on, point in zip(instance.edges, active, state.points)]
     gap = state.g - value
     rel_gap = gap / (1.0 + abs(state.g)) if math.isfinite(gap) else math.inf
     return SolveReport(dual_value=state.g, primal_value=value, flows=flows,

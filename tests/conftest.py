@@ -83,6 +83,16 @@ def invalid_document_edits():
     def utility(make):
         return lambda doc: doc.__setitem__("utility", make(doc["n"]))
 
+    def drop(key):
+        return lambda doc: doc["edges"][0].pop(key)
+
+    def reserves(value):
+        return first_edge("product_market", {"reserves": value})
+
+    def gain(points):
+        return first_edge("capped_concave", {
+            "capacity": 1.0, "gain": {"kind": "piecewise_linear", "points": points}})
+
     def capped(capacity, points=((0.5, 0.6), (2.0, 1.0))):
         return first_edge("capped_concave", {
             "capacity": capacity,
@@ -141,6 +151,44 @@ def invalid_document_edits():
                                "cap must be a real number"),
         "bool_gain_point": (capped(1.0, points=((0.5, True), (2.0, 1.0))),
                             "gain point must be a real number"),
+        # every refusal names its field: nodes, fees and reserves of each wrong
+        # type, value or length, a missing key, a value that is not an array
+        "float_node": (edge_field("nodes", [0.0, 1]), "edge node must be an integer, got 0.0"),
+        "string_node": (edge_field("nodes", ["0", 1]), "edge node must be an integer, got '0'"),
+        "duplicate_node": (edge_field("nodes", [1, 1]), "edge 0: edge nodes must be distinct"),
+        "extra_node": (edge_field("nodes", [0, 1, 2]), "need one node per flow-set coordinate"),
+        "scalar_nodes": (edge_field("nodes", 3), "edge 0: nodes must be an array, got 3"),
+        "null_nodes": (edge_field("nodes", None), "edge 0: nodes must be an array, got None"),
+        "missing_nodes": (drop("nodes"), "edge 0: missing field 'nodes'"),
+        "out_of_range_node": (edge_field("nodes", [0, 99]), "edge 0: nodes must be less than n"),
+        "inf_fee": (edge_field("fee", inf), "fee must be finite and nonnegative, got inf"),
+        "negative_fee": (edge_field("fee", -0.1), "fee must be finite and nonnegative, got -0.1"),
+        "huge_integer_fee": (edge_field("fee", 10 ** 400),
+                             "edge 0: fee is an integer too large for a float"),
+        "string_reserve": (reserves(["1", 2.0]), "reserves must be a real number, got '1'"),
+        "three_reserves": (reserves([1.0, 2.0, 3.0]),
+                           "reserves must be two positive finite numbers"),
+        "zero_reserve": (reserves([0.0, 2.0]), "reserves must be two positive finite numbers"),
+        "nested_reserves": (reserves([[1.0, 2.0], 3.0]),
+                            "reserves must be a real number, got [1.0, 2.0]"),
+        "huge_integer_reserve": (reserves([10 ** 400, 2.0]),
+                                 "reserves is an integer too large for a float"),
+        "scalar_reserves": (reserves(3), "'product_market': reserves must be an array, got 3"),
+        "missing_reserves": (first_edge("product_market", {}),
+                             "'product_market': missing field 'reserves'"),
+        "missing_params": (drop("params"), "edge 0: missing field 'params'"),
+        "array_params": (edge_field("params", [2.0, 3.0]), "set params must be an object"),
+        "null_params": (edge_field("params", None), "set params must be an object"),
+        "scalar_points": (gain(3), "'capped_concave': points must be an array, got 3"),
+        "long_gain_point": (gain([[0.5, 0.6, 0.7], [2.0, 1.0]]),
+                            "gain point must be two numbers, got [0.5, 0.6, 0.7]"),
+        "scalar_gain_point": (gain([0.5, [2.0, 1.0]]), "gain point must be an array, got 0.5"),
+        "missing_points": (first_edge("capped_concave", {"capacity": 1.0,
+                                                         "gain": {"kind": "piecewise_linear"}}),
+                           "'capped_concave': missing field 'points'"),
+        "scalar_weights": (utility(lambda n: {"kind": "linear", "c": 3}),
+                           "'linear': c must be an array, got 3"),
+        "missing_weights": (utility(lambda n: {"kind": "linear"}), "'linear': missing field 'c'"),
         # the schema is closed: a key outside an object's allowed set is refused by name
         "misspelled_fee": (edge_field("fees", 9.0), "edge 0: unknown key 'fees'"),
         "misspelled_edge_utility": (edge_field("edge_utilty", [5.0]),

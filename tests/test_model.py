@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,15 @@ class TestEdgeValidation:
         inst = Instance(n=np.int64(2), edges=(edge,), utility=LinearUtility([1.0, 1.0]))
         assert inst.n == 2 and type(inst.n) is int
         assert edge.nodes == (0, 1) and type(edge.fee) is float
+        # numpy-int nodes in an array or a list, and tuple or array reserves
+        for nodes in (np.array([0, 1]), [np.int64(0), np.int32(1)]):
+            edge = Edge(ProductMarketEdge([2.0, 3.0]), nodes, fee=1)
+            assert edge.nodes == (0, 1) and all(type(v) is int for v in edge.nodes)
+            assert edge.fee == 1.0 and type(edge.fee) is float
+        for reserves in ((2.0, 3.0), np.array([2.0, 3.0]), [np.float64(2.0), 3]):
+            market = ProductMarketEdge(reserves)
+            assert (market._r1, market._r2) == (2.0, 3.0)
+            assert type(market._r1) is float and type(market._r2) is float
 
 
 class TestSerialization:
@@ -330,8 +340,9 @@ class TestSerialization:
         doc = model.to_document(self.build())
         edit, message = invalid_document_edits()[name]
         edit(doc)
-        with pytest.raises(SchemaError, match=message):
-            model.from_document(doc)
+        for load in (model.from_document, lambda edited: model.loads(json.dumps(edited))):
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                load(doc)
 
     def test_invalid_set_parameter_rejected(self):
         doc = model.to_document(self.build())
