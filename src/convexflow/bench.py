@@ -11,7 +11,15 @@ the instance document's ``meta`` block): utility weights c are uniform on
 
 Randomness comes from the counter-based Philox 4x64 bit generator keyed
 by the cell seed, so documents are reproducible bit for bit across runs
-and platforms.
+and platforms.  The stream is drawn in this order: the n weights c; for
+each attempt at a pair list that covers every node, 2m bounded integers
+(a in [0, n), then b in [0, n - 1), market by market); then 2m reserve
+uniforms (r1, r2 market by market).  Each is one array draw, and it is
+the stream of drawing market by market with scalar calls: numpy's
+bounded draw over an array of bounds takes the bit stream element by
+element, as its scalar calls do, and ``random(2m)`` gives the doubles of
+m calls of ``random(2)``.  So the documents of every seed are those of
+the per-edge generator (``tests/oracles.py::bench_instance_reference``).
 """
 
 from __future__ import annotations
@@ -61,39 +69,37 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _draw_pairs(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int]]:
+def _draw_pairs(rng: np.random.Generator, n: int, m: int) -> list[list[int]]:
+    """m random node pairs [a, b] with a < b that together touch every node."""
+    bounds = np.tile([n, n - 1], m)
     for _ in range(MAX_ATTEMPTS):
-        pairs = []
+        pairs = rng.integers(0, bounds).reshape(m, 2)
+        a, b = pairs[:, 0], pairs[:, 1]
+        b += b >= a  # b is drawn from the n - 1 nodes other than a
         touched = np.zeros(n, dtype=bool)
-        for _ in range(m):
-            a = int(rng.integers(0, n))
-            b = int(rng.integers(0, n - 1))
-            if b >= a:
-                b += 1
-            pair = (a, b) if a < b else (b, a)
-            pairs.append(pair)
-            touched[[a, b]] = True
+        touched[a] = True
+        touched[b] = True
         if touched.all():
-            return pairs
+            return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1).tolist()
     raise RuntimeError("could not cover every node; raise m or n")
 
 
 def gen_bench_instance(config: BenchConfig) -> Instance:
     """Random routing instance; identical seeds give identical documents."""
     rng = _rng(config.seed)
-    c = WEIGHT_RANGE[0] + rng.random(config.n) * (WEIGHT_RANGE[1] - WEIGHT_RANGE[0])
+    c = (WEIGHT_RANGE[0] + rng.random(config.n) * (WEIGHT_RANGE[1] - WEIGHT_RANGE[0])).tolist()
     pairs = _draw_pairs(rng, config.n, config.m)
     log_hi = math.log(RESERVE_RANGE[1] / RESERVE_RANGE[0])
-    edges = []
-    for pair in pairs:
-        reserves = RESERVE_RANGE[0] * np.exp(rng.random(2) * log_hi)
-        edges.append(Edge(flow_set=ProductMarketEdge(reserves), nodes=pair,
-                          fee=config.q0))
+    reserves = (RESERVE_RANGE[0] * np.exp(rng.random(2 * config.m) * log_hi)).tolist()
+    # Python floats and ints take both constructors' exact-type paths
+    q0 = config.q0
+    edges = tuple([Edge(ProductMarketEdge((r1, r2)), (a, b), q0)
+                   for (a, b), r1, r2 in zip(pairs, reserves[0::2], reserves[1::2])])
     if config.mu == 0.0:
         utility = LinearUtility(c)
     else:
         utility = QuadraticUtility(c, config.mu)
-    return Instance(n=config.n, edges=tuple(edges), utility=utility)
+    return Instance(n=config.n, edges=edges, utility=utility)
 
 
 def bench_meta(config: BenchConfig) -> dict:

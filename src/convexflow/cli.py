@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench, fees, model, solver
 from .errors import ConvexFlowError, SchemaError
-from .sets import _real
+from .sets import _array, _real
 
 
 def _write_json(doc: dict, path: str | None):
@@ -64,10 +64,10 @@ def _solution_points(doc) -> list[tuple[np.ndarray, float]]:
         if not _SOLUTION_EDGE_KEYS.issuperset(entry):
             raise model._unknown_key(entry, _SOLUTION_EDGE_KEYS, f"solution edge {i}")
         try:
-            x = [_real(v, "x") for v in entry["x"]]
+            x = [_real(v, "x") for v in _array(entry["x"], "x")]
             lam = _real(entry["lambda"], "lambda")
         except (KeyError, TypeError, OverflowError) as exc:
-            raise SchemaError(f"solution edge {i}: {exc}") from exc
+            raise SchemaError(f"solution edge {i}: {model._reason(exc)}") from exc
         if not all(map(math.isfinite, x)) or not math.isfinite(lam):
             raise SchemaError(f"solution edge {i}: x and lambda must be finite")
         points.append((np.array(x), lam))

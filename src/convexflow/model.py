@@ -334,7 +334,7 @@ def _encode_set(the_set: FlowSet) -> tuple[str, dict]:
     if isinstance(the_set, LinearTickEdge):
         return "linear_tick", {"price": the_set.price, "cap": the_set.cap}
     if isinstance(the_set, ProductMarketEdge):
-        return "product_market", {"reserves": [float(v) for v in the_set.reserves]}
+        return "product_market", {"reserves": [the_set._r1, the_set._r2]}
     if isinstance(the_set, HalfLineEdge):
         return "half_line", {"cap": the_set.cap}
     raise SchemaError(f"set {type(the_set).__name__} is not serializable")

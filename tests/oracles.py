@@ -12,10 +12,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from convexflow.bench import MAX_ATTEMPTS, RESERVE_RANGE, WEIGHT_RANGE, BenchConfig
 from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import InfeasibleProblemError, UnboundedProblemError
 from convexflow.fees import RoundedSolution
-from convexflow.model import (Instance, LinearUtility, QuadraticUtility,
+from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
                               ThresholdUtility, net_flow)
 from convexflow.sets import (CappedConcaveEdge, FlowSet, HalfLineEdge,
                              LinearTickEdge, ProductMarketEdge, as_vector,
@@ -443,3 +444,39 @@ def threshold_minimizer_reference(instance) -> float:
         if float(-b + heights[live].sum()) >= 0.0:
             return point
     raise InfeasibleProblemError("threshold dual decreases without bound")
+
+
+def _draw_pairs_reference(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int]]:
+    for _ in range(MAX_ATTEMPTS):
+        pairs = []
+        touched = np.zeros(n, dtype=bool)
+        for _ in range(m):
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(0, n - 1))
+            if b >= a:
+                b += 1
+            pair = (a, b) if a < b else (b, a)
+            pairs.append(pair)
+            touched[[a, b]] = True
+        if touched.all():
+            return pairs
+    raise RuntimeError("could not cover every node; raise m or n")
+
+
+def bench_instance_reference(config: BenchConfig) -> Instance:
+    """The routing generator drawn market by market with scalar calls:
+    ``bench.gen_bench_instance`` must consume the same Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    c = WEIGHT_RANGE[0] + rng.random(config.n) * (WEIGHT_RANGE[1] - WEIGHT_RANGE[0])
+    pairs = _draw_pairs_reference(rng, config.n, config.m)
+    log_hi = math.log(RESERVE_RANGE[1] / RESERVE_RANGE[0])
+    edges = []
+    for pair in pairs:
+        reserves = RESERVE_RANGE[0] * np.exp(rng.random(2) * log_hi)
+        edges.append(Edge(flow_set=ProductMarketEdge(reserves), nodes=pair,
+                          fee=config.q0))
+    if config.mu == 0.0:
+        utility = LinearUtility(c)
+    else:
+        utility = QuadraticUtility(c, config.mu)
+    return Instance(n=config.n, edges=tuple(edges), utility=utility)

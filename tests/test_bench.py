@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import convexflow.bench as bench
 import convexflow.model as model
 from convexflow.bench import (BenchConfig, CSV_COLUMNS, ReportRow, bench_meta,
                               gen_bench_instance, gen_knapsack_instance,
@@ -12,6 +13,7 @@ from convexflow.model import (LinearUtility, QuadraticUtility, ThresholdUtility,
                               node_degrees)
 from convexflow.sets import HalfLineEdge, ProductMarketEdge
 from convexflow.solver import SolverOptions
+from oracles import bench_instance_reference
 
 
 class TestBenchConfig:
@@ -67,6 +69,51 @@ class TestGenerator:
         cfg = BenchConfig(n=8, mu=1e-2, q0=0.01, seed=5)
         text = model.dumps(gen_bench_instance(cfg))
         assert model.dumps(model.loads(text)) == text
+
+
+class CountingGenerator:
+    """A Philox generator that counts its bounded-integer draws."""
+
+    def __init__(self, rng):
+        self.rng, self.integer_draws = rng, 0
+
+    def integers(self, *args):
+        self.integer_draws += 1
+        return self.rng.integers(*args)
+
+    def random(self, *args):
+        return self.rng.random(*args)
+
+
+class TestGeneratorStream:
+    """The array draws consume the Philox stream as the per-edge generator
+    does, so every document is the reference's byte for byte."""
+
+    SIZES = (2, 3, 4, 5, 6, 10, 17, 28, 46)
+    SEEDS = (0, 1, 2, 1000, 1001, 2000, 2001)
+    # n = 3 seeds whose first pair lists leave a node untouched
+    RETRY_SEEDS = {3: 4, 6: 4, 5: 2}
+
+    @pytest.mark.parametrize("mu,q0", [(0.0, 0.0), (0.01, 0.01), (0.0, 1.0)])
+    def test_documents_match_the_per_edge_generator(self, mu, q0):
+        configs = [BenchConfig(n=n, mu=mu, q0=q0, seed=seed)
+                   for n in self.SIZES for seed in self.SEEDS]
+        configs += [BenchConfig(n=3, mu=mu, q0=q0, seed=seed) for seed in self.RETRY_SEEDS]
+        for cfg in configs:
+            text = model.dumps(gen_bench_instance(cfg), meta=bench_meta(cfg))
+            assert text == model.dumps(bench_instance_reference(cfg), meta=bench_meta(cfg)), cfg
+
+    def test_retry_seeds_take_several_attempts(self, monkeypatch):
+        made, rng = [], bench._rng
+
+        def counting_rng(seed):
+            made.append(CountingGenerator(rng(seed)))
+            return made[-1]
+
+        monkeypatch.setattr(bench, "_rng", counting_rng)
+        for seed, attempts in self.RETRY_SEEDS.items():
+            gen_bench_instance(BenchConfig(n=3, seed=seed))
+            assert made[-1].integer_draws == attempts, seed
 
 
 class TestKnapsackGenerator:

@@ -150,6 +150,18 @@ class TestRoundCommand:
         # refused as it is read, not later on the way out
         assert capsys.readouterr().err.startswith("error: solution")
 
+    @pytest.mark.parametrize("entry,message", [
+        ('{"lambda": -1}', "solution edge 0: missing field 'x'"),
+        ('{"x": [2]}', "solution edge 0: missing field 'lambda'"),
+        ('{"x": 3, "lambda": -1}', "solution edge 0: x must be an array, got 3"),
+    ], ids=["missing_x", "missing_lambda", "scalar_x"])
+    def test_refused_solution_field_is_named(self, tmp_path, capsys, entry, message):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        run(["knapsack", "--c", "2,3", "--b", "5", "--out", str(inst)])
+        sol.write_text('{"edges": [%s, {"x": [3], "lambda": -1}]}' % entry)
+        assert run(["round", "--input", str(inst), "--solution", str(sol)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}\n")
+
     def test_nonfinite_output_is_exit_2_and_not_written(self, tmp_path, capsys):
         # no flow meets the demand, so the rounded objective is -inf, which
         # strict JSON cannot hold

@@ -302,6 +302,20 @@ class TestSerialization:
         again = model.dumps(model.loads(text))
         assert text.encode() == again.encode()
 
+    @pytest.mark.parametrize("reserves", [
+        np.array([1.5, 2.25]), [np.float64(0.1), np.float64(7.3)],
+        np.array([0.1, 7.3], dtype=np.float32), [2, 3]],
+        ids=["float64-array", "float64-scalars", "float32", "int"])
+    def test_market_writes_its_checked_floats(self, reserves):
+        market = ProductMarketEdge(reserves)
+        inst = Instance(n=2, edges=(Edge(market, (0, 1)),), utility=LinearUtility([1.0, 1.0]))
+        written = model.to_document(inst)["edges"][0]["params"]["reserves"]
+        assert written == [market._r1, market._r2]
+        assert all(type(v) is float for v in written)
+        assert "reserves" not in vars(market)  # the numpy copy is not built
+        text = model.dumps(inst)
+        assert model.dumps(model.loads(text)) == text
+
     def test_all_set_kinds_round_trip(self):
         inst = Instance(
             n=3,
