@@ -387,12 +387,8 @@ class ProductMarketEdge(FlowSet):
         if not 0.0 < self.invariant < math.inf:  # an infinite k would leave 0 outside T
             raise ValueError("reserves must have a positive finite product")
 
-    # numpy copies of the checked floats, built on first use: loading and
-    # solving a document never read them
-    @functools.cached_property
-    def reserves(self) -> np.ndarray:
-        return np.array((self._r1, self._r2))
-
+    # a numpy copy of the checked floats, built on first use: loading and
+    # solving a document never read it
     @functools.cached_property
     def upper_bound(self) -> np.ndarray:
         return np.array((self._r1, self._r2))

@@ -74,9 +74,16 @@ Utility branches:
   maximizer just above 0, so recovery can meet the demand.
 
 Primal recovery scatters the maximizers of the active, untied edges into
-a feasible net flow on Python floats, in the same pass that lays every
-edge's flow (its maximizer when active, else zeros) out flat: the
-report's flows are views of the one numpy array this makes.  Tied edges
+a feasible net flow.  A markets-only ``BatchedProgram`` reads the arrays
+its final evaluation built: the report's flows are the rows of the
+block's flows (each market's maximizer when active, else zeros), and one
+``np.bincount`` and one ``cumsum`` give the net flow and the fees,
+adding in edge order as the loop does, so the report is the loop's bit
+for bit.  Every other program (each fee
+check, and a batched one with other edges) takes the loop, on Python
+floats, in the same pass that lays every edge's flow out flat: the
+report's flows are views of the one numpy array this makes.  This is
+``_evaluate``'s split on the same rule.  Tied edges
 are enumerated (up to ``MAX_TIE_ENUM``) in one numpy pass and the
 best-valued primal kept.  The tie matrix of that pass (each tied edge's
 scattered maximizer and its fee, one row per edge) is built as one flat
@@ -228,6 +235,10 @@ class DualState:
     stop: str = "exact"
     certificate: Certificate | None = None
     trace: list[float] = field(default_factory=list)
+    # (flows, activity, nodes, fees) of a markets-only block as its
+    # evaluation left them, which ``recover_primal`` reads instead of the
+    # per-edge lists; None for every other state
+    _block: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -321,7 +332,9 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
     ``kernel``, through ``_fallback_maximizer`` when active, as the loop
     does.  A block with a value that is not finite is left to the loop,
     which stops at the first infinite term.  The loop then evaluates the
-    program's other edges.
+    program's other edges.  When there are none, the state keeps the
+    block's flows (each market's maximizer when active, else zeros), its
+    activity and its nodes and fees for ``recover_primal``.
     """
     tie_tol = TIE_TOL
     conj_value, conj_max = utility.conjugate(prices)
@@ -372,6 +385,7 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
                        (np.abs(excess) <= tol).tolist())
             if not block.others:
                 state.values, state.points, state.active, state.tied = records
+                state._block = (weights, on, block.nodes, block.fees)
             else:
                 for record, target in zip(records, (values, points, active, tied)):
                     for i, item in zip(block.rows, record):
@@ -761,28 +775,46 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     is strictly better; among equally good patterns the first in mask
     order wins.  Without an enumerated tie there is one
     pattern, ``y_base``, valued once, with no matrix product.
+
+    A state of a markets-only ``BatchedProgram`` carries its block's
+    arrays from ``_evaluate``, of which one ``np.bincount`` and one
+    ``cumsum``, both adding in edge order, give ``y_base`` and
+    ``fee_base`` as the per-edge loop does, bit for bit.
     """
     n, edges = instance.n, instance.edges
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
-    # one pass lays every edge's flow (its maximizer when active, else
-    # zeros) out flat in edge order, and scatters the active edges that are
-    # not enumerated into y_base and fee_base
-    skipped = state.tied if enumerated else itertools.repeat(False)
-    y_base, fee_base, entries, starts = [0.0] * n, 0.0, [], []
-    for edge, on, point, skip in zip(edges, state.active, state.points, skipped):
+    if state._block is not None:
+        # the markets-only block of the evaluation: its flows are the
+        # report's, and the active markets that are not enumerated scatter
+        # into y_base and fee_base, added in edge order as in the loop below
+        weights, kept, nodes, fees = state._block
+        flows = list(weights.reshape(-1, 2).copy())
+        if enumerated:
+            kept = kept.copy()
+            kept[enumerated] = False
+            weights = np.where(np.repeat(kept, 2), weights, 0.0)
+        y_base = np.bincount(nodes, weights, n)
+        fee_base = float(np.where(kept, fees, 0.0).cumsum()[-1])
+    else:
+        # one pass lays every edge's flow (its maximizer when active, else
+        # zeros) out flat in edge order, and scatters the active edges that
+        # are not enumerated into y_base and fee_base
+        skipped = state.tied if enumerated else itertools.repeat(False)
+        y_base, fee_base, entries, starts = [0.0] * n, 0.0, [], []
+        for edge, on, point, skip in zip(edges, state.active, state.points, skipped):
+            starts.append(len(entries))
+            if not on:
+                entries += (0.0,) * len(edge.nodes)
+                continue
+            entries += point
+            if not skip:
+                for j, x in zip(edge.nodes, point):
+                    y_base[j] += x
+                fee_base += edge.fee
+        data = np.array(entries, dtype=float)
         starts.append(len(entries))
-        if not on:
-            entries += (0.0,) * len(edge.nodes)
-            continue
-        entries += point
-        if not skip:
-            for j, x in zip(edge.nodes, point):
-                y_base[j] += x
-            fee_base += edge.fee
-    data = np.array(entries, dtype=float)
-    starts.append(len(entries))
-    flows = [data[a:b] for a, b in zip(starts, starts[1:])]
+        flows = [data[a:b] for a, b in zip(starts, starts[1:])]
     active = list(state.active)
     if enumerated:
         # [C_tied | q_tied], row by row in one flat list; a tied edge is

@@ -51,7 +51,7 @@ def grid_support(the_set: FlowSet, xi, num: int = 10_001) -> float:
         w = np.linspace(0.0, the_set.cap, num)
         return _frontier_max(-w, the_set.price * w, xi)
     if isinstance(the_set, ProductMarketEdge):
-        r = the_set.reserves
+        r = the_set.upper_bound
         k_inv = the_set.invariant
         scale = np.sqrt(k_inv)
         u = scale * np.logspace(-3, 3, num)  # R1 - x1 along the reserve curve

@@ -50,8 +50,8 @@ class TestGenerator:
         for edge in inst.edges:
             assert isinstance(edge.flow_set, ProductMarketEdge)
             assert edge.fee == 0.25
-            assert np.all((edge.flow_set.reserves >= 1.0)
-                          & (edge.flow_set.reserves <= 100.0))
+            assert np.all((edge.flow_set.upper_bound >= 1.0)
+                          & (edge.flow_set.upper_bound <= 100.0))
         assert node_degrees(inst).all()
 
     def test_quadratic_when_mu_positive(self):

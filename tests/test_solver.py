@@ -834,6 +834,191 @@ class TestTieEnumerationMatchesPerMaskLoop:
         assert report.flows[0] == pytest.approx(state.points[0])
 
 
+def priced_markets(rng, n, nu, fees):
+    """One product market per entry of ``fees`` on random pairs of ``n``
+    nodes, each entry a function of the market's support at the prices
+    ``nu`` that gives its fee (the support itself is an exact tie)."""
+    edges = []
+    for fee_of in fees:
+        market = ProductMarketEdge(rng.uniform(1.0, 100.0, size=2))
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        edges.append(Edge(market, (a, b), fee=float(fee_of(market.kernel([nu[a], nu[b]])[0]))))
+    return edges
+
+
+def assert_reports_bit_equal(got, expected):
+    for name in ("dual_value", "primal_value", "gap", "rel_gap"):
+        assert float(getattr(got, name)).hex() == float(getattr(expected, name)).hex(), name
+    for name in ("activations", "y_hat", "nu"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert [x.tobytes() for x in got.flows] == [x.tobytes() for x in expected.flows]
+    assert _bits(got.edge_values) == _bits(expected.edge_values)
+    assert ((got.tie_count, got.iterations, got.stop, got.edge_tied)
+            == (expected.tie_count, expected.iterations, expected.stop, expected.edge_tied))
+
+
+class TestBlockRecovery:
+    """Recovery from the arrays of a markets-only block's evaluation
+    against the per-edge loop, which ``replace(state)`` takes (the copy
+    drops the block), and against the per-pattern reference."""
+
+    def assert_block_recovery(self, state, inst):
+        assert state._block is not None
+        looped = replace(state)
+        assert looped._block is None and looped == state
+        report = recover_primal(state, inst)
+        assert_reports_bit_equal(report, recover_primal(looped, inst))
+        # one array of two floats per market, the report's own
+        assert len(report.flows) == inst.m
+        assert all(type(x) is np.ndarray and x.shape == (2,) and x.dtype == float
+                   for x in report.flows)
+        assert not np.shares_memory(report.flows[0], state._block[0])
+        # the reference lays out the same flows and picks the same pattern;
+        # it values each pattern and sums an enumerated pattern's net flow
+        # in its own order, which rounds differently
+        value, activations, y_hat, flows = recover_primal_reference(state, inst, MAX_TIE_ENUM)
+        assert report.activations.tobytes() == activations.tobytes()
+        assert [x.tobytes() for x in report.flows] == [x.tobytes() for x in flows]
+        if 0 < report.tie_count <= MAX_TIE_ENUM:
+            assert report.y_hat == pytest.approx(y_hat, rel=1e-12, abs=1e-12)
+        else:
+            assert report.y_hat.tobytes() == y_hat.tobytes()
+        assert report.primal_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        return report
+
+    def priced_state(self, seed, fees, n=6):
+        """The dual state at random prices.  The utility is small next to
+        the fees, so that the primal value shows the fee sum's rounding."""
+        rng = np.random.default_rng(seed)
+        nu = rng.uniform(0.2, 1.5, size=n).tolist()
+        edges = priced_markets(rng, n, nu, fees)
+        inst = Instance(n=n, edges=tuple(edges), utility=QuadraticUtility([0.0] * n, 1e-6))
+        return dual_value_and_gradient(inst, nu)[2], inst
+
+    @pytest.mark.parametrize("m", [BATCH_MIN, BATCH_MIN + 13])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fee_free(self, seed, m):
+        state, inst = self.priced_state(seed, [lambda support: 0.0] * m)
+        report = self.assert_block_recovery(state, inst)
+        assert report.tie_count == 0 and np.all(report.activations == -1.0)
+
+    def test_negative_zero_fees(self):
+        # at zero prices every market is active with no flow, and its fee
+        # of -0.0 (a document may hold one) is summed from -0.0, not 0.0 as
+        # in the loop: P = U - fees is 0.0 either way
+        rng = np.random.default_rng(6)
+        edges = priced_markets(rng, 4, [0.0] * 4, [lambda support: -0.0] * BATCH_MIN)
+        inst = Instance(n=4, edges=tuple(edges), utility=QuadraticUtility([-1.0] * 4, 0.5))
+        state = dual_value_and_gradient(inst, [0.0] * 4)[2]
+        report = self.assert_block_recovery(state, inst)
+        assert np.all(report.activations == -1.0) and report.primal_value.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fees_leave_markets_inactive(self, seed):
+        # fees from 1e-5 to 1.5 times the support: the fee sum rounds
+        # differently in any other order
+        rng = np.random.default_rng(100 + seed)
+        scales = rng.permutation(np.concatenate([np.exp(rng.uniform(-12.0, 0.0, size=40)),
+                                                 rng.uniform(0.5, 1.5, size=40)]))
+        state, inst = self.priced_state(seed, [lambda support, k=k: k * support for k in scales])
+        report = self.assert_block_recovery(state, inst)
+        assert report.tie_count == 0
+        assert 0 < np.count_nonzero(report.activations) < inst.m
+        for x, lam in zip(report.flows, report.activations):
+            assert lam == -1.0 or x.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("ties", [1, 5, MAX_TIE_ENUM, MAX_TIE_ENUM + 1, MAX_TIE_ENUM + 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties(self, seed, ties):
+        rng = np.random.default_rng(200 + seed)
+        fees = ([lambda support: support] * ties
+                + [lambda support, k=k: k * support for k in rng.uniform(0.5, 1.5, size=BATCH_MIN)])
+        state, inst = self.priced_state(seed, fees)
+        report = self.assert_block_recovery(state, inst)
+        assert report.tie_count == ties
+        if ties > MAX_TIE_ENUM:  # beyond the cap every tied market stays active
+            assert np.all(report.activations[:ties] == -1.0)
+
+    def test_routing_tie_deactivates_a_market(self):
+        # a routing cell whose best pattern drops tied market 44, which the
+        # dual state holds active with its maximizer
+        inst = gen_bench_instance(BenchConfig(n=17, mu=1e-2, q0=1.0, seed=1))
+        state = minimize_dual(inst)
+        report = self.assert_block_recovery(state, inst)
+        dropped = [i for i, tied in enumerate(state.tied)
+                   if tied and report.activations[i] == 0.0]
+        assert dropped == [44]
+        assert state.active[44] and any(state.points[44])
+        assert type(report.flows[44]) is np.ndarray and report.flows[44].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("q0", [0.0, 0.01, 1.0])
+    def test_linear_routing_instances(self, q0):
+        # the routing_linear_docs path: one evaluation at nu = c
+        for seed in range(2):
+            inst = gen_bench_instance(BenchConfig(n=28, mu=0.0, q0=q0, seed=seed))
+            self.assert_block_recovery(minimize_dual(inst), inst)
+
+    def test_lbfgs_state_with_a_zero_price(self):
+        # c_0 far below 0 holds node 0's price at 0, where the markets on it
+        # have no maximizer: the active ones take the fallback point and the
+        # inactive ones keep none
+        rng = np.random.default_rng(3)
+        pairs = [(0, 1), (0, 2)] * 3 + [tuple(int(v) for v in rng.choice(np.arange(1, 5), 2,
+                                                                          replace=False))
+                                        for _ in range(BATCH_MIN - 2)]
+        edges = tuple(Edge(ProductMarketEdge(rng.uniform(1.0, 10.0, size=2)), pair,
+                           fee=float(rng.choice([0.0, 5.0, 50.0]))) for pair in pairs)
+        inst = Instance(n=5, edges=edges,
+                        utility=QuadraticUtility([-1e9, 1.0, 1.5, 0.8, 1.2], 1.0))
+        state = minimize_dual(inst)
+        assert state.nu[0] == 0.0 and state.stop in ("grad", "gap")
+        zero_priced = [(state.active[i], state.points[i]) for i in range(6)]
+        assert any(on and point is not None for on, point in zero_priced)
+        assert any(not on and point is None for on, point in zero_priced)
+        self.assert_block_recovery(state, inst)
+
+    def test_block_that_is_not_finite_is_left_to_the_loop(self):
+        # an infinite price overflows a market's support: the loop stops at
+        # the first infinite term and the state keeps no block
+        rng = np.random.default_rng(4)
+        edges = priced_markets(rng, 4, [1.0] * 4, [lambda support: 0.0] * BATCH_MIN)
+        program = _program(edges)
+        assert program.block is not None
+        prices = [math.inf, 1.0, 1.0, 1.0]
+        state = _evaluate(FixedConjugate(0.0, None), program, prices)
+        assert state.g == math.inf and state._block is None
+        looped = _evaluate(FixedConjugate(0.0, None), list(program), prices)
+        for name in ("values", "points", "active", "tied"):
+            assert _bits(getattr(state, name)) == _bits(getattr(looped, name)), name
+
+    def test_program_with_a_half_line_takes_the_loop(self):
+        rng = np.random.default_rng(5)
+        c = rng.uniform(0.5, 1.5, size=5)
+        edges = priced_markets(rng, 5, c, [lambda support: 0.5 * support] * BATCH_MIN)
+        edges.insert(7, Edge(HalfLineEdge(2.0), (3,), fee=0.1))
+        inst = Instance(n=5, edges=tuple(edges), utility=LinearUtility(c))
+        assert _program(inst.edges).block.others
+        state = minimize_dual(inst)
+        assert state._block is None
+        report = recover_primal(state, inst)
+        value, activations, y_hat, flows = recover_primal_reference(state, inst, MAX_TIE_ENUM)
+        assert report.activations.tobytes() == activations.tobytes()
+        assert [x.tobytes() for x in report.flows] == [x.tobytes() for x in flows]
+        assert report.flows[7].shape == (1,) and report.activations[7] == -1.0
+        assert report.y_hat.tobytes() == y_hat.tobytes()
+        assert report.primal_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    def test_equality_and_repr_ignore_the_block(self):
+        inst = gen_bench_instance(BenchConfig(n=10, mu=0.0, q0=0.01, seed=0))
+        inst = replace(inst, edges=inst.edges * 2)  # 50 markets
+        state = minimize_dual(inst)
+        assert state._block is not None
+        looped = replace(state)
+        assert looped == state and repr(looped) == repr(state)
+        assert "_block" not in repr(state)
+
+
 class TestVerifyOptimality:
     def test_zero_gap_is_optimal(self):
         assert verify_optimality(solve(capped_instance(0.5))).status == "optimal"
