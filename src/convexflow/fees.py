@@ -23,8 +23,8 @@ import numpy as np
 from . import solver as _solver
 from .conic import ClippedCone, FlowCone
 from .errors import EnumerationBudgetError
-from .model import Instance, LinearUtility, QuadraticUtility, ThresholdUtility, _floats
-from .sets import DEFAULT_TOL, FlowSet, as_vector, scaled_tol
+from .model import Instance, LinearUtility, QuadraticUtility, ThresholdUtility
+from .sets import DEFAULT_TOL, FlowSet, _floats, as_vector, scaled_tol
 from .solver import SolveReport, SolverOptions
 
 # edges of the largest instance brute force enumerates: 2^20 patterns
@@ -135,17 +135,17 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     rather than solver drift.  No primal point is recovered.  Among
     patterns of equal total the earlier in mask order wins.
 
-    One evaluation, subset sums: the solver's program is built once with
-    its fees zeroed, so at any price nu the dual of S is Ubar(nu) plus
-    the terms max(f_i(nu), 0) of the edges in S.  One evaluation of the
-    full program therefore gives every pattern's dual at nu, as the
+    One evaluation, subset sums: with its fees zeroed, the solver's
+    program gives at any price nu the dual of S as Ubar(nu) plus the
+    terms max(f_i(nu), 0) of the edges in S.  One evaluation of the full
+    fee-free program therefore gives every pattern's dual at nu, as the
     subset sums of its edge terms (``_subset_sums``), added in the order
     ``solver._evaluate`` adds them; the fee totals are subset sums too.
 
     * threshold -- without fees every breakpoint is 0: a pattern is
       feasible when its supplies at unit price reach b, and is then
-      minimized at price 0, where its dual is the full program's.  One
-      evaluation at 0 values every feasible pattern.
+      minimized at price 0, where no edge term is positive: its dual is
+      Ubar(0), and brute force evaluates no edge.
     * linear -- every pattern's dual is minimized at nu = c, so the full
       program's one evaluation there values every pattern.
     * quadratic -- a best-first branch and bound (``_best_first``).  The
@@ -169,17 +169,17 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     m = instance.m
     if m > MAX_EDGES:
         raise EnumerationBudgetError(f"{m} edges exceed the {MAX_EDGES}-edge budget")
-    program = [(kernel, nodes, 0.0, unique)
-               for kernel, nodes, _, unique in _solver._program(instance.edges)]
+    program = _solver._program(instance.edges)
     fee_totals = _subset_sums(0.0, [edge.fee for edge in instance.edges])
     utility = instance.utility
     best, best_mask, evaluated = utility.value([0.0] * instance.n), 0, 1
     values: list[float | None] = []  # by mask: each pattern's minimum, None when infeasible
     if isinstance(utility, ThresholdUtility):
         reach = _subset_sums(0.0, [h for h, _ in _solver._unit_supplies(program)])
-        value = _solver._evaluate(utility, program, [0.0]).g
+        value = utility.conjugate([0.0])[0]
         values = [value if -utility.b + r >= 0.0 else None for r in reach]
     elif m:
+        program = [(kernel, nodes, 0.0, unique) for kernel, nodes, _, unique in program]
         full = _solver._minimize(utility, program, opts)
         at_full = _subset_sums(utility.conjugate(full.nu)[0], full.values)
         if isinstance(utility, LinearUtility):

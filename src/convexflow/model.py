@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import SchemaError
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
-                   PiecewiseLinearGain, ProductMarketEdge, RationalGain, _array, _index,
-                   _real, as_vector, scaled_tol)
+                   PiecewiseLinearGain, ProductMarketEdge, RationalGain, _array, _floats,
+                   _index, _real, as_vector, scaled_tol)
 
 SCHEMA_VERSION = 1
 
@@ -62,15 +62,6 @@ def _weights(c: Sequence[float]) -> list[float]:
     if not all(map(math.isfinite, weights)):
         raise ValueError("c must hold finite numbers")
     return weights
-
-
-def _floats(v, dim: int) -> list[float]:
-    """A price or net-flow vector as a list of floats.  A list of length
-    ``dim``, such as the solver's own prices, passes through; anything else
-    goes through ``as_vector``."""
-    if type(v) is list and len(v) == dim:
-        return v
-    return as_vector(v, dim).tolist()
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:

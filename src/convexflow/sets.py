@@ -57,6 +57,15 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+def _floats(v, dim: int) -> list[float]:
+    """A vector as a list of floats.  A list of length ``dim``, such as the
+    solver's own prices, passes through; anything else goes through
+    ``as_vector``."""
+    if type(v) is list and len(v) == dim:
+        return v
+    return as_vector(v, dim).tolist()
+
+
 def _real(value, what: str) -> float:
     """A real number as a Python float.  JSON's int and float pass by their
     exact type; any other ``numbers.Real`` (numpy scalars) is converted;
@@ -295,12 +304,12 @@ class CappedConcaveEdge(FlowSet):
         self.upper_bound = np.array([0.0, gain.best_output(capacity)])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        v = as_vector(x, 2)
-        if v[0] > scaled_tol(tol, 0.0):
+        x1, x2 = _floats(x, 2)
+        if x1 > scaled_tol(tol, 0.0):
             return False
-        w = min(self.capacity, max(0.0, -v[0]))
+        w = min(self.capacity, max(0.0, -x1))
         bound = self.gain.best_output(w)
-        return v[1] <= bound + scaled_tol(tol, bound)
+        return x2 <= bound + scaled_tol(tol, bound)
 
     def support(self, price) -> Support:
         return support_from_kernel(self, price)
@@ -334,11 +343,11 @@ class LinearTickEdge(FlowSet):
         self.upper_bound = np.array([0.0, self._out])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        v = as_vector(x, 2)
-        if v[0] > scaled_tol(tol, 0.0):
+        x1, x2 = _floats(x, 2)
+        if x1 > scaled_tol(tol, 0.0):
             return False
-        bound = self.price * min(self.cap, max(0.0, -v[0]))
-        return v[1] <= bound + scaled_tol(tol, bound)
+        bound = self.price * min(self.cap, max(0.0, -x1))
+        return x2 <= bound + scaled_tol(tol, bound)
 
     def support(self, price) -> Support:
         return support_from_kernel(self, price)
@@ -394,13 +403,13 @@ class ProductMarketEdge(FlowSet):
         return np.array((self._r1, self._r2))
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        v = as_vector(x, 2)
+        x1, x2 = _floats(x, 2)
         r1, r2 = self._r1, self._r2
-        if v[0] > r1 + scaled_tol(tol, r1):
+        if x1 > r1 + scaled_tol(tol, r1):
             return False
-        if v[1] > r2 + scaled_tol(tol, r2):
+        if x2 > r2 + scaled_tol(tol, r2):
             return False
-        prod = max(r1 - v[0], 0.0) * max(r2 - v[1], 0.0)
+        prod = max(r1 - x1, 0.0) * max(r2 - x2, 0.0)
         return prod >= self.invariant - scaled_tol(tol, self.invariant)
 
     def support(self, price) -> Support:
@@ -465,8 +474,7 @@ class HalfLineEdge(FlowSet):
         self.upper_bound = np.array([cap])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        v = as_vector(x, 1)
-        return v[0] <= self.cap + scaled_tol(tol, self.cap)
+        return _floats(x, 1)[0] <= self.cap + scaled_tol(tol, self.cap)
 
     def support(self, price) -> Support:
         return support_from_kernel(self, price)

@@ -85,11 +85,12 @@ floats, in the same pass that lays every edge's flow out flat: the
 report's flows are views of the one numpy array this makes.  This is
 ``_evaluate``'s split on the same rule.  Tied edges
 are enumerated (up to ``MAX_TIE_ENUM``) in one numpy pass and the
-best-valued primal kept.  The tie matrix of that pass (each tied edge's
-scattered maximizer and its fee, one row per edge) is built as one flat
-Python list and becomes one numpy array, multiplied once by the cached
-pattern matrix; without a tie the base net flow is valued alone, with no
-pattern matrix.  The report's activations, net flow and prices become
+best-valued primal kept: one flat Python list, which becomes one numpy
+array, holds each tied edge's scattered maximizer and fee over a last
+row of the base net flow and fee, and one product with the cached
+pattern matrix, whose last column of ones adds the base, gives every
+pattern's net flow and fee total.  Without a tie the base net flow is
+valued alone.  The report's activations, net flow and prices become
 numpy arrays once, as the report leaves.  Weak duality makes [primal
 value, dual value] a bracket on the true optimum in every case.
 
@@ -695,19 +696,12 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualStat
     line its cap, and the gradient follows.
     """
     b = utility.b
-    kept = _unit_supplies(program)
-    breakpoints = sorted({0.0} | {q / h for h, q in kept if h > 0.0})
-
-    def slope_after(point: float) -> float:
-        return -b + sum(h for h, q in kept
-                        if h > 0.0 and q < h * point + 1e-15 * max(1.0, q))
-
-    minimizer = None
-    for point in breakpoints:
-        if slope_after(point) >= 0.0:
-            minimizer = point
+    supplying = [(h, q) for h, q in _unit_supplies(program) if h > 0.0]
+    # the first breakpoint after which the slope is >= 0
+    for minimizer in sorted({0.0} | {q / h for h, q in supplying}):
+        if -b + sum(h for h, q in supplying if q < h * minimizer + 1e-15 * max(1.0, q)) >= 0.0:
             break
-    if minimizer is None:
+    else:
         raise InfeasibleProblemError(
             "threshold dual decreases without bound; total edge supply "
             "cannot reach the demanded net flow")
@@ -749,9 +743,10 @@ def _minimize(utility: Utility, program: Program, opts: SolverOptions | None) ->
 
 @functools.cache
 def _tie_patterns(t: int) -> np.ndarray:
-    """The (2^t, t) float64 0/1 pattern matrix whose row k holds the bits
-    of k, built once per t and read-only."""
-    bits = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(float)
+    """The (2^t, t + 1) float64 0/1 pattern matrix whose row k holds the
+    bits of k and a 1, the base's; built once per t and read-only."""
+    bits = ((np.arange(2 ** t)[:, None] >> np.arange(t + 1)) & 1).astype(float)
+    bits[:, t] = 1.0
     bits.flags.writeable = False
     return bits
 
@@ -762,25 +757,28 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     Activations are integral by construction.  Tied edges (support equal
     to the fee within tolerance) are enumerated up to ``MAX_TIE_ENUM``
     and the best-valued primal kept; beyond the cap the active branch is
-    kept, which is always feasible by the dominating-point property.
+    kept, which is always feasible by the dominating-point property.  A
+    state whose g is not finite has no primal point: ``ValueError``.
 
     The 2^t patterns of t enumerated ties are valued in one pass, with one
-    matrix product: ``bits``, the (2^t, t) 0/1 pattern matrix
-    (``_tie_patterns``), times ``[C_tied | q_tied]``, whose row k is tied
-    edge k's maximizer scattered to its nodes followed by its fee.  The
-    first n columns of the product plus ``y_base`` are the net flows, and
-    its last column plus ``fee_base`` the fees.  The rows are built in one
-    flat Python list, which becomes one numpy array.  The base pattern
-    (every tied edge active, the last row) is kept unless another pattern
-    is strictly better; among equally good patterns the first in mask
-    order wins.  Without an enumerated tie there is one
-    pattern, ``y_base``, valued once, with no matrix product.
+    matrix product: ``bits``, the (2^t, t + 1) 0/1 pattern matrix
+    (``_tie_patterns``, last column all ones), times ``[C_tied | q_tied]``
+    (row k: tied edge k's maximizer scattered to its nodes, then its fee)
+    over a last row ``[y_base | fee_base]``.  The product's first n
+    columns are the net flows and its last column the fees.  The rows
+    are one flat Python list, which becomes one numpy array.  The base
+    pattern (every tied edge active, the last row of ``bits``) is kept
+    unless another pattern is strictly better; among equally good
+    patterns the first in mask order wins.  Without an enumerated tie
+    there is one pattern, ``y_base``, valued once, with no matrix product.
 
     A state of a markets-only ``BatchedProgram`` carries its block's
     arrays from ``_evaluate``, of which one ``np.bincount`` and one
     ``cumsum``, both adding in edge order, give ``y_base`` and
     ``fee_base`` as the per-edge loop does, bit for bit.
     """
+    if not math.isfinite(state.g):
+        raise ValueError(f"no primal point to recover from a dual state with g = {state.g}")
     n, edges = instance.n, instance.edges
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
@@ -817,20 +815,20 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
         flows = [data[a:b] for a, b in zip(starts, starts[1:])]
     active = list(state.active)
     if enumerated:
-        # [C_tied | q_tied], row by row in one flat list; a tied edge is
-        # active, since |f - q| <= tol gives f >= q - tol
+        # [C_tied | q_tied] over [y_base | fee_base], row by row in one flat
+        # list; a tied edge is active, since |f - q| <= tol gives f >= q - tol
         t, width = len(enumerated), n + 1
-        tied_rows = [0.0] * (t * width)
+        rows = [0.0] * (t * width)
         for row, i in zip(range(0, t * width, width), enumerated):
             for j, x in zip(edges[i].nodes, state.points[i]):
-                tied_rows[row + j] = x
-            tied_rows[row + n] = edges[i].fee
+                rows[row + j] = x
+            rows[row + n] = edges[i].fee
+        rows += [*y_base, fee_base]  # y_base: a list, or the block's array
         # sums of flows or fees near the float maximum overflow to inf, which
         # the selection below takes as it comes; numpy would warn on stderr
         with np.errstate(over="ignore"):
-            sums = _tie_patterns(t) @ np.array(tied_rows).reshape(t, width)
-            ys = sums[:, :n] + y_base
-            values = instance.utility.values(ys) - (sums[:, n] + fee_base)
+            sums = _tie_patterns(t) @ np.array(rows).reshape(t + 1, width)
+            values = instance.utility.values(sums[:, :n]) - sums[:, n]
         best = int(values.argmax())
         if not values[best] > values[-1]:
             best = len(values) - 1  # the base pattern: every tied edge active
@@ -838,7 +836,7 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
             active[i] = bool(best >> k & 1)  # bits[best, k]
             if not active[i]:
                 flows[i] = np.zeros(len(edges[i].nodes))
-        y_hat, value = ys[best].copy(), float(values[best])
+        y_hat, value = sums[best, :n].copy(), float(values[best])
     else:
         y_hat = np.array(y_base)
         value = float(instance.utility.values(y_hat[None])[0]) - fee_base

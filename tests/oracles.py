@@ -338,6 +338,44 @@ def recover_primal_reference(state, instance, max_tie_enum: int):
     return value, np.where(active, -1.0, 0.0), y, [np.asarray(x, dtype=float) for x in flows]
 
 
+def tie_pass_reference(state, instance, max_tie_enum: int):
+    """(value, activations, y_hat) of recovery's tie pass by the two-step
+    formula: the product of the (2^t, t) 0/1 pattern matrix with the tied
+    edges' scattered maximizers and fees first, then the base net flow
+    added to the flows and the base fee to the fees.  The base is every
+    active edge that is not enumerated, summed on floats in edge order."""
+    n, edges = instance.n, instance.edges
+    tied = [i for i, t in enumerate(state.tied) if t]
+    enumerated = tied if len(tied) <= max_tie_enum else []
+    y_base, fee_base = [0.0] * n, 0.0
+    for i, (edge, on, point) in enumerate(zip(edges, state.active, state.points)):
+        if on and i not in enumerated:
+            for j, x in zip(edge.nodes, point):
+                y_base[j] += x
+            fee_base += edge.fee
+    active = np.array(state.active, dtype=bool)
+    if not enumerated:
+        y = np.array(y_base)
+        return (float(instance.utility.values(y[None])[0]) - fee_base,
+                np.where(active, -1.0, 0.0), y)
+    t = len(enumerated)
+    tied_rows = np.zeros((t, n + 1))
+    for k, i in enumerate(enumerated):
+        tied_rows[k, list(edges[i].nodes)] = state.points[i]
+        tied_rows[k, n] = edges[i].fee
+    bits = np.array([[mask >> k & 1 for k in range(t)] for mask in range(2 ** t)], dtype=float)
+    with np.errstate(over="ignore"):
+        sums = bits @ tied_rows
+        ys = sums[:, :n] + np.array(y_base)
+        values = instance.utility.values(ys) - (sums[:, n] + fee_base)
+    best = int(values.argmax())
+    if not values[best] > values[-1]:
+        best = 2 ** t - 1  # the base pattern: every tied edge active
+    for k, i in enumerate(enumerated):
+        active[i] = bool(best >> k & 1)
+    return float(values[best]), np.where(active, -1.0, 0.0), ys[best]
+
+
 def conjugate_reference(utility, nu):
     """sup_y U(y) - nu @ y and its maximizer, in numpy vector arithmetic."""
     v = as_vector(nu, utility.dim)

@@ -6,7 +6,8 @@ import pytest
 
 from convexflow import solver
 from convexflow.bench import gen_knapsack_instance
-from convexflow.calculus import minkowski_sum
+from convexflow.calculus import (aggregate, intersection, lift, minkowski_sum,
+                                 nonneg_matrix_image, scale)
 from convexflow.conic import ClippedCone, FlowCone
 from convexflow.errors import EnumerationBudgetError, UnboundedProblemError
 from convexflow.fees import brute_force_optimum, gap_bounds, q_membership, round_relaxation
@@ -593,3 +594,60 @@ class TestBracketOnRandomInstances:
             assert reference <= report.dual_value + 1e-6
             sf = (inst.n + 1) * inst.max_fee()
             assert report.dual_value - reference <= sf + 1e-6
+
+
+def _sets_at_zero_price():
+    """Every built-in family, every calculus rule and ``BelowHalfLine``."""
+    families = builtin_families()
+    capped, market = families["capped_rational"], families["product_market"]
+    return {
+        **families,
+        "infinite_cap": HalfLineEdge(math.inf),
+        "below_half_line": BelowHalfLine(-2.0),
+        "scale": scale(market, 1.7),
+        "scale_zero": scale(capped, 0.0),
+        "matrix_image": nonneg_matrix_image(capped, np.array([[1.0, 0.2], [0.0, 1.5]])),
+        "lift": lift(market, [2, 0], 3),
+        "minkowski_sum": minkowski_sum(capped, market),
+        "intersection": intersection(capped, families["linear_tick"]),
+        "aggregate": aggregate([(capped, [0, 1]), (market, [1, 2])], 3),
+        "scaled_half_line": scale(HalfLineEdge(2.0), 0.3),
+        "half_line_sum": minkowski_sum(HalfLineEdge(1.5), HalfLineEdge(2.5)),
+        "half_line_intersection": intersection(HalfLineEdge(1.5), HalfLineEdge(2.5)),
+    }
+
+
+class TestThresholdBruteForceAtPriceZero:
+    """Brute force values every feasible threshold pattern by the
+    conjugate at price 0 alone, since no edge term is positive there."""
+
+    @pytest.mark.parametrize("name", list(_sets_at_zero_price()))
+    def test_no_edge_term_at_price_zero(self, name):
+        the_set = _sets_at_zero_price()[name]
+        assert max(the_set.kernel([0.0] * the_set.dim)[0], 0.0) == 0.0
+
+    @pytest.mark.parametrize("specs", [
+        [("scale", 2.0, 0.3), ("scale", 1.0, 4.0), ("half_line", 0.7, None)],
+        [("sum", 1.5, 2.5), ("half_line", 3.0, None), ("sum", 0.25, 0.5)],
+        [("intersection", 1.5, 2.5), ("intersection", 4.0, 0.5), ("half_line", 1.0, None)],
+        [("scale", 3.0, 0.0), ("sum", 1.0, 1.0), ("intersection", 2.0, 3.0),
+         ("below", -1.0, None), ("half_line", 0.5, None)],
+    ], ids=["scaled", "sums", "intersections", "mixed"])
+    @pytest.mark.parametrize("b", [0.0, 1.75, 3.5, 100.0])
+    def test_one_dimensional_calculus_sets(self, specs, b):
+        def make(kind, a, c):
+            if kind == "scale":
+                return scale(HalfLineEdge(a), c)
+            if kind == "sum":
+                return minkowski_sum(HalfLineEdge(a), HalfLineEdge(c))
+            if kind == "intersection":
+                return intersection(HalfLineEdge(a), HalfLineEdge(c))
+            return BelowHalfLine(a) if kind == "below" else HalfLineEdge(a)
+
+        fees = [0.0, 0.6, 1.25, 0.3, 2.0]
+        edges = tuple(Edge(make(*spec), (0,), fee=fee) for spec, fee in zip(specs, fees))
+        inst = Instance(n=1, edges=edges, utility=ThresholdUtility(b))
+        result = brute_force_optimum(inst)
+        value, pattern, feasible, _ = brute_force_reference(inst)
+        assert (result.value.hex(), result.pattern) == (float(value).hex(), pattern)
+        assert result.evaluated == feasible

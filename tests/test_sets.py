@@ -252,3 +252,114 @@ def test_capped_gauge_scales(alpha, w):
 def test_upper_bounds_hold(family_set, rng):
     for x in sample_members(family_set, rng, 40):
         assert np.all(x <= family_set.upper_bound + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# membership reads its point as floats (``sets._floats``)
+# ---------------------------------------------------------------------------
+
+def _beyond(bound: float, times: float = 1.0) -> float:
+    """``bound`` plus ``times`` its scaled tolerance at the default 1e-9."""
+    return bound + times * 1e-9 * max(1.0, abs(bound))
+
+
+_NAN, _INF = math.nan, math.inf
+_RATIONAL_OUT = RationalGain().value(1.0)
+_TICK_OUT = 0.9 * 1.5
+
+# (family, point, member): at a bound, at its tolerance, one tolerance
+# beyond it, NaN and infinite entries, and an infinite cap
+CONTAINS_CASES = [
+    ("capped_rational", [-1.0, _RATIONAL_OUT], True),
+    ("capped_rational", [-1.0, _beyond(_RATIONAL_OUT)], True),
+    ("capped_rational", [-1.0, _beyond(_RATIONAL_OUT, 2.0)], False),
+    ("capped_rational", [-5.0, _RATIONAL_OUT], True),
+    ("capped_rational", [1e-9, 0.0], True),
+    ("capped_rational", [2e-9, 0.0], False),
+    ("capped_rational", [_NAN, 0.0], True),    # a NaN input is read as no input
+    ("capped_rational", [0.0, _NAN], False),
+    ("capped_rational", [-_INF, _RATIONAL_OUT], True),
+    ("capped_piecewise", [-0.4, 0.5], True),
+    ("capped_piecewise", [-0.4, _beyond(0.5, 2.0)], False),
+    ("capped_piecewise", [-3.0, 1.0], True),
+    ("capped_piecewise", [-3.0, _beyond(1.0, 2.0)], False),
+    ("linear_tick", [-1.5, _TICK_OUT], True),
+    ("linear_tick", [-1.5, _beyond(_TICK_OUT)], True),
+    ("linear_tick", [-1.5, _beyond(_TICK_OUT, 2.0)], False),
+    ("linear_tick", [2e-9, 0.0], False),
+    ("linear_tick", [_NAN, 0.0], True),
+    ("linear_tick", [-1.0, _NAN], False),
+    ("linear_tick", [-_INF, _TICK_OUT], True),
+    ("product_market", [-2.0, 2.5], True),     # (2 + 2)(5 - 2.5) = k = 10
+    ("product_market", [-2.0, 2.5 + 1e-9], True),
+    ("product_market", [-2.0, 2.5 + 5e-9], False),
+    ("product_market", [_beyond(2.0), -1e300], False),
+    ("product_market", [_beyond(2.0, 2.0), -1e300], False),
+    ("product_market", [0.0, _beyond(5.0, 2.0)], False),
+    ("product_market", [_NAN, 0.0], False),
+    ("product_market", [-_INF, 0.0], True),
+    ("product_market", [-_INF, 5.0], False),   # inf * 0 is NaN
+    ("half_line", [3.0], True),
+    ("half_line", [_beyond(3.0)], True),
+    ("half_line", [_beyond(3.0, 2.0)], False),
+    ("half_line", [-_INF], True),
+    ("half_line", [_INF], False),
+    ("half_line", [_NAN], False),
+    ("infinite_cap", [1e308], True),
+    ("infinite_cap", [_INF], True),
+    ("infinite_cap", [_NAN], False),
+    ("zero_cap", [1e-9], True),
+    ("zero_cap", [2e-9], False),
+]
+
+
+def _contains_family(name):
+    sets = {**builtin_families(), "infinite_cap": HalfLineEdge(math.inf),
+            "zero_cap": HalfLineEdge(0.0)}
+    return sets[name]
+
+
+class TestContainsReadsFloats:
+    """Each family's ``contains`` answers the same for every form of its
+    point: a list (read as it is), a tuple, a numpy array and, at
+    dimension 1, a scalar."""
+
+    @pytest.mark.parametrize("name, point, member", CONTAINS_CASES)
+    def test_every_form_gives_the_same_answer(self, name, point, member):
+        the_set = _contains_family(name)
+        forms = [list(point), tuple(point), np.array(point)]
+        if the_set.dim == 1:
+            forms += [point[0], np.float64(point[0]), np.array(point[0])]
+        for form in forms:
+            assert the_set.contains(form) == member, form
+
+    @pytest.mark.parametrize("name", [*builtin_families(), "infinite_cap"])
+    def test_wrong_lengths_are_refused(self, name):
+        the_set = _contains_family(name)
+        for n in (0, the_set.dim + 1, the_set.dim + 2):
+            for form in ([0.0] * n, (0.0,) * n, np.zeros(n)):
+                with pytest.raises(ValueError, match="expected a vector of length"):
+                    the_set.contains(form)
+        if the_set.dim == 2:
+            with pytest.raises(ValueError, match="expected a vector of length"):
+                the_set.contains(0.0)
+
+    @pytest.mark.parametrize("name, points, gauges", [
+        ("capped_rational", [[-0.5, 0.2], [-3.0, 0.9], [0.0, 0.1]],
+         ["0x1.9999998800000p-2", "0x1.ccccccc600000p+0", "inf"]),
+        ("capped_piecewise", [[-0.5, 0.3], [-3.0, 2.0], [-0.1, 0.0]],
+         ["0x1.5555554800000p-2", "0x1.2aaaaaa700000p+1", "0x1.0000000000000p-31"]),
+        ("linear_tick", [[-1.0, 0.5], [-0.2, 1.0], [0.3, 0.1]],
+         ["0x1.7b425ec800000p-2", "inf", "inf"]),
+        ("product_market", [[-1.0, 1.5], [1.0, -3.0], [1.5, 1.0]],
+         ["0x1.7fffffe400000p-1", "0x1.7fffffbf00000p+1", "inf"]),
+        ("half_line", [[1.0], [4.5], [-1.0]],
+         ["0x1.5555555555555p-2", "0x1.8000000000000p+0", "0x0.0p+0"]),
+    ])
+    def test_gauge_values_are_kept(self, name, points, gauges):
+        # the bisection gauge reads membership at numpy points; these are
+        # its values, bit for bit, from before membership read floats
+        the_set = _contains_family(name)
+        for point, expected in zip(points, gauges):
+            for form in (point, np.array(point)):
+                assert float(the_set.gauge(form)).hex() == expected

@@ -18,14 +18,16 @@ from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              PiecewiseLinearGain, ProductMarketEdge)
 from convexflow.solver import (BATCH_MIN, GAP_TOL, MAX_TIE_ENUM, SolveReport, SolverOptions,
-                               _evaluate, _minimize, _program, dual_value_and_gradient,
+                               _evaluate, _minimize, _program, _tie_patterns,
+                               dual_value_and_gradient,
                                minimize_dual, recover_primal, report_to_document, solve,
                                verify_optimality)
 
 from conftest import builtin_families, mixed_instance
 from oracles import (central_difference, conjugate_reference, dense_selector,
                      evaluate_dual_reference, lbfgs_reference,
-                     recover_primal_reference, threshold_minimizer_reference)
+                     recover_primal_reference, threshold_minimizer_reference,
+                     tie_pass_reference)
 
 
 def capped_instance(fee, c=(1.0, 4.0), mu=None):
@@ -1102,3 +1104,81 @@ def test_report_document_schema():
     assert doc["edges"][0]["lambda"] == -1.0
     assert doc["edges"][0]["value"] == pytest.approx(1.0)
     assert doc["edges"][0]["tied"] is False
+
+
+class TestTiePass:
+    """Recovery values the tie patterns with one product, the base net flow
+    and fee riding as a last row under an all-ones column; the two-step
+    formula (product, then the base added) gives the same bits."""
+
+    def assert_tie_pass(self, state, inst):
+        report = recover_primal(state, inst)
+        value, activations, y_hat = tie_pass_reference(state, inst, MAX_TIE_ENUM)
+        assert report.primal_value.hex() == value.hex()
+        assert report.activations.tobytes() == activations.tobytes()
+        assert report.y_hat.tobytes() == y_hat.tobytes()
+        return report
+
+    @pytest.mark.parametrize("t", range(1, MAX_TIE_ENUM + 1))
+    def test_patterns(self, t):
+        bits = _tie_patterns(t)
+        assert bits.shape == (2 ** t, t + 1) and bits.dtype == float
+        assert np.all(bits[:, t] == 1.0)
+        assert all(bits[k, :t].tolist() == [float(k >> j & 1) for j in range(t)]
+                   for k in range(2 ** t))
+        assert not bits.flags.writeable
+        assert _tie_patterns(t) is bits
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["plain", "batched"])
+    @pytest.mark.parametrize("t", range(1, MAX_TIE_ENUM + 1))
+    def test_random_priced_markets(self, t, batched):
+        # t markets whose fee is their support at the prices (non-integer
+        # exact ties) among markets with fees apart from theirs
+        for seed in range(2):
+            rng = np.random.default_rng([300, t, seed])
+            n = int(rng.integers(2, 6))
+            nu = rng.uniform(0.2, 1.5, size=n).tolist()
+            others = (BATCH_MIN if batched else 0) + int(rng.integers(0, 6))
+            fees = ([lambda support: support] * t
+                    + [lambda support, k=k: k * support for k in rng.uniform(0.5, 1.5, size=others)])
+            edges = priced_markets(rng, n, nu, fees)
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+            inst = Instance(n=n, edges=tuple(edges),
+                            utility=QuadraticUtility(rng.uniform(-1.0, 1.0, size=n),
+                                                     float(rng.uniform(1e-3, 1.0))))
+            state = dual_value_and_gradient(inst, nu)[2]
+            assert (state._block is not None) == batched
+            assert self.assert_tie_pass(state, inst).tie_count == t
+
+    @pytest.mark.filterwarnings("error")
+    def test_sums_that_overflow(self):
+        # two items of 10^308: the flow and fee sums of the full pattern
+        # overflow to inf, which the pass takes as it comes, quietly
+        inst = gen_knapsack_instance([10 ** 308, 10 ** 308], 10 ** 308)
+        state = minimize_dual(inst)
+        report = self.assert_tie_pass(state, inst)
+        assert report.tie_count == 2
+        assert report.primal_value == -1e308 and report.activations.tolist().count(-1.0) == 1
+
+
+class TestRecoveryRefusesNonFiniteDual:
+    """A dual state whose g is not finite has no primal point to recover."""
+
+    def test_infinite_edge_term(self):
+        # the supply 10 at price 1e308 overflows, so the evaluation stops at
+        # this edge, active with no point
+        inst = Instance(n=1, edges=(Edge(HalfLineEdge(10.0), (0,), fee=1.0),),
+                        utility=ThresholdUtility(0.5))
+        state = dual_value_and_gradient(inst, [1e308])[2]
+        assert state.g == math.inf and state.active == [True] and state.points == [None]
+        with pytest.raises(ValueError, match="g = inf"):
+            recover_primal(state, inst)
+
+    def test_nan_price(self):
+        inst = capped_instance(0.5, mu=0.3)
+        state = dual_value_and_gradient(inst, [math.nan, 1.0])[2]
+        assert not math.isfinite(state.g)
+        with pytest.raises(ValueError, match="g = inf"):
+            recover_primal(state, inst)
+        with pytest.raises(ValueError, match="g = nan"):
+            recover_primal(replace(minimize_dual(inst), g=math.nan), inst)
