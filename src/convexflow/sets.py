@@ -305,7 +305,7 @@ class CappedConcaveEdge(FlowSet):
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         x1, x2 = _floats(x, 2)
-        if x1 > scaled_tol(tol, 0.0):
+        if not x1 <= scaled_tol(tol, 0.0):  # NaN-safe: max(0.0, nan) below is 0.0
             return False
         w = min(self.capacity, max(0.0, -x1))
         bound = self.gain.best_output(w)
@@ -344,7 +344,7 @@ class LinearTickEdge(FlowSet):
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         x1, x2 = _floats(x, 2)
-        if x1 > scaled_tol(tol, 0.0):
+        if not x1 <= scaled_tol(tol, 0.0):  # NaN-safe: max(0.0, nan) below is 0.0
             return False
         bound = self.price * min(self.cap, max(0.0, -x1))
         return x2 <= bound + scaled_tol(tol, bound)

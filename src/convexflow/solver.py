@@ -24,20 +24,19 @@ maximizers, the conjugate (``utility.conjugate``), the gradient, the
 L-BFGS direction and history, and the threshold scan are float lists,
 because the instances the fee checks solve thousands of times have one
 to four nodes, where a numpy call costs more than the arithmetic it does.
-The one exception is the routing experiment's scale: a program with at
-least ``BATCH_MIN`` constant-product markets is a ``BatchedProgram``,
-which also carries them as one numpy block
+The one exception is the routing experiment's scale: a program made
+entirely of constant-product markets, at least ``BATCH_MIN`` of them, is
+a ``BatchedProgram``, which also carries them as one numpy block
 (``ProductMarketEdge.batch_kernel``).  ``_program`` reads every edge's
 entry and each market's reserves, nodes and fee in one pass over the
 edges, and turns the markets' columns into arrays once.  ``_evaluate``
-computes the block
-in one pass by the per-edge loop's float operations and adds it to g
-and the gradient in edge order, so a program of markets alone gets the
-loop's state bit for bit.  ``BATCH_MIN`` is measured: with fewer
-markets, building the block and evaluating it once costs more than the
-loop.  The fee checks' programs, with one market at most, stay plain
-lists.  Otherwise numpy appears only where a state leaves the
-solver: the ``DualState`` returned by ``minimize_dual`` and
+computes the block in one pass by the per-edge loop's float operations,
+adding to g and the gradient in edge order, so it gets the loop's state
+bit for bit.  ``BATCH_MIN`` is measured: with fewer markets, building
+the block and evaluating it once costs more than the loop.  A program
+with an edge of another family, such as each fee check's, is a plain
+list and takes the loop.  Otherwise numpy appears only where a state
+leaves the solver: the ``DualState`` returned by ``minimize_dual`` and
 ``dual_value_and_gradient`` (and the one ``solve_conic`` recovers from)
 holds numpy ``nu`` and ``gradient``, and ``SolveReport`` its numpy
 fields.  Internal callers, such as brute force, take the float state
@@ -74,22 +73,20 @@ Utility branches:
   maximizer just above 0, so recovery can meet the demand.
 
 Primal recovery scatters the maximizers of the active, untied edges into
-a feasible net flow.  A markets-only ``BatchedProgram`` reads the arrays
-its final evaluation built: the report's flows are the rows of the
-block's flows (each market's maximizer when active, else zeros), and one
+a feasible net flow.  A ``BatchedProgram`` reads the arrays its final
+evaluation built: the report's flows are the rows of the block's flows
+(each market's maximizer when active, else zeros), and one
 ``np.bincount`` and one ``cumsum`` give the net flow and the fees,
 adding in edge order as the loop does, so the report is the loop's bit
-for bit.  Every other program (each fee
-check, and a batched one with other edges) takes the loop, on Python
-floats, in the same pass that lays every edge's flow out flat: the
-report's flows are views of the one numpy array this makes.  This is
-``_evaluate``'s split on the same rule.  Tied edges
-are enumerated (up to ``MAX_TIE_ENUM``) in one numpy pass and the
-best-valued primal kept: one flat Python list, which becomes one numpy
-array, holds each tied edge's scattered maximizer and fee over a last
-row of the base net flow and fee, and one product with the cached
-pattern matrix, whose last column of ones adds the base, gives every
-pattern's net flow and fee total.  Without a tie the base net flow is
+for bit.  Every other program takes the loop, on Python floats, in the
+same pass that lays every edge's flow out flat: the report's flows are
+views of the one numpy array this makes.  This is ``_evaluate``'s split
+on the same rule.  Tied edges are enumerated (up to ``MAX_TIE_ENUM``) in
+one numpy pass and the best-valued primal kept: one flat Python list,
+which becomes one numpy array, holds each tied edge's scattered
+maximizer and fee over a last row of the base net flow and fee, and one
+product with the cached pattern matrix, whose last column of ones adds
+the base, gives every pattern's net flow and fee total.  Without a tie the base net flow is
 valued alone.  The report's activations, net flow and prices become
 numpy arrays once, as the report leaves.  Weak duality makes [primal
 value, dual value] a bracket on the true optimum in every case.
@@ -143,9 +140,9 @@ MAX_BACKTRACKS = 40
 DUAL_FLOOR = -1e15
 # tied edges that recovery enumerates at most; beyond, all stay active
 MAX_TIE_ENUM = 12
-# constant-product edges from which a program evaluates them as one numpy
-# block: the fewest at which building and evaluating the block once beats
-# the per-edge loop (measured)
+# edges from which a program of constant-product edges alone evaluates them
+# as one numpy block: the fewest at which building and evaluating the block
+# once beats the per-edge loop (measured)
 BATCH_MIN = 36
 # the stops of a converged solve
 CONVERGED = ("grad", "gap", "exact")
@@ -155,17 +152,16 @@ class _Block(NamedTuple):
     """The constant-product edges of a program, evaluated as one numpy block."""
 
     kernel: Callable         # ``ProductMarketEdge.batch_kernel`` of their sets
-    rows: list[int]          # their program indices, in edge order
     nodes: np.ndarray        # each one's two nodes, interleaved in edge order
     fees: np.ndarray
-    others: list[tuple]      # (index, entry) of every other edge, in edge order
 
 
 class BatchedProgram(list):
-    """A ``Program`` that also carries its constant-product edges as one
-    numpy block, ``block``.  ``_program`` builds one when there are at
-    least ``BATCH_MIN`` of them; every other program is a plain list,
-    such as the fee checks' and each pattern of brute force.
+    """A ``Program`` of constant-product edges alone that also carries them
+    as one numpy block, ``block``.  ``_program`` builds one when every
+    edge is a market and there are at least ``BATCH_MIN`` of them; every
+    other program is a plain list, such as the fee checks' and each
+    pattern of brute force.
     """
 
     block: _Block
@@ -236,9 +232,9 @@ class DualState:
     stop: str = "exact"
     certificate: Certificate | None = None
     trace: list[float] = field(default_factory=list)
-    # (flows, activity, nodes, fees) of a markets-only block as its
-    # evaluation left them, which ``recover_primal`` reads instead of the
-    # per-edge lists; None for every other state
+    # (flows, activity, nodes, fees) of a block as its finite evaluation
+    # left them, which ``recover_primal`` reads instead of the per-edge
+    # lists; None for every other state
     _block: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -293,26 +289,21 @@ def _program(edges: Sequence[Edge]) -> Program:
         return [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
                 for edge in edges]
     # one pass reads each edge's entry and each market's reserves, nodes and fee
-    entries, rows, reserves, nodes, fees, others = [], [], [], [], [], []
-    for i, edge in enumerate(edges):
+    entries, reserves, nodes, fees = [], [], [], []
+    for edge in edges:
         the_set, edge_nodes, fee = edge.flow_set, edge.nodes, edge.fee
-        entry = (the_set.kernel, edge_nodes, fee, the_set.unique_maximizer)
-        entries.append(entry)
+        entries.append((the_set.kernel, edge_nodes, fee, the_set.unique_maximizer))
         if type(the_set) is ProductMarketEdge:
-            rows.append(i)
             reserves += (the_set._r1, the_set._r2)
             nodes += edge_nodes
             fees.append(fee)
-        else:
-            others.append((i, entry))
-    count = len(rows)
-    if count < BATCH_MIN:
+    count = len(fees)
+    if count < len(entries):  # an edge of another family: the per-edge loop
         return entries
     program = BatchedProgram(entries)
     program.block = _Block(
         kernel=ProductMarketEdge.batch_kernel(np.fromiter(reserves, float, 2 * count)),
-        rows=rows, nodes=np.fromiter(nodes, np.intp, 2 * count),
-        fees=np.fromiter(fees, float, count), others=others)
+        nodes=np.fromiter(nodes, np.intp, 2 * count), fees=np.fromiter(fees, float, count))
     return program
 
 
@@ -324,18 +315,17 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
     Activations and ties follow ``TIE_TOL``.  The evaluation stops at the
     first infinite term, with g = inf.
 
-    A ``BatchedProgram``'s block is evaluated first, in one numpy pass,
-    by the float operations of the per-edge loop below: the terms of g
-    are added one by one in edge order, and the maximizers scattered into
-    the gradient by ``np.bincount``, which also adds in edge order.  So a
-    program of constant-product edges alone gets the loop's state bit for
-    bit.  A block edge with a zero price takes its point from its
-    ``kernel``, through ``_fallback_maximizer`` when active, as the loop
-    does.  A block with a value that is not finite is left to the loop,
-    which stops at the first infinite term.  The loop then evaluates the
-    program's other edges.  When there are none, the state keeps the
-    block's flows (each market's maximizer when active, else zeros), its
-    activity and its nodes and fees for ``recover_primal``.
+    A ``BatchedProgram``'s block is evaluated in one numpy pass, by the
+    float operations of the per-edge loop below: the terms of g are added
+    one by one in edge order, and the maximizers scattered into the
+    gradient by ``np.bincount``, which also adds in edge order, so the
+    state is the loop's bit for bit.  A market with a zero price takes
+    its point from its ``kernel``, through ``_fallback_maximizer`` when
+    active, as the loop does.  The state keeps the block's flows (each
+    market's maximizer when active, else zeros), its activity and its
+    nodes and fees for ``recover_primal``.  A block with a value that is
+    not finite is left to the loop, which stops at the first infinite
+    term; so is every plain program.
     """
     tie_tol = TIE_TOL
     conj_value, conj_max = utility.conjugate(prices)
@@ -344,10 +334,8 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
                       points=[None] * m, active=[False] * m, tied=[False] * m)
     if not math.isfinite(conj_value):
         return state
-    values, points, active, tied = state.values, state.points, state.active, state.tied
     grad = [0.0] * len(prices)
     g = conj_value
-    rest = enumerate(program)  # the edges the loop evaluates, with their indices
     block = getattr(program, "block", None)  # a ``BatchedProgram``'s
     if block is not None:
         # a zero price divides by zero and an extreme one overflows, as in
@@ -373,7 +361,7 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
             block_active = on.tolist()
             if 0.0 in prices:
                 for k in np.flatnonzero((pulled == 0.0).reshape(-1, 2).any(axis=1)).tolist():
-                    kernel, nodes = program[block.rows[k]][:2]
+                    kernel, nodes = program[k][:2]
                     xi = [prices[j] for j in nodes]
                     point = kernel(xi)[1]
                     if block_active[k]:
@@ -382,34 +370,29 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
                         weights[2 * k:2 * k + 2] = point
                     block_points[k] = point
             grad = np.bincount(block.nodes, weights, len(prices)).tolist()
-            records = (supports.tolist(), block_points, block_active,
-                       (np.abs(excess) <= tol).tolist())
-            if not block.others:
-                state.values, state.points, state.active, state.tied = records
-                state._block = (weights, on, block.nodes, block.fees)
-            else:
-                for record, target in zip(records, (values, points, active, tied)):
-                    for i, item in zip(block.rows, record):
-                        target[i] = item
-            rest = block.others
-    for i, (kernel, nodes, fee, _) in rest:
-        xi = [prices[j] for j in nodes]
-        value, point = kernel(xi)
-        values[i] = value
-        if not math.isfinite(value):
-            active[i] = True
-            return state
-        scale = max(1.0, abs(value), fee)
-        tied[i] = abs(value - fee) <= tie_tol * scale
-        if value > fee:
-            g += value - fee
-        if value >= fee - tie_tol * scale:
-            active[i] = True
-            if point is None:
-                point = _fallback_maximizer(kernel, xi)
-            for j, x in zip(nodes, point):
-                grad[j] += x
-        points[i] = point
+            state.values, state.points, state.active, state.tied = (
+                supports.tolist(), block_points, block_active, (np.abs(excess) <= tol).tolist())
+            state._block = (weights, on, block.nodes, block.fees)
+    if state._block is None:  # a plain program, or a block that is not finite
+        values, points, active, tied = state.values, state.points, state.active, state.tied
+        for i, (kernel, nodes, fee, _) in enumerate(program):
+            xi = [prices[j] for j in nodes]
+            value, point = kernel(xi)
+            values[i] = value
+            if not math.isfinite(value):
+                active[i] = True
+                return state
+            scale = max(1.0, abs(value), fee)
+            tied[i] = abs(value - fee) <= tie_tol * scale
+            if value > fee:
+                g += value - fee
+            if value >= fee - tie_tol * scale:
+                active[i] = True
+                if point is None:
+                    point = _fallback_maximizer(kernel, xi)
+                for j, x in zip(nodes, point):
+                    grad[j] += x
+            points[i] = point
     state.g = g
     if conj_max is None:
         # linear utility: any y maximizes at nu = c; completing with the
@@ -772,8 +755,8 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     patterns the first in mask order wins.  Without an enumerated tie
     there is one pattern, ``y_base``, valued once, with no matrix product.
 
-    A state of a markets-only ``BatchedProgram`` carries its block's
-    arrays from ``_evaluate``, of which one ``np.bincount`` and one
+    A finite state of a ``BatchedProgram`` carries its block's arrays
+    from ``_evaluate``, of which one ``np.bincount`` and one
     ``cumsum``, both adding in edge order, give ``y_base`` and
     ``fee_base`` as the per-edge loop does, bit for bit.
     """
@@ -783,9 +766,9 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     tied = [i for i, t in enumerate(state.tied) if t]
     enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
     if state._block is not None:
-        # the markets-only block of the evaluation: its flows are the
-        # report's, and the active markets that are not enumerated scatter
-        # into y_base and fee_base, added in edge order as in the loop below
+        # the block of the evaluation: its flows are the report's, and the
+        # active markets that are not enumerated scatter into y_base and
+        # fee_base, added in edge order as in the loop below
         weights, kept, nodes, fees = state._block
         flows = list(weights.reshape(-1, 2).copy())
         if enumerated:

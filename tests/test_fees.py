@@ -121,6 +121,14 @@ class TestRounding:
         with pytest.raises(ValueError):
             round_relaxation(inst, [(np.array([-1.0, 0.8]), -1.0)])
 
+    def test_nan_input_rejected(self):
+        # max(0.0, nan) is 0.0: read as no input, the point would be kept
+        # and give an objective of nan
+        inst = Instance(n=2, edges=(Edge(CappedConcaveEdge(capacity=1.0), (0, 1)),),
+                        utility=LinearUtility([1.0, 4.0]))
+        with pytest.raises(ValueError, match="not in the clipped cone"):
+            round_relaxation(inst, [([math.nan, 0.0], -1)])
+
     def test_rounding_feasibility_sampled(self, rng):
         # clipped-cone samples from every built-in family land in Q
         for name, the_set in builtin_families().items():

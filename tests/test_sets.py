@@ -276,7 +276,7 @@ CONTAINS_CASES = [
     ("capped_rational", [-5.0, _RATIONAL_OUT], True),
     ("capped_rational", [1e-9, 0.0], True),
     ("capped_rational", [2e-9, 0.0], False),
-    ("capped_rational", [_NAN, 0.0], True),    # a NaN input is read as no input
+    ("capped_rational", [_NAN, 0.0], False),
     ("capped_rational", [0.0, _NAN], False),
     ("capped_rational", [-_INF, _RATIONAL_OUT], True),
     ("capped_piecewise", [-0.4, 0.5], True),
@@ -287,7 +287,7 @@ CONTAINS_CASES = [
     ("linear_tick", [-1.5, _beyond(_TICK_OUT)], True),
     ("linear_tick", [-1.5, _beyond(_TICK_OUT, 2.0)], False),
     ("linear_tick", [2e-9, 0.0], False),
-    ("linear_tick", [_NAN, 0.0], True),
+    ("linear_tick", [_NAN, 0.0], False),
     ("linear_tick", [-1.0, _NAN], False),
     ("linear_tick", [-_INF, _TICK_OUT], True),
     ("product_market", [-2.0, 2.5], True),     # (2 + 2)(5 - 2.5) = k = 10
@@ -299,6 +299,11 @@ CONTAINS_CASES = [
     ("product_market", [_NAN, 0.0], False),
     ("product_market", [-_INF, 0.0], True),
     ("product_market", [-_INF, 5.0], False),   # inf * 0 is NaN
+    # k = 1e-20 is below its tolerance, so the product test accepts every
+    # point and only the reserve caps refuse one beyond them
+    ("tiny_market", [1.0, 0.0], False),
+    ("tiny_market", [0.0, 1.0], False),
+    ("tiny_market", [0.0, 0.0], True),
     ("half_line", [3.0], True),
     ("half_line", [_beyond(3.0)], True),
     ("half_line", [_beyond(3.0, 2.0)], False),
@@ -315,7 +320,7 @@ CONTAINS_CASES = [
 
 def _contains_family(name):
     sets = {**builtin_families(), "infinite_cap": HalfLineEdge(math.inf),
-            "zero_cap": HalfLineEdge(0.0)}
+            "zero_cap": HalfLineEdge(0.0), "tiny_market": ProductMarketEdge([1e-10, 1e-10])}
     return sets[name]
 
 

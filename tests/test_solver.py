@@ -320,31 +320,6 @@ class TestBatchedProductMarkets:
         for name in ("g", "gradient", "values", "points", "active", "tied"):
             assert _bits(getattr(batched, name)) == _bits(getattr(looped, name)), name
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_mixed_programs_agree(self, data):
-        # the other families' terms are added after the block's, so g and
-        # the gradient agree to rounding; each edge's own record is equal
-        n = data.draw(st.integers(3, 6))
-        prices = data.draw(st.lists(_prices, min_size=n, max_size=n))
-        edges = data.draw(_market_edges(n, prices))
-        families = [f for name, f in builtin_families().items() if name != "product_market"]
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        for _ in range(int(rng.integers(1, 9))):
-            the_set = families[rng.integers(len(families))]
-            nodes = tuple(int(v) for v in rng.choice(n, size=the_set.dim, replace=False))
-            edges.insert(int(rng.integers(len(edges) + 1)),
-                         Edge(the_set, nodes, fee=float(rng.uniform(0.0, 2.0))))
-        batched, looped = _evaluations(data, edges, n, prices)
-        if looped.g == math.inf:
-            assert batched.g == math.inf
-            return
-        assert batched.g == pytest.approx(looped.g, rel=1e-12, abs=1e-12)
-        if looped.gradient is not None:
-            assert batched.gradient == pytest.approx(looped.gradient, rel=1e-12, abs=1e-12)
-        for name in ("values", "points", "active", "tied"):
-            assert _bits(getattr(batched, name)) == _bits(getattr(looped, name)), name
-
     def test_small_programs_build_no_block(self):
         # the benchmark's fee instances: knapsacks of half lines, and the
         # mixed instances with one product market each
@@ -357,6 +332,8 @@ class TestBatchedProductMarkets:
         markets = [Edge(ProductMarketEdge([2.0, 3.0]), (0, 1))] * BATCH_MIN
         assert type(_program(markets[1:])) is list
         assert _program(markets).block is not None
+        # an edge of another family sends a program of any size to the loop
+        assert type(_program(markets + [Edge(HalfLineEdge(1.0), (0,))])) is list
 
 
 def _outcome(fn, *args):
@@ -1000,7 +977,7 @@ class TestBlockRecovery:
         edges = priced_markets(rng, 5, c, [lambda support: 0.5 * support] * BATCH_MIN)
         edges.insert(7, Edge(HalfLineEdge(2.0), (3,), fee=0.1))
         inst = Instance(n=5, edges=tuple(edges), utility=LinearUtility(c))
-        assert _program(inst.edges).block.others
+        assert type(_program(inst.edges)) is list
         state = minimize_dual(inst)
         assert state._block is None
         report = recover_primal(state, inst)
