@@ -409,8 +409,12 @@ class ProductMarketEdge(FlowSet):
             return False
         if x2 > r2 + scaled_tol(tol, r2):
             return False
+        # a tolerance relative to k however small: an absolute one accepts
+        # draining a market whose k is below it (for k >= 1 this is the
+        # float of scaled_tol)
+        k = self.invariant
         prod = max(r1 - x1, 0.0) * max(r2 - x2, 0.0)
-        return prod >= self.invariant - scaled_tol(tol, self.invariant)
+        return prod >= k - tol * k
 
     def support(self, price) -> Support:
         return support_from_kernel(self, price)

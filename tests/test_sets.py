@@ -131,6 +131,14 @@ class TestProductMarketEdge:
         assert value == pytest.approx(1.0)
         assert point is None
 
+    def test_tiny_market_contains_its_own_maximizer(self):
+        # k = 1e-20, far below the tolerance: the product test still holds
+        # the kernel's point on the reserve curve
+        edge = ProductMarketEdge([1e-10, 1e-10])
+        point = edge.kernel([1.0, 2.0])[1]
+        assert point[0] < 0.0 < point[1]
+        assert edge.contains(point)
+
 
 class TestHalfLineEdge:
     def test_oracles(self):
@@ -299,11 +307,12 @@ CONTAINS_CASES = [
     ("product_market", [_NAN, 0.0], False),
     ("product_market", [-_INF, 0.0], True),
     ("product_market", [-_INF, 5.0], False),   # inf * 0 is NaN
-    # k = 1e-20 is below its tolerance, so the product test accepts every
-    # point and only the reserve caps refuse one beyond them
+    # k = 1e-20: the product's tolerance is relative to k however small, so
+    # draining both reserves (product 0) is refused as for any market
     ("tiny_market", [1.0, 0.0], False),
     ("tiny_market", [0.0, 1.0], False),
     ("tiny_market", [0.0, 0.0], True),
+    ("tiny_market", [1e-10, 1e-10], False),
     ("half_line", [3.0], True),
     ("half_line", [_beyond(3.0)], True),
     ("half_line", [_beyond(3.0, 2.0)], False),

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -847,12 +848,20 @@ class TestBlockRecovery:
         looped = replace(state)
         assert looped._block is None and looped == state
         report = recover_primal(state, inst)
-        assert_reports_bit_equal(report, recover_primal(looped, inst))
-        # one array of two floats per market, the report's own
+        looped_report = recover_primal(looped, inst)
+        assert_reports_bit_equal(report, looped_report)
+        # one (m, 2) float array, the report's own; its rows are arrays of
+        # two floats, one per market
+        flows = report.flows
+        assert type(flows) is np.ndarray and flows.shape == (inst.m, 2) and flows.dtype == float
+        assert not np.shares_memory(flows, state._block[0])
         assert len(report.flows) == inst.m
         assert all(type(x) is np.ndarray and x.shape == (2,) and x.dtype == float
                    for x in report.flows)
         assert not np.shares_memory(report.flows[0], state._block[0])
+        # the document of the loop's list of rows, to the byte
+        assert (json.dumps(report_to_document(report))
+                == json.dumps(report_to_document(looped_report)))
         # the reference lays out the same flows and picks the same pattern;
         # it values each pattern and sums an enumerated pattern's net flow
         # in its own order, which rounds differently
