@@ -76,9 +76,9 @@ Primal recovery scatters the maximizers of the active, untied edges into
 a feasible net flow.  A ``BatchedProgram`` reads the arrays its final
 evaluation built: the report's flows are one (m, 2) array, a copy of
 the block's flows (each market's maximizer when active, else zeros),
-its activations and tied edges come from the block's activity and tie
-masks, and one ``np.bincount`` and one ``cumsum`` give the net flow and
-the fees, adding in edge order as the loop does, so the report is the
+its activations are one ``np.where`` over the block's activity mask,
+and one ``np.bincount`` and one ``cumsum`` give the net flow and the
+fees, adding in edge order as the loop does, so the report is the
 loop's bit for bit.  Every other program takes the loop, on Python
 floats, in the same pass that lays every edge's flow out flat: the
 report's flows are a list of views of the one numpy array this makes.
@@ -89,10 +89,11 @@ one flat Python list, which becomes one numpy array, holds each tied
 edge's scattered maximizer and fee over a last row of the base net flow
 and fee, and one product with the cached pattern matrix, whose last
 column of ones adds the base, gives every pattern's net flow and fee
-total.  Without a tie the base net flow is valued alone.  The report's
-activations, net flow and prices become numpy arrays once, as the
-report leaves.  Weak duality makes [primal value, dual value] a bracket
-on the true optimum in every case.
+total; the kept pattern writes its tied edges' activations.  Without a
+tie the base net flow is valued alone.  The report's net flow and
+prices become numpy arrays once, as the report leaves.  Weak duality
+makes [primal value, dual value] a bracket on the true optimum in every
+case.
 
 ``SolverOptions`` holds the two settings a caller chooses, the L-BFGS's
 ``max_iter`` and ``grad_tol``.  Every other parameter is a constant of
@@ -235,9 +236,9 @@ class DualState:
     stop: str = "exact"
     certificate: Certificate | None = None
     trace: list[float] = field(default_factory=list)
-    # (flows, activity, ties, nodes, fees) of a block as its finite
-    # evaluation left them, which ``recover_primal`` reads instead of the
-    # per-edge lists; None for every other state
+    # (flows, activity, nodes, fees) of a block as its finite evaluation
+    # left them, which ``recover_primal`` reads instead of the per-edge
+    # lists; None for every other state
     _block: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -251,8 +252,9 @@ class SolveReport:
 
     ``flows[i]`` is edge i's flow: a ``BatchedProgram``'s report holds
     them as one (m, 2) float array, every other report as a list of
-    arrays, views of one flat array.  A ``BatchedProgram``'s report also
-    holds ``edge_values`` and ``edge_tied`` as Python floats and bools.
+    arrays, views of one flat array.  Both index, iterate and take row
+    assignment alike, but the array is no list: its truth value is
+    ambiguous and it has no ``append``.
     """
 
     dual_value: float
@@ -381,10 +383,9 @@ def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualSt
                         weights[2 * k:2 * k + 2] = point
                     block_points[k] = point
             grad = np.bincount(block.nodes, weights, len(prices)).tolist()
-            ties = np.abs(excess) <= tol
             state.values, state.points, state.active, state.tied = (
-                supports.tolist(), block_points, block_active, ties.tolist())
-            state._block = (weights, on, ties, block.nodes, block.fees)
+                supports.tolist(), block_points, block_active, (np.abs(excess) <= tol).tolist())
+            state._block = (weights, on, block.nodes, block.fees)
     if state._block is None:  # a plain program, or a block that is not finite
         values, points, active, tied = state.values, state.points, state.active, state.tied
         for i, (kernel, nodes, fee, _) in enumerate(program):
@@ -772,32 +773,30 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
     ``cumsum``, both adding in edge order, give ``y_base`` and
     ``fee_base`` as the per-edge loop does, bit for bit.  Its report's
     flows are one (m, 2) array, a copy of the block's flows, in which the
-    tie pass zeroes a dropped market's row; its tied edges and its
-    activations come from the block's tie and activity masks.  Every other
-    report's flows are a list of views of one flat array.
+    tie pass zeroes a dropped market's row, and its activations come from
+    the block's activity mask.  Every other report's flows are a list of
+    views of one flat array.
     """
     if not math.isfinite(state.g):
         raise ValueError(f"no primal point to recover from a dual state with g = {state.g}")
     n, edges = instance.n, instance.edges
+    tied = [i for i, t in enumerate(state.tied) if t]
+    enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
     if state._block is not None:
         # the block of the evaluation: a copy of its flows is the report's,
-        # and the active markets that are not enumerated scatter into y_base
-        # and fee_base, added in edge order as in the loop below
-        weights, active, ties, nodes, fees = state._block
-        tied = np.flatnonzero(ties).tolist()
-        enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
+        # its activity gives the activations, and the active markets that
+        # are not enumerated scatter into y_base and fee_base, added in edge
+        # order as in the loop below
+        weights, kept, nodes, fees = state._block
         flows = weights.reshape(-1, 2).copy()
-        kept = active
+        activations = np.where(kept, -1.0, 0.0)
         if enumerated:
-            active = active.copy()  # the state's own: the tie pass below writes it
-            kept = active.copy()
+            kept = kept.copy()
             kept[enumerated] = False
             weights = np.where(np.repeat(kept, 2), weights, 0.0)
         y_base = np.bincount(nodes, weights, n)
         fee_base = float(np.where(kept, fees, 0.0).cumsum()[-1])
     else:
-        tied = [i for i, t in enumerate(state.tied) if t]
-        enumerated = tied if len(tied) <= MAX_TIE_ENUM else []
         # one pass lays every edge's flow (its maximizer when active, else
         # zeros) out flat in edge order, and scatters the active edges that
         # are not enumerated into y_base and fee_base
@@ -816,7 +815,7 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
         data = np.array(entries, dtype=float)
         starts.append(len(entries))
         flows = [data[a:b] for a, b in zip(starts, starts[1:])]
-        active = list(state.active)
+        activations = np.array([-1.0 if on else 0.0 for on in state.active])
     if enumerated:
         # [C_tied | q_tied] over [y_base | fee_base], row by row in one flat
         # list; a tied edge is active, since |f - q| <= tol gives f >= q - tol
@@ -836,17 +835,13 @@ def recover_primal(state: DualState, instance: Instance) -> SolveReport:
         if not values[best] > values[-1]:
             best = len(values) - 1  # the base pattern: every tied edge active
         for k, i in enumerate(enumerated):
-            active[i] = bool(best >> k & 1)  # bits[best, k]
-            if not active[i]:
+            if not best >> k & 1:  # bits[best, k]: tied edge i, active, is dropped
+                activations[i] = 0.0
                 flows[i] = np.zeros(len(edges[i].nodes))
         y_hat, value = sums[best, :n].copy(), float(values[best])
     else:
         y_hat = np.array(y_base)
         value = float(instance.utility.values(y_hat[None])[0]) - fee_base
-    if state._block is not None:
-        activations = np.where(active, -1.0, 0.0)
-    else:  # on a few edges the comprehension beats np.where's list conversion
-        activations = np.array([-1.0 if on else 0.0 for on in active])
     gap = state.g - value
     rel_gap = gap / (1.0 + abs(state.g)) if math.isfinite(gap) else math.inf
     return SolveReport(dual_value=state.g, primal_value=value, flows=flows,
@@ -899,21 +894,18 @@ def report_to_document(report: SolveReport) -> dict:
 
     Non-finite values stay floats, which a strict JSON writer refuses.
     A block's report (its flows one (m, 2) array) becomes rows in one
-    ``tolist()`` and takes its edge values and ties as they are, Python
-    floats and bools from the block's ``tolist()``; a list of flows takes
-    one ``tolist()``, ``float()`` and ``bool()`` per edge.
+    ``tolist()``; a list of flows takes one ``tolist()`` per edge.
     """
     flows = report.flows
-    if isinstance(flows, np.ndarray):
-        rows, values, ties = flows.tolist(), report.edge_values, report.edge_tied
-    else:
-        rows = [x.tolist() for x in flows]
-        values, ties = map(float, report.edge_values), map(bool, report.edge_tied)
+    rows = flows.tolist() if isinstance(flows, np.ndarray) else [x.tolist() for x in flows]
     return {
         "objective_dual": float(report.dual_value),
         "objective_primal": float(report.primal_value),
         "gap": float(report.gap),
         "nu": report.nu.tolist(),
-        "edges": [{"x": x, "lambda": lam, "value": value, "tied": tied}
-                  for x, lam, value, tied in zip(rows, report.activations.tolist(), values, ties)],
+        "edges": [
+            {"x": x, "lambda": lam, "value": float(value), "tied": bool(tied)}
+            for x, lam, value, tied in zip(rows, report.activations.tolist(),
+                                           report.edge_values, report.edge_tied)
+        ],
     }

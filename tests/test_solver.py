@@ -1092,6 +1092,20 @@ def test_report_document_schema():
     assert doc["edges"][0]["tied"] is False
 
 
+def test_report_document_writes_python_types():
+    # a report built by hand with (m, 2) flows and numpy values and ties
+    # still makes a document a JSON writer takes
+    report = SolveReport(dual_value=np.float64(1.0), primal_value=1.0,
+                         flows=np.array([[1.0, -2.0], [0.0, 0.0]]),
+                         activations=np.array([-1.0, 0.0]), y_hat=np.array([1.0, -2.0]),
+                         nu=np.array([1.0, 1.0]), gap=0.0, rel_gap=0.0, tie_count=0,
+                         iterations=0, edge_values=np.array([0.5, 0.0]),
+                         edge_tied=np.array([True, False]))
+    doc = json.loads(json.dumps(report_to_document(report)))
+    assert doc["edges"] == [{"x": [1.0, -2.0], "lambda": -1.0, "value": 0.5, "tied": True},
+                            {"x": [0.0, 0.0], "lambda": 0.0, "value": 0.0, "tied": False}]
+
+
 class TestTiePass:
     """Recovery values the tie patterns with one product, the base net flow
     and fee riding as a last row under an all-ones column; the two-step
