@@ -74,12 +74,21 @@ def _solution_points(doc) -> list[tuple[np.ndarray, float]]:
     return points
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _entries(text: str, option: str) -> list[str]:
+    """The comma-separated entries of ``option``; ValueError naming it
+    when one is empty, as in ``3,,4``, ``4,`` or ``''``."""
+    entries = text.split(",")
+    if not all(map(str.strip, entries)):
+        raise ValueError(f"{option} has an empty entry: {text!r}")
+    return entries
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _floats(text: str, option: str) -> list[float]:
+    return [float(v) for v in _entries(text, option)]
+
+
+def _ints(text: str, option: str) -> list[int]:
+    return [int(v) for v in _entries(text, option)]
 
 
 def _cmd_generate(args) -> int:
@@ -90,8 +99,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_knapsack(args) -> int:
-    instance = bench.gen_knapsack_instance(_ints(args.c), args.b)
-    meta = {"generator": "knapsack", "c": _ints(args.c), "b": args.b}
+    weights = _ints(args.c, "--c")
+    instance = bench.gen_knapsack_instance(weights, args.b)
+    meta = {"generator": "knapsack", "c": weights, "b": args.b}
     _write_json(model.to_document(instance, meta=meta), args.out)
     return 0
 
@@ -133,8 +143,8 @@ def _cmd_round(args) -> int:
 def _cmd_bench(args) -> int:
     opts = _solver_options(args)
     seeds = range(args.seeds) if args.seed is None else [args.seed]
-    configs = bench.grid_configs(_ints(args.n), _floats(args.mu),
-                                 _floats(args.q0), seeds)
+    configs = bench.grid_configs(_ints(args.n, "--n"), _floats(args.mu, "--mu"),
+                                 _floats(args.q0, "--q0"), seeds)
     if not configs:
         raise ValueError("the bench grid has no cells: give at least one n, mu, q0 and seed")
     rows = bench.run_bench(configs, csv_path=args.csv, opts=opts)

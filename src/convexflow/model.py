@@ -40,6 +40,7 @@ range.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .errors import SchemaError
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
@@ -259,6 +261,21 @@ def node_degrees(instance: Instance) -> np.ndarray:
 # kind's params and each gain kind have one set of allowed keys, and any
 # other key is refused by name (``meta`` is free-form); ``edge_utility``
 # is one such key, with a message of its own.
+#
+# Text is read by ``_parse``.  orjson decodes it; ``json`` decides only
+# the texts orjson refuses or that nest 100 levels deep, and accepts or
+# refuses them as it always has.  Those are the NaN, Infinity and
+# -Infinity literals Python's ``json.dump`` writes (free in ``meta``,
+# refused by name in any number field), lone surrogates, numbers beyond
+# float range such as 1e400 or a 400-digit integer, a UTF-8 BOM, and
+# nesting too deep for ``json``'s recursion limit.  Both parsers give the
+# same Python values for every other text, floats bit for bit, except an
+# integer at or beyond 2**64 (or below -2**63), which orjson reads as a
+# float: the same value in a number field, and a refusal either way in
+# an integer field (``n``, a node, ``version``), where the message shows
+# the float.  The writers stay on ``json``: ``dumps`` keeps the canonical
+# text (orjson would write 1e-05 as 0.00001 and 1e+22 as 1e22), and the
+# CLI keeps its refusal of NaN, which orjson would write as null.
 
 _DOCUMENT_KEYS = frozenset({"version", "n", "utility", "edges", "meta"})
 _EDGE_KEYS = frozenset({"kind", "params", "nodes", "fee"})
@@ -432,8 +449,38 @@ def dumps(instance: Instance, meta: dict | None = None) -> str:
                       separators=(",", ":"))
 
 
+def _shallow(value, depth: int) -> bool:
+    """Whether the arrays and objects of ``value`` nest less than ``depth``
+    levels deep (False when they nest more; at exactly ``depth`` levels,
+    True only when the innermost ones are empty).
+
+    One ``gc.get_referents`` call per level returns the items of every
+    list and the values of every dict of that level, and a string,
+    number, bool or None refers to nothing, so the walk runs out one
+    level below the deepest array or object, at C speed."""
+    level = [value]
+    for _ in range(depth):
+        level = gc.get_referents(*level)
+        if not level:
+            return True
+    return False
+
+
 def _parse(text: str, what: str):
-    """The JSON value of ``text``; SchemaError naming ``what`` when it is not JSON."""
+    """The JSON value of ``text``; SchemaError naming ``what`` when it is not JSON.
+
+    orjson decodes the text.  ``json`` decides a text orjson refuses (the
+    format comment above ``_DOCUMENT_KEYS`` lists them) and one whose
+    value nests 100 levels or more: orjson reads any depth, where ``json``
+    refuses nesting beyond the interpreter's recursion limit less the
+    caller's stack depth (about 990 levels under the default limit)."""
+    try:
+        value = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if _shallow(value, 100):
+            return value
     # ValueError: bad JSON or an integer too long to convert;
     # RecursionError: arrays or objects nested too deeply to decode
     try:

@@ -102,6 +102,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_node_beyond_64_bits_is_exit_2(self, tmp_path, capsys):
+        # orjson reads an integer at or beyond 2**64 as a float, so the node
+        # is refused as not an integer rather than as out of range
+        inst = tmp_path / "i.json"
+        inst.write_text(ZERO_FEE_HALF_LINE.replace('"nodes": [0]', f'"nodes": [{2 ** 64}]'))
+        assert run(["solve", "--input", str(inst)]) == 2
+        assert capsys.readouterr().err == (
+            "error: edge 0: edge node must be an integer, got 1.8446744073709552e+19\n")
+
 
 class TestRoundCommand:
     def test_round_solution(self, tmp_path):
@@ -306,6 +315,13 @@ INVALID_OPTIONS = {"tol_inf": ["--tol", "inf"], "tol_nan": ["--tol", "nan"],
 EMPTY_GRIDS = {"no_seeds": ["--n", "6", "--seeds", "0"],
                "negative_seeds": ["--n", "6", "--seeds", "-1"],
                "no_n": ["--n", "", "--seeds", "1"]}
+# comma-separated lists with an empty entry, each with the option it names
+EMPTY_ENTRIES = {"knapsack_inner": (["knapsack", "--c", "3,,4", "--b", "1"], "--c"),
+                 "knapsack_no_weight": (["knapsack", "--c", "", "--b", "1"], "--c"),
+                 "knapsack_comma": (["knapsack", "--c", ",", "--b", "1"], "--c"),
+                 "bench_inner_n": (["bench", "--n", "10,,17"], "--n"),
+                 "bench_trailing_mu": (["bench", "--n", "6", "--mu", "0,"], "--mu"),
+                 "bench_leading_q0": (["bench", "--n", "6", "--q0", ",0.01"], "--q0")}
 
 
 class TestInvalidOptions:
@@ -335,6 +351,14 @@ class TestInvalidOptions:
                    + EMPTY_GRIDS[name]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_ENTRIES))
+    def test_empty_list_entry(self, tmp_path, capsys, name):
+        argv, option = EMPTY_ENTRIES[name]
+        out = tmp_path / "out"
+        assert run(argv + (["--csv", str(out)] if argv[0] == "bench" else ["--out", str(out)])) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option} has an empty entry")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

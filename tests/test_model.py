@@ -513,6 +513,130 @@ def test_pathological_text_raises_schema_error(text):
         model.loads(text)
 
 
+# --- orjson reads a document as json does -------------------------------------
+
+def _bits(instance: Instance):
+    """Every field of ``instance`` (n, nodes, fees, set and utility
+    parameters) with each float as its hex form, so that equal results
+    mean equal bits."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return {key: exact(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [exact(v) for v in value]
+        return value
+    return exact(model.to_document(instance))
+
+
+def _same_as_json(text: str):
+    """``model.loads(text)`` loads what ``from_document(json.loads(text))``
+    loads, bit for bit, or refuses it with the same message."""
+    try:
+        expected = _bits(model.from_document(json.loads(text)))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as refused:
+            model.loads(text)
+        assert str(refused.value) == str(exc)
+        return False
+    assert _bits(model.loads(text)) == expected
+    return True
+
+
+# float fields as json.dumps writes any finite double, or as JSON integers
+# from 2**63 (beyond int64) to 10**308
+_float_fields = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.integers(2 ** 63, 10 ** 308))
+
+
+@st.composite
+def _float_field_documents(draw):
+    """A document of every set kind and a drawn utility, each float field
+    drawn; a field with a sign constraint takes the absolute value."""
+    def positive():
+        return abs(draw(_float_fields))
+
+    def edge(kind, params, nodes):
+        return {"kind": kind, "params": params, "nodes": nodes, "fee": positive()}
+
+    n = 3
+    utility = draw(st.sampled_from(["linear", "quadratic"]))
+    doc = {"version": 1, "n": n,
+           "utility": {"kind": utility, "c": [draw(_float_fields) for _ in range(n)]},
+           "edges": [edge("product_market", {"reserves": [positive(), positive()]}, [0, 1]),
+                     edge("capped_concave", {"capacity": positive(),
+                                             "gain": {"kind": "rational"}}, [1, 2]),
+                     edge("linear_tick", {"price": positive(), "cap": positive()}, [2, 0]),
+                     edge("half_line", {"cap": positive()}, [1])]}
+    if utility == "quadratic":
+        doc["utility"]["mu"] = positive()
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_float_field_documents())
+def test_document_loads_as_json_reads_it(doc):
+    _same_as_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n", [28, 46])
+def test_generated_document_loads_as_json_reads_it(n):
+    from convexflow.bench import BenchConfig, bench_meta, gen_bench_instance
+
+    config = BenchConfig(n=n, mu=0.0, q0=0.01, seed=1)
+    text = model.dumps(gen_bench_instance(config), meta=bench_meta(config))
+    assert _same_as_json(text)
+
+
+_HALF_LINE = ('{"version": 1, "n": 1, "utility": {"kind": "threshold", "b": 1.0}, '
+              '"edges": [{"kind": "half_line", "params": {"cap": 2.0}, "nodes": [0], '
+              '"fee": %s}]%s}')
+_MARKET = ('{"version": 1, "n": 2, "utility": {"kind": "linear", "c": [1.0, 1.0]}, '
+           '"edges": [{"kind": %s, "params": {"reserves": [%s, 2.0]}, "nodes": [0, %s], '
+           '"fee": 0.0}]}')
+_RESERVES_REFUSED = ("bad parameters for set kind 'product_market': "
+                     "reserves must be two positive finite numbers")
+
+
+@pytest.mark.parametrize("text,message", [
+    (_HALF_LINE % ("NaN", ""), "edge 0: fee must be finite and nonnegative, got nan"),
+    (_HALF_LINE % ("Infinity", ""), "edge 0: fee must be finite and nonnegative, got inf"),
+    (_HALF_LINE % ("-Infinity", ""), "edge 0: fee must be finite and nonnegative, got -inf"),
+    (_MARKET % ('"product_market"', "NaN", "1"), _RESERVES_REFUSED),
+    (_MARKET % ('"product_market"', "Infinity", "1"), _RESERVES_REFUSED),
+    (_MARKET % ('"product_market"', "-Infinity", "1"), _RESERVES_REFUSED),
+    (_HALF_LINE % ("1e400", ""), "edge 0: fee must be finite and nonnegative, got inf"),
+    (_HALF_LINE % ("1" + "0" * 399, ""), "edge 0: fee is an integer too large for a float"),
+    (_MARKET % ('"\\ud800"', "1.0", "1"), "unknown set kind: '\\ud800'"),
+    ("﻿" + _HALF_LINE % ("0.0", ""),
+     "instance document: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    ("[" * 100_000 + "]" * 100_000,
+     "instance document: not valid JSON: maximum recursion depth exceeded while decoding "
+     "a JSON array from a unicode string"),
+], ids=["nan_fee", "infinity_fee", "minus_infinity_fee", "nan_reserve", "infinity_reserve",
+        "minus_infinity_reserve", "fee_beyond_float", "integer_fee_beyond_float",
+        "lone_surrogate_kind", "byte_order_mark", "nested_too_deeply"])
+def test_text_orjson_refuses_keeps_its_message(text, message):
+    with pytest.raises(SchemaError) as refused:
+        model.loads(text)
+    assert str(refused.value) == message
+
+
+def test_meta_with_nan_and_a_lone_surrogate_loads():
+    inst = model.loads(_HALF_LINE % ("0.5", ', "meta": {"x": NaN, "s": "\\ud800"}'))
+    assert inst.edges[0].fee == 0.5
+
+
+def test_nesting_orjson_reads_and_json_refuses_is_refused():
+    # orjson reads any depth; 2 000 levels in meta exceed json's recursion limit
+    deep = "[" * 2_000 + "]" * 2_000
+    with pytest.raises(SchemaError, match="not valid JSON: maximum recursion depth exceeded"):
+        model.loads(_HALF_LINE % ("0.5", ', "meta": ' + deep))
+    assert model.loads(_HALF_LINE % ("0.5", ', "meta": ' + deep[1800:2200])).m == 1
+
+
 # --- the canonical text form is a fixed point of loads and dumps -------------
 
 _positive = st.floats(0.01, 100.0)
