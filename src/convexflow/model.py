@@ -24,10 +24,21 @@ callers (rounding, brute force, the conic objective) value one net flow
 of a few nodes at a time; ``values(ys)`` stays on numpy for the rows of
 recovery's tie pass and for its one no-tie net flow.
 
-The loader (``from_document``) checks Python-typed values in one pass per
-edge, without numpy, with one decoder per set kind.  A value of the type
-JSON gives it passes on one exact-type test: a nonnegative ``int`` node,
-a ``float`` fee or reserve.  Any other value goes through ``sets._real``,
+The loader (``from_document``) takes one of two paths, decided by the
+edge array alone.  An array of at least ``BATCH_MIN`` edges that are all
+constant-product markets, each valid and in the types JSON gives (a
+``float`` reserve and fee, an ``int`` node, the exact edge and params
+keys), is tested in bulk (``_market_columns``): ``set(map(type, ...))``
+over its values, then ``np.fromiter`` and one range check per column.
+It loads as ``MarketColumns``, three arrays (reserves, nodes, fees),
+which ``Instance`` keeps as its ``edges``; an ``Edge`` is built only
+when one is read, and the solver builds its market block from the arrays.
+Every other array, and every array that fails a bulk test, goes through
+the per-edge loader (``_decode_edges``), the reference and the source of
+every refusal.  It checks Python-typed values in one pass per edge,
+without numpy, with one decoder per set kind.  A value of the type JSON
+gives it passes on one exact-type test: a nonnegative ``int`` node, a
+``float`` fee or reserve.  Any other value goes through ``sets._real``,
 which takes an ``int`` or a ``float`` (or another real number type such
 as a numpy scalar) and refuses booleans, strings and everything else, or
 through ``sets._index`` for counts and node indices; each constructor
@@ -35,15 +46,19 @@ then checks its range with chained comparisons.  Node ranges are checked
 once over all edges in ``Instance``.  Every refusal names its field: a
 missing key, a value that is not an array (``sets._array``), an entry
 that is not a number or is out of its range, an integer beyond float
-range.
+range.  A refused value is shown by the start of its ``repr``
+(``sets._shown``).
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import operator
+import sys
+from collections import abc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,9 +68,14 @@ import orjson
 from .errors import SchemaError
 from .sets import (CappedConcaveEdge, FlowSet, HalfLineEdge, LinearTickEdge,
                    PiecewiseLinearGain, ProductMarketEdge, RationalGain, _array, _floats,
-                   _index, _real, as_vector, scaled_tol)
+                   _index, _real, _shown, as_vector, scaled_tol)
 
 SCHEMA_VERSION = 1
+# markets from which a program made of them alone is held as columns: a
+# document's edge array loads as ``MarketColumns`` and the solver
+# evaluates them as one numpy block.  The fewest at which building and
+# evaluating the block once beats the per-edge loop (measured).
+BATCH_MIN = 36
 
 
 def _weights(c: Sequence[float]) -> list[float]:
@@ -201,23 +221,93 @@ class Edge:
         return len(self.nodes)
 
 
+class MarketColumns(abc.Sequence):
+    """Constant-product market edges held as three columns: ``reserves``
+    (float, r1 and r2 of each market interleaved), ``nodes`` (intp, its
+    two nodes interleaved) and ``fees`` (float), each value already
+    checked as ``ProductMarketEdge`` and ``Edge`` check it.
+
+    As a sequence of ``Edge`` it builds edge i when it is first read and
+    keeps it, so every read returns the same object; a slice is a tuple.
+    Iterating builds every edge not yet read from one list per column.
+    ``of`` holds an existing tuple of edges the same way, keeping each.
+    """
+
+    __slots__ = ("reserves", "nodes", "fees", "_edges", "_whole")
+
+    def __init__(self, reserves: np.ndarray, nodes: np.ndarray, fees: np.ndarray,
+                 edges: Sequence[Edge] | None = None):
+        self.reserves, self.nodes, self.fees = reserves, nodes, fees
+        self._edges = [None] * len(fees) if edges is None else list(edges)
+        self._whole = edges is not None  # whether every edge is built
+
+    @classmethod
+    def of(cls, edges: Sequence[Edge]) -> MarketColumns | None:
+        """The columns of ``edges`` in one pass, or None at the first edge
+        that is not a market."""
+        reserves, nodes, fees = [], [], []
+        for edge in edges:
+            the_set = edge.flow_set
+            if type(the_set) is not ProductMarketEdge:
+                return None
+            reserves += (the_set._r1, the_set._r2)
+            nodes += edge.nodes
+            fees.append(edge.fee)
+        m = len(fees)
+        return cls(np.fromiter(reserves, float, 2 * m), np.fromiter(nodes, np.intp, 2 * m),
+                   np.fromiter(fees, float, m), edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self._edges)))))
+        edge = self._edges[index]
+        if edge is None:
+            i = range(len(self._edges))[index]
+            edge = Edge(ProductMarketEdge(self.reserves[2 * i:2 * i + 2].tolist()),
+                        tuple(self.nodes[2 * i:2 * i + 2].tolist()), self.fees[i].item())
+            self._edges[i] = edge
+        return edge
+
+    def __iter__(self):
+        if not self._whole:
+            reserves, nodes = self.reserves.tolist(), self.nodes.tolist()
+            self._edges = [
+                Edge(ProductMarketEdge(reserves[2 * i:2 * i + 2]), tuple(nodes[2 * i:2 * i + 2]), fee)
+                if edge is None else edge
+                for i, (edge, fee) in enumerate(zip(self._edges, self.fees.tolist()))]
+            self._whole = True
+        return iter(self._edges)
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A convex flow problem: n nodes, hyperedges, and a network utility."""
+    """A convex flow problem: n nodes, hyperedges, and a network utility.
+
+    ``edges`` is a tuple of ``Edge``, or the ``MarketColumns`` of a
+    loaded document made of markets alone, kept as they are.
+    """
 
     n: int
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...] | MarketColumns
     utility: Utility
 
     def __post_init__(self):
         n = _index(self.n, "n")
-        edges = tuple(self.edges)
+        edges = self.edges if type(self.edges) is MarketColumns else tuple(self.edges)
         if n < 1:
             raise ValueError("need at least one node")
         if self.utility.dim != n:
             raise ValueError("utility dimension must equal the node count")
-        # one pass over the nodes of every edge; each is already a nonnegative int
-        if max((v for edge in edges for v in edge.nodes), default=-1) >= n:
+        # each node is already a nonnegative int; columns are checked as one array
+        if type(edges) is MarketColumns:
+            if len(edges) and edges.nodes.max() >= n:
+                k = int(np.argmax(edges.nodes >= n))
+                raise ValueError(f"edge {k // 2}: nodes must be less than n = {n}, "
+                                 f"got {edges.nodes[k]}")
+        elif max((v for edge in edges for v in edge.nodes), default=-1) >= n:
             i, v = next((i, v) for i, edge in enumerate(edges) for v in edge.nodes if v >= n)
             raise ValueError(f"edge {i}: nodes must be less than n = {n}, got {v}")
         object.__setattr__(self, "n", n)
@@ -295,14 +385,14 @@ def _kind_keys(table: dict, kind, what: str) -> frozenset:
     try:
         return table[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise SchemaError(f"unknown {what} kind: {kind!r}") from None
+        raise SchemaError(f"unknown {what} kind: {_shown(kind)}") from None
 
 
 def _unknown_key(doc: dict, allowed: frozenset, where: str) -> SchemaError:
     """The error for the keys of ``doc`` outside ``allowed``, naming them.
     Callers test ``allowed.issuperset(doc)`` first, so a valid object
     costs one subset test and no message."""
-    unknown = ", ".join(sorted(repr(key) for key in doc if key not in allowed))
+    unknown = ", ".join(sorted(_shown(key) for key in doc if key not in allowed))
     return SchemaError(f"{where}: unknown key {unknown}")
 
 
@@ -415,7 +505,7 @@ def from_document(doc: dict) -> Instance:
     except (TypeError, OverflowError):
         supported = False
     if not supported:
-        raise SchemaError(f"unsupported document version: {version!r}")
+        raise SchemaError(f"unsupported document version: {_shown(version)}")
     if not _DOCUMENT_KEYS.issuperset(doc):
         raise _unknown_key(doc, _DOCUMENT_KEYS, "instance document")
     for key in ("n", "utility", "edges"):
@@ -423,8 +513,69 @@ def from_document(doc: dict) -> Instance:
             raise SchemaError(f"missing field {key!r}")
     if not isinstance(doc["edges"], list) or not isinstance(doc["utility"], dict):
         raise SchemaError("edges must be an array and utility an object")
+    edges = _market_columns(doc["edges"], doc["n"])
+    if edges is None:
+        edges = _decode_edges(doc["edges"])
+    try:
+        return Instance(n=doc["n"], edges=edges, utility=_decode_utility(doc["utility"]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _market_columns(edge_docs: list, n) -> MarketColumns | None:
+    """The edges of a document as ``MarketColumns`` when they are at least
+    ``BATCH_MIN`` markets, every one valid and in JSON's exact types: a
+    ``float`` reserve and fee, an ``int`` node.  Otherwise None, and
+    ``_decode_edges`` loads them, or refuses them by name.
+
+    Each test takes only what the per-edge constructors accept, so both
+    give the same values: two reserves with 0 < r < inf and
+    0 < r1 * r2 < inf, 0 <= fee < inf, two distinct nodes with
+    0 <= node < n.  The tests are ``set(map(type, ...))`` over the values
+    and one range check per column; none of them raises."""
+    m = len(edge_docs)
+    if m < BATCH_MIN or type(n) is not int:
+        return None
+    if set(map(type, edge_docs)) != {dict} or set(map(len, edge_docs)) != {len(_EDGE_KEYS)}:
+        return None
+    # four keys each, so four of them present means those four exactly
+    kinds, params, nodes, fees = (list(map(dict.get, edge_docs, itertools.repeat(key)))
+                                  for key in ("kind", "params", "nodes", "fee"))
+    if (set(map(type, kinds)) != {str} or kinds.count("product_market") != m
+            or set(map(type, params)) != {dict} or set(map(len, params)) != {1}):
+        return None
+    reserves = list(map(dict.get, params, itertools.repeat("reserves")))
+    if (set(map(type, reserves)) != {list} or set(map(len, reserves)) != {2}
+            or set(map(type, nodes)) != {list} or set(map(len, nodes)) != {2}):
+        return None
+    reserves = list(itertools.chain.from_iterable(reserves))
+    nodes = list(itertools.chain.from_iterable(nodes))
+    if (set(map(type, reserves)) != {float} or set(map(type, fees)) != {float}
+            or set(map(type, nodes)) != {int}):
+        return None
+    # an n beyond sys.maxsize has no utility of its size, and keeps every
+    # node within intp
+    if not (0 <= min(nodes) and max(nodes) < n <= sys.maxsize):
+        return None
+    reserves = np.fromiter(reserves, float, 2 * m)
+    nodes = np.fromiter(nodes, np.intp, 2 * m)
+    fees = np.fromiter(fees, float, m)
+    with np.errstate(over="ignore"):  # an overflow to inf fails its test below
+        invariants = reserves[0::2] * reserves[1::2]
+    # min and max of an array holding NaN are NaN, which fails each test;
+    # an infinite reserve gives an infinite or NaN product
+    if not (reserves.min() > 0.0 and invariants.min() > 0.0 and invariants.max() < math.inf
+            and fees.min() >= 0.0 and fees.max() < math.inf
+            and (nodes[0::2] != nodes[1::2]).all()):
+        return None
+    return MarketColumns(reserves, nodes, fees)
+
+
+def _decode_edges(edge_docs: list) -> tuple[Edge, ...]:
+    """The edges of a document, one by one: the reference loader, and the
+    source of every refusal of an edge."""
     edges = []
-    for i, edge_doc in enumerate(doc["edges"]):
+    for i, edge_doc in enumerate(edge_docs):
         if not isinstance(edge_doc, dict):
             raise SchemaError(f"edge {i}: must be an object")
         if not _EDGE_KEYS.issuperset(edge_doc):
@@ -436,11 +587,7 @@ def from_document(doc: dict) -> Instance:
             edges.append(Edge(the_set, edge_doc["nodes"], edge_doc.get("fee", 0.0)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"edge {i}: {_reason(exc)}") from exc
-    try:
-        return Instance(n=doc["n"], edges=tuple(edges),
-                        utility=_decode_utility(doc["utility"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(str(exc)) from exc
+    return tuple(edges)
 
 
 def dumps(instance: Instance, meta: dict | None = None) -> str:

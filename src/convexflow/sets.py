@@ -66,6 +66,18 @@ def _floats(v, dim: int) -> list[float]:
     return as_vector(v, dim).tolist()
 
 
+# characters of a refused value's ``repr`` that a message shows at most
+SHOWN_CHARS = 80
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message, cut after ``SHOWN_CHARS``
+    characters: a deeply nested array or a long string in a number field
+    keeps the start that names it, not all of it."""
+    text = repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
+
+
 def _real(value, what: str) -> float:
     """A real number as a Python float.  JSON's int and float pass by their
     exact type; any other ``numbers.Real`` (numpy scalars) is converted;
@@ -78,7 +90,7 @@ def _real(value, what: str) -> float:
             return float(value)
         except OverflowError:  # an int beyond the largest float
             raise OverflowError(f"{what} is an integer too large for a float") from None
-    raise TypeError(f"{what} must be a real number, got {value!r}")
+    raise TypeError(f"{what} must be a real number, got {_shown(value)}")
 
 
 def _array(value, what: str) -> tuple:
@@ -87,7 +99,7 @@ def _array(value, what: str) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise TypeError(f"{what} must be an array, got {value!r}") from None
+        raise TypeError(f"{what} must be an array, got {_shown(value)}") from None
 
 
 def _index(value, what: str) -> int:
@@ -99,7 +111,7 @@ def _index(value, what: str) -> int:
                 raise TypeError
             value = operator.index(value)
         except TypeError:
-            raise TypeError(f"{what} must be an integer, got {value!r}") from None
+            raise TypeError(f"{what} must be an integer, got {_shown(value)}") from None
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
     return value
@@ -224,7 +236,7 @@ class PiecewiseLinearGain:
         for point in _array(points, "points"):
             pair = _array(point, "gain point")
             if len(pair) != 2:
-                raise ValueError(f"gain point must be two numbers, got {point!r}")
+                raise ValueError(f"gain point must be two numbers, got {_shown(point)}")
             pts.append((_real(pair[0], "gain point"), _real(pair[1], "gain point")))
         if not pts:
             raise ValueError("piecewise gain needs at least one breakpoint")
@@ -381,7 +393,7 @@ class ProductMarketEdge(FlowSet):
         try:
             r1, r2 = reserves
         except TypeError:
-            raise TypeError(f"reserves must be an array, got {reserves!r}") from None
+            raise TypeError(f"reserves must be an array, got {_shown(reserves)}") from None
         except ValueError:  # not two entries
             raise ValueError("reserves must be two positive finite numbers") from None
         # JSON's floats pass as they are; anything else through _real

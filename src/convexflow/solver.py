@@ -26,10 +26,14 @@ because the instances the fee checks solve thousands of times have one
 to four nodes, where a numpy call costs more than the arithmetic it does.
 The one exception is the routing experiment's scale: a program made
 entirely of constant-product markets, at least ``BATCH_MIN`` of them, is
-a ``BatchedProgram``, which also carries them as one numpy block
-(``ProductMarketEdge.batch_kernel``).  ``_program`` reads every edge's
-entry and each market's reserves, nodes and fee in one pass over the
-edges, and turns the markets' columns into arrays once.  ``_evaluate``
+a ``BatchedProgram``, built from the markets' columns
+(``model.MarketColumns``: reserves, nodes and fees as arrays) as one
+numpy block (``ProductMarketEdge.batch_kernel``).  ``_program`` takes a
+loaded document's columns as they are, and reads an instance's tuple of
+markets into columns in one pass; the block is built from columns only.
+The program's per-edge entries are made from the edges when read: by
+the zero-price fix-up, by the loop that takes a block that is not
+finite, and by the certificate (which makes them all once).  ``_evaluate``
 computes the block in one pass by the per-edge loop's float operations,
 adding to g and the gradient in edge order, so it gets the loop's state
 bit for bit.  ``BATCH_MIN`` is measured: with fewer markets, building
@@ -98,8 +102,8 @@ case.
 ``SolverOptions`` holds the two settings a caller chooses, the L-BFGS's
 ``max_iter`` and ``grad_tol``.  Every other parameter is a constant of
 this module: ``GAP_TOL``, ``CERTIFICATE_SWEEPS``, ``MEMORY``, ``TIE_TOL``,
-``ARMIJO``, ``BACKTRACK``, ``MAX_BACKTRACKS``, ``DUAL_FLOOR``,
-``MAX_TIE_ENUM`` and ``BATCH_MIN``.
+``ARMIJO``, ``BACKTRACK``, ``MAX_BACKTRACKS``, ``DUAL_FLOOR`` and
+``MAX_TIE_ENUM``, or of ``model``: ``BATCH_MIN``, which the loader shares.
 """
 
 from __future__ import annotations
@@ -110,6 +114,7 @@ import math
 import numbers
 import operator
 import time
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -117,13 +122,13 @@ import numpy as np
 
 from .conic import ConicInstance
 from .errors import InfeasibleProblemError, UnboundedProblemError
-from .model import (Edge, Instance, LinearUtility, QuadraticUtility,
-                    ThresholdUtility, Utility, _dot)
+from .model import (BATCH_MIN, Edge, Instance, LinearUtility, MarketColumns,
+                    QuadraticUtility, ThresholdUtility, Utility, _dot)
 from .sets import ProductMarketEdge, as_vector
 
 # one entry per edge: (the flow set's kernel, the edge's nodes, its fee,
 # whether the set's maximizer is unique at every positive price)
-Program = list[tuple[Callable, tuple[int, ...], float, bool]]
+Program = Sequence[tuple[Callable, tuple[int, ...], float, bool]]
 
 # relative duality gap, g - P <= GAP_TOL * (1 + |g|), of a ``gap`` stop and
 # of ``verify_optimality``'s ``optimal`` tag
@@ -144,10 +149,6 @@ MAX_BACKTRACKS = 40
 DUAL_FLOOR = -1e15
 # tied edges that recovery enumerates at most; beyond, all stay active
 MAX_TIE_ENUM = 12
-# edges from which a program of constant-product edges alone evaluates them
-# as one numpy block: the fewest at which building and evaluating the block
-# once beats the per-edge loop (measured)
-BATCH_MIN = 36
 # the stops of a converged solve
 CONVERGED = ("grad", "gap", "exact")
 
@@ -160,15 +161,34 @@ class _Block(NamedTuple):
     fees: np.ndarray
 
 
-class BatchedProgram(list):
-    """A ``Program`` of constant-product edges alone that also carries them
-    as one numpy block, ``block``.  ``_program`` builds one when every
-    edge is a market and there are at least ``BATCH_MIN`` of them; every
-    other program is a plain list, such as the fee checks' and each
-    pattern of brute force.
+class BatchedProgram(abc.Sequence):
+    """A ``Program`` of constant-product edges alone, built from their
+    ``MarketColumns``: ``block`` holds the columns as one numpy block, and
+    an entry is made from its ``Edge`` when it is read (the zero-price
+    fix-up of ``_evaluate``); iterating makes every entry once and keeps
+    them.  ``_program`` builds one when every edge is a market and there
+    are at least ``BATCH_MIN`` of them; every other program is a plain
+    list, such as the fee checks' and each pattern of brute force.
     """
 
-    block: _Block
+    def __init__(self, markets: MarketColumns):
+        self.markets = markets
+        self.block = _Block(kernel=ProductMarketEdge.batch_kernel(markets.reserves),
+                            nodes=markets.nodes, fees=markets.fees)
+
+    def __len__(self) -> int:
+        return len(self.markets)
+
+    def __getitem__(self, i: int):
+        edge = self.markets[i]
+        return edge.flow_set.kernel, edge.nodes, edge.fee, ProductMarketEdge.unique_maximizer
+
+    @functools.cached_property
+    def _entries(self) -> Program:
+        return list(map(self.__getitem__, range(len(self.markets))))
+
+    def __iter__(self):
+        return iter(self._entries)
 
 
 @dataclass(frozen=True)
@@ -298,26 +318,14 @@ def _fallback_maximizer(kernel: Callable, xi: list[float]) -> tuple[float, ...]:
 
 
 def _program(edges: Sequence[Edge]) -> Program:
-    if len(edges) < BATCH_MIN:  # the fee checks' programs: no scan for markets
-        return [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
-                for edge in edges]
-    # one pass reads each edge's entry and each market's reserves, nodes and fee
-    entries, reserves, nodes, fees = [], [], [], []
-    for edge in edges:
-        the_set, edge_nodes, fee = edge.flow_set, edge.nodes, edge.fee
-        entries.append((the_set.kernel, edge_nodes, fee, the_set.unique_maximizer))
-        if type(the_set) is ProductMarketEdge:
-            reserves += (the_set._r1, the_set._r2)
-            nodes += edge_nodes
-            fees.append(fee)
-    count = len(fees)
-    if count < len(entries):  # an edge of another family: the per-edge loop
-        return entries
-    program = BatchedProgram(entries)
-    program.block = _Block(
-        kernel=ProductMarketEdge.batch_kernel(np.fromiter(reserves, float, 2 * count)),
-        nodes=np.fromiter(nodes, np.intp, 2 * count), fees=np.fromiter(fees, float, count))
-    return program
+    # a loaded document's columns, or at least BATCH_MIN edges that are all
+    # markets, read into columns in one pass: a block
+    markets = edges if type(edges) is MarketColumns else (
+        MarketColumns.of(edges) if len(edges) >= BATCH_MIN else None)
+    if markets is not None:
+        return BatchedProgram(markets)
+    return [(edge.flow_set.kernel, edge.nodes, edge.fee, edge.flow_set.unique_maximizer)
+            for edge in edges]
 
 
 def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualState:

@@ -92,15 +92,38 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("name", sorted(invalid_document_edits()))
     def test_invalid_value_is_exit_2(self, tmp_path, capsys, name):
+        # on 4 markets, and on 196, a document that the market columns'
+        # bulk tests send back to the per-edge loader
         inst = tmp_path / "i.json"
-        run(["generate", "--n", "4", "--seed", "0", "--out", str(inst)])
-        doc = json.loads(inst.read_text())
-        edit, message = invalid_document_edits()[name]
-        edit(doc)
-        inst.write_text(json.dumps(doc))
+        for n in ("4", "28"):
+            run(["generate", "--n", n, "--seed", "0", "--out", str(inst)])
+            doc = json.loads(inst.read_text())
+            edit, message = invalid_document_edits()[name]
+            edit(doc)
+            inst.write_text(json.dumps(doc))
+            assert run(["solve", "--input", str(inst)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err, n
+
+    @pytest.mark.parametrize("text,start", [
+        (ZERO_FEE_HALF_LINE.replace('"fee": 0.0', '"fee": "%s"' % ("9" * 5_000)),
+         "error: edge 0: fee must be a real number, got '9999"),
+        ('{"version": 1, "n": 2, "utility": {"kind": "linear", "c": [1.0, 1.0]}, '
+         '"edges": [{"kind": "product_market", "params": {"reserves": [%s, 2.0]}, '
+         '"nodes": [0, 1], "fee": 0.0}]}' % ("[" * 900 + "]" * 900),
+         "error: bad parameters for set kind 'product_market': "
+         "reserves must be a real number, got [[[["),
+        (ZERO_FEE_HALF_LINE.replace('"fee": 0.0', '"fee": 0.0, "%s": 1' % ("k" * 5_000)),
+         "error: edge 0: unknown key 'kkkk"),
+    ], ids=["long_string_fee", "deep_reserve", "long_key"])
+    def test_refused_value_is_shown_by_its_start(self, tmp_path, capsys, text, start):
+        # the echo of a refused value stops after sets.SHOWN_CHARS characters
+        inst = tmp_path / "i.json"
+        inst.write_text(text)
         assert run(["solve", "--input", str(inst)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith(start) and err.endswith("...\n") and err.count("\n") == 1
+        assert len(err) <= len(start) + 100
 
     def test_node_beyond_64_bits_is_exit_2(self, tmp_path, capsys):
         # orjson reads an integer at or beyond 2**64 as a float, so the node

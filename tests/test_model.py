@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -685,3 +686,129 @@ def _every_family_instances(draw):
 def test_canonical_text_round_trips(inst):
     text = model.dumps(inst)
     assert model.dumps(model.loads(text)) == text
+
+
+# --- a document of markets alone loads as columns -----------------------------
+
+def _built_and_loaded(n, q0, seed=1):
+    from convexflow.bench import BenchConfig, gen_bench_instance
+
+    built = gen_bench_instance(BenchConfig(n=n, mu=0.0, q0=q0, seed=seed))
+    return built, model.loads(model.dumps(built))
+
+
+def _solution_text(instance):
+    from convexflow.solver import report_to_document, solve
+
+    return json.dumps(report_to_document(solve(instance)))
+
+
+@pytest.mark.parametrize("q0", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("n", [28, 46])
+def test_market_document_loads_as_the_built_instance(n, q0):
+    built, loaded = _built_and_loaded(n, q0)
+    assert type(loaded.edges) is model.MarketColumns and type(built.edges) is tuple
+    assert _bits(loaded) == _bits(built)
+    assert _solution_text(loaded) == _solution_text(built)
+
+
+def test_market_columns_read_as_a_tuple_of_edges():
+    from convexflow.conic import conic_rewrite
+    from convexflow.fees import round_relaxation
+    from convexflow.solver import solve
+
+    built, loaded = _built_and_loaded(28, 0.01)
+    edges = loaded.edges
+    assert len(edges) == len(built.edges) == 196
+    assert edges[-1] is edges[195] is edges[-1]
+    assert [e.nodes for e in edges[3:9:2]] == [e.nodes for e in built.edges[3:9:2]]
+    assert type(edges[3:9:2]) is tuple and edges[3:9:2][0] is edges[3]
+    last = edges[-1]  # read before any iteration, and kept by it
+    assert all(a is b for a, b in zip(edges, list(edges)))
+    assert edges[-1] is last is list(edges)[-1]
+    for a, b in zip(edges, built.edges):
+        assert (a.nodes, a.fee.hex(), a.flow_set._r1.hex(), a.flow_set._r2.hex()) == \
+               (b.nodes, b.fee.hex(), b.flow_set._r1.hex(), b.flow_set._r2.hex())
+        assert type(a.nodes[0]) is int and type(a.fee) is float
+    with pytest.raises(IndexError):
+        edges[196]
+
+    assert model.dumps(loaded) == model.dumps(built)
+    rewritten = [conic_rewrite(inst) for inst in (built, loaded)]
+    assert [rewritten[1].selector(i) for i in (0, 195)] == [rewritten[0].selector(i) for i in (0, 195)]
+    assert [(c.base._r1, c.base._r2) for c in rewritten[1].cones] == \
+           [(c.base._r1, c.base._r2) for c in rewritten[0].cones]
+    report = solve(built)
+    points = list(zip(report.flows, report.activations))
+    rounded = [round_relaxation(inst, points) for inst in (built, loaded)]
+    assert rounded[0].objective == rounded[1].objective
+    assert rounded[0].y_hat.tobytes() == rounded[1].y_hat.tobytes()
+    assert rounded[0].activations.tobytes() == rounded[1].activations.tobytes()
+
+
+def _market_document():
+    """40 markets on 6 nodes, the first on nodes (0, 1) with reserves
+    (2.0, 3.0) and the last on (4, 5) with (0.25, 3.0), so that one edit
+    of either meets each bulk test at its edge: a repeated or
+    out-of-range node, a product that overflows or underflows."""
+    rng = np.random.default_rng(40)
+    edges = [{"kind": "product_market",
+              "params": {"reserves": rng.uniform(0.5, 5.0, size=2).tolist()},
+              "nodes": [int(v) for v in rng.choice(6, size=2, replace=False)],
+              "fee": float(rng.uniform(0.0, 1.0))} for _ in range(40)]
+    edges[0].update(params={"reserves": [2.0, 3.0]}, nodes=[0, 1])
+    edges[39].update(params={"reserves": [0.25, 3.0]}, nodes=[4, 5])
+    return {"version": 1, "n": 6, "utility": {"kind": "linear", "c": [1.0] * 6}, "edges": edges}
+
+
+_MARKET_PATHS = [path for path in _paths(_market_document())
+                 if path in ((), ("n",), ("edges",)) or path[:2] in (("edges", 0), ("edges", 39))]
+_EDGE_VALUES = [None, True, 0, 1, 4, 5, 6, -1, 2 ** 63, 10 ** 400, 0.0, -0.0, -1.0, 5e-324,
+                1.0, 1e308, math.inf, math.nan, "product_market", "half_line", "x", [], [None],
+                [1.0], [1.0, 2.0], [-2.0, -3.0], [1.0, 2.0, 3.0], [0, 1], [1, 1], {},
+                {"reserves": [1.0, 2.0]}, {"cap": 1.0}]
+
+
+def _loads_as_edge_by_edge(doc):
+    """``from_document(doc)`` gives what the per-edge loader alone gives:
+    the same bits, or the same refusal."""
+    def load():
+        try:
+            return _bits(model.from_document(doc))
+        except SchemaError as exc:
+            return str(exc)
+    with mock.patch.object(model, "_market_columns", lambda edge_docs, n: None):
+        expected = load()
+    assert load() == expected
+
+
+def _edit(doc, path, key, value):
+    """``doc`` with the value at ``path`` replaced, or, when ``key`` is not
+    None and that value is an object, with ``key`` set on it."""
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if key is not None and isinstance(parent[path[-1]], dict):
+        parent[path[-1]][key] = value
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_market_columns_take_what_the_edge_loader_takes():
+    # each boundary value, and each schema word as a key, at each path of
+    # the first and last market of a 40-market document
+    for path in _MARKET_PATHS:
+        for value in _EDGE_VALUES:
+            _loads_as_edge_by_edge(_edit(_market_document(), path, None, value))
+        for key in _SCHEMA_WORDS:
+            _loads_as_edge_by_edge(_edit(_market_document(), path, key, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(_MARKET_PATHS), value=_json_values | st.floats(),
+       key=st.none() | st.sampled_from(_SCHEMA_WORDS))
+def test_market_columns_never_raise(path, value, key):
+    _loads_as_edge_by_edge(_edit(_market_document(), path, key, value))
