@@ -173,7 +173,12 @@ def run_cell(config: BenchConfig, opts: solver.SolverOptions | None = None) -> R
                          rel_gap=math.nan, tie_count=0,
                          runtime_ms=(time.perf_counter() - started) * 1e3,
                          status=f"failed:{type(exc).__name__}")
-    status = "ok" if report.converged else f"nonconverged:{report.stop}"
+    if not report.converged:
+        status = f"nonconverged:{report.stop}"
+    elif solver.verify_optimality(report).status == "optimal":
+        status = "ok"
+    else:  # converged, but the integral bracket is still open
+        status = f"uncertified:{report.stop}"
     return ReportRow(n=config.n, m=config.m, mu=config.mu, q0=config.q0,
                      seed=config.seed, dual_opt=report.dual_value,
                      primal_heur=report.primal_value, rel_gap=report.rel_gap,

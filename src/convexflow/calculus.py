@@ -53,13 +53,32 @@ def direction_fan(dim: int) -> np.ndarray:
         angles = (np.arange(FAN_SIZE) + 0.5) * (0.5 * math.pi / FAN_SIZE)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        from scipy.stats import qmc  # 1.3 s to import; only fans of dim >= 3 need it
-
-        sampler = qmc.Halton(d=dim, scramble=False)
-        pts = sampler.random(FAN_SIZE)[1:]  # first Halton point is the origin
+        pts = _halton(dim, FAN_SIZE)[1:]  # first Halton point is the origin
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-12]
         dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     return np.vstack([dirs, np.eye(dim)])
+
+
+def _halton(dim: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in ``dim``
+    dimensions: the radical inverse of 0, 1, ..., count - 1 in each of the
+    first ``dim`` primes, summed digit by digit from the least significant.
+    """
+    bases: list[int] = []
+    candidate = 2
+    while len(bases) < dim:
+        if all(candidate % p for p in bases):
+            bases.append(candidate)
+        candidate += 1
+    base = np.array(bases)
+    index = np.repeat(np.arange(count)[:, None], dim, axis=1)
+    point = np.zeros((count, dim))
+    scale = np.ones(dim)
+    while index.any():
+        scale /= base
+        point += scale * (index % base)
+        index //= base
+    return point
 
 
 def _fan_contains(the_set: FlowSet, x: np.ndarray, tol: float) -> bool:

@@ -6,7 +6,8 @@ document into the fixed-fee feasible set, and ``bench`` sweeps the
 order-routing grid into a CSV.
 
 Exit codes: 0 success, 2 invalid input, 3 solver non-convergence (the
-best-effort solution is still written).
+best-effort solution is still written) or, for ``bench``, a cell that is
+not certified optimal (the CSV is still written).
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _cmd_bench(args) -> int:
     rows = bench.run_bench(configs, csv_path=args.csv, opts=opts)
     bad = [row for row in rows if row.status != "ok"]
     if bad:
-        print(f"{len(bad)} of {len(rows)} cells did not converge", file=sys.stderr)
+        print(f"{len(bad)} of {len(rows)} cells are not certified optimal", file=sys.stderr)
         return 3
     return 0
 

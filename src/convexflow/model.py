@@ -585,7 +585,7 @@ def _decode_edges(edge_docs: list) -> tuple[Edge, ...]:
         try:
             the_set = _decode_set(edge_doc.get("kind"), edge_doc["params"])
             edges.append(Edge(the_set, edge_doc["nodes"], edge_doc.get("fee", 0.0)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (SchemaError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"edge {i}: {_reason(exc)}") from exc
     return tuple(edges)
 

@@ -175,6 +175,13 @@ class TestSweep:
             assert row.status == "ok"
             assert row.rel_gap <= 1e-6
 
+    def test_open_bracket_is_uncertified(self):
+        # the solve converges on its gap test, but the rounded primal leaves
+        # the integral bracket open at rel_gap 1.1e-5, so the row is not ok
+        row = run_cell(BenchConfig(n=10, mu=1e-2, q0=0.01, seed=0))
+        assert row.status == "uncertified:gap"
+        assert 1e-5 < row.rel_gap < 1.2e-5
+
     def test_nonconverged_rows_name_their_stop(self):
         row = run_cell(BenchConfig(n=6, mu=1e-2, q0=0.01, seed=0), SolverOptions(max_iter=1))
         assert row.status == "nonconverged:max_iter"

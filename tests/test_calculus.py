@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from convexflow.calculus import (aggregate, direction_fan, intersection, lift,
-                                 minkowski_sum, nonneg_matrix_image, scale)
+from convexflow.calculus import (FAN_SIZE, _halton, aggregate, direction_fan, intersection,
+                                 lift, minkowski_sum, nonneg_matrix_image, scale)
 from convexflow.sets import (CappedConcaveEdge, HalfLineEdge, LinearTickEdge,
                              ProductMarketEdge)
 
@@ -313,3 +313,19 @@ def test_direction_fan_shapes():
     fan4 = direction_fan(4)
     assert fan4.shape[1] == 4 and np.all(fan4 >= -1e-15)
     assert np.allclose(np.linalg.norm(fan4, axis=1), 1.0)
+
+
+def test_direction_fan_is_scipys_halton_fan():
+    # scipy, a test dependency only, is the reference for the in-tree
+    # radical inverse: the same points, bit for bit
+    from scipy.stats import qmc
+
+    for dim in range(1, 61):
+        reference = qmc.Halton(d=dim, scramble=False).random(FAN_SIZE)
+        assert np.array_equal(_halton(dim, FAN_SIZE), reference), dim
+        if dim < 3:
+            continue
+        pts = reference[1:]
+        pts = pts[np.linalg.norm(pts, axis=1) > 1e-12]
+        fan = np.vstack([pts / np.linalg.norm(pts, axis=1, keepdims=True), np.eye(dim)])
+        assert np.array_equal(direction_fan(dim), fan), dim

@@ -111,7 +111,7 @@ class TestSolveCommand:
         ('{"version": 1, "n": 2, "utility": {"kind": "linear", "c": [1.0, 1.0]}, '
          '"edges": [{"kind": "product_market", "params": {"reserves": [%s, 2.0]}, '
          '"nodes": [0, 1], "fee": 0.0}]}' % ("[" * 900 + "]" * 900),
-         "error: bad parameters for set kind 'product_market': "
+         "error: edge 0: bad parameters for set kind 'product_market': "
          "reserves must be a real number, got [[[["),
         (ZERO_FEE_HALF_LINE.replace('"fee": 0.0', '"fee": 0.0, "%s": 1' % ("k" * 5_000)),
          "error: edge 0: unknown key 'kkkk"),

@@ -596,7 +596,7 @@ _HALF_LINE = ('{"version": 1, "n": 1, "utility": {"kind": "threshold", "b": 1.0}
 _MARKET = ('{"version": 1, "n": 2, "utility": {"kind": "linear", "c": [1.0, 1.0]}, '
            '"edges": [{"kind": %s, "params": {"reserves": [%s, 2.0]}, "nodes": [0, %s], '
            '"fee": 0.0}]}')
-_RESERVES_REFUSED = ("bad parameters for set kind 'product_market': "
+_RESERVES_REFUSED = ("edge 0: bad parameters for set kind 'product_market': "
                      "reserves must be two positive finite numbers")
 
 
@@ -609,7 +609,7 @@ _RESERVES_REFUSED = ("bad parameters for set kind 'product_market': "
     (_MARKET % ('"product_market"', "-Infinity", "1"), _RESERVES_REFUSED),
     (_HALF_LINE % ("1e400", ""), "edge 0: fee must be finite and nonnegative, got inf"),
     (_HALF_LINE % ("1" + "0" * 399, ""), "edge 0: fee is an integer too large for a float"),
-    (_MARKET % ('"\\ud800"', "1.0", "1"), "unknown set kind: '\\ud800'"),
+    (_MARKET % ('"\\ud800"', "1.0", "1"), "edge 0: unknown set kind: '\\ud800'"),
     ("﻿" + _HALF_LINE % ("0.0", ""),
      "instance document: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
      "line 1 column 1 (char 0)"),
@@ -623,6 +623,20 @@ def test_text_orjson_refuses_keeps_its_message(text, message):
     with pytest.raises(SchemaError) as refused:
         model.loads(text)
     assert str(refused.value) == message
+
+
+def test_set_refusal_names_its_edge():
+    # the columns refuse the overflowing product, and the edge loader's
+    # refusal says which of the 529 markets it is
+    from convexflow.bench import BenchConfig, gen_bench_instance
+
+    doc = json.loads(model.dumps(gen_bench_instance(BenchConfig(n=46, mu=0.0, q0=0.01, seed=1))))
+    assert len(doc["edges"]) == 529
+    doc["edges"][300]["params"]["reserves"] = [1e200, 1e200]
+    with pytest.raises(SchemaError) as refused:
+        model.loads(json.dumps(doc))
+    assert str(refused.value) == ("edge 300: bad parameters for set kind 'product_market': "
+                                  "reserves must have a positive finite product")
 
 
 def test_meta_with_nan_and_a_lone_surrogate_loads():
