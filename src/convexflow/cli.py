@@ -5,9 +5,12 @@ Commands: ``generate`` and ``knapsack`` write instance documents,
 document into the fixed-fee feasible set, and ``bench`` sweeps the
 order-routing grid into a CSV.
 
-Exit codes: 0 success, 2 invalid input, 3 solver non-convergence (the
-best-effort solution is still written) or, for ``bench``, a cell that is
-not certified optimal (the CSV is still written).
+Exit codes: 0 success, 2 invalid input, 3 a ``solve`` that is not
+certified optimal (``verify_optimality`` does not read ``optimal``: the
+solver did not converge, or its bracket is still open; the best-effort
+solution is still written, and its stop and relative gap are printed on
+stderr) or, for ``bench``, a cell that is not certified optimal (the CSV
+is still written).
 """
 
 from __future__ import annotations
@@ -122,7 +125,11 @@ def _cmd_solve(args) -> int:
         if not math.isfinite(value):
             raise SchemaError(f"solution: its {name} is {value!r}, which JSON cannot hold")
     _write_json(solver.report_to_document(report), args.out)
-    return 0 if report.converged else 3
+    if solver.verify_optimality(report).status == "optimal":
+        return 0
+    print(f"not certified optimal: stop {report.stop}, rel_gap {report.rel_gap:.3g}",
+          file=sys.stderr)
+    return 3
 
 
 def _cmd_round(args) -> int:

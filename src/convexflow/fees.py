@@ -136,16 +136,18 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     patterns of equal total the earlier in mask order wins.
 
     One evaluation, subset sums: with its fees zeroed, the solver's
-    program gives at any price nu the dual of S as Ubar(nu) plus the
-    terms max(f_i(nu), 0) of the edges in S.  One evaluation of the full
+    program (the instance's compiled one, ``solver._compiled``) gives at
+    any price nu the dual of S as Ubar(nu) plus the terms max(f_i(nu), 0)
+    of the edges in S.  One evaluation of the full
     fee-free program therefore gives every pattern's dual at nu, as the
     subset sums of its edge terms (``_subset_sums``), added in the order
     ``solver._evaluate`` adds them; the fee totals are subset sums too.
 
     * threshold -- without fees every breakpoint is 0: a pattern is
-      feasible when its supplies at unit price reach b, and is then
-      minimized at price 0, where no edge term is positive: its dual is
-      Ubar(0), and brute force evaluates no edge.
+      feasible when its supplies at unit price (kept with the program,
+      ``solver._kept_supplies``) reach b, and is then minimized at price
+      0, where no edge term is positive: its dual is Ubar(0), and brute
+      force evaluates no edge.
     * linear -- every pattern's dual is minimized at nu = c, so the full
       program's one evaluation there values every pattern.
     * quadratic -- a best-first branch and bound (``_best_first``).  The
@@ -169,13 +171,13 @@ def brute_force_optimum(instance: Instance, opts: SolverOptions | None = None) -
     m = instance.m
     if m > MAX_EDGES:
         raise EnumerationBudgetError(f"{m} edges exceed the {MAX_EDGES}-edge budget")
-    program = _solver._program(instance.edges)
+    program = _solver._compiled(instance)
     fee_totals = _subset_sums(0.0, [edge.fee for edge in instance.edges])
     utility = instance.utility
     best, best_mask, evaluated = utility.value([0.0] * instance.n), 0, 1
     values: list[float | None] = []  # by mask: each pattern's minimum, None when infeasible
     if isinstance(utility, ThresholdUtility):
-        reach = _subset_sums(0.0, [h for h, _ in _solver._unit_supplies(program)])
+        reach = _subset_sums(0.0, [h for h, _ in _solver._kept_supplies(instance)])
         value = utility.conjugate([0.0])[0]
         values = [value if -utility.b + r >= 0.0 else None for r in reach]
     elif m:

@@ -59,7 +59,7 @@ import math
 import operator
 import sys
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -288,11 +288,21 @@ class Instance:
 
     ``edges`` is a tuple of ``Edge``, or the ``MarketColumns`` of a
     loaded document made of markets alone, kept as they are.
+
+    ``_compiled`` is the solver's private cache: the program it compiles
+    from the edges on its first use of the instance, and a threshold
+    instance's unit-price supplies (``solver._compiled``).  Every later
+    solve, conic solve, dual evaluation and brute force of the instance
+    reads them from there, so the arrays of ``MarketColumns`` edges must
+    not be mutated after a solve.  The cache is not compared, shown,
+    pickled or copied; ``dataclasses.replace``, a copy and an unpickled
+    instance start with an empty one.
     """
 
     n: int
     edges: tuple[Edge, ...] | MarketColumns
     utility: Utility
+    _compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = _index(self.n, "n")
@@ -318,7 +328,14 @@ class Instance:
         return len(self.edges)
 
     def max_fee(self) -> float:
+        if type(self.edges) is MarketColumns:  # from the fee column, building no edge
+            return float(self.edges.fees.max(initial=0.0))
         return max((edge.fee for edge in self.edges), default=0.0)
+
+    def __getstate__(self):
+        # a block's kernel is a closure, which does not pickle; a copy
+        # compiles its own program
+        return {**self.__dict__, "_compiled": {}}
 
 
 def net_flow(instance: Instance, flows: Sequence) -> np.ndarray:

@@ -14,10 +14,20 @@ caller: the minimizers below, ``dual_value_and_gradient``, ``solve_conic``
 (whose clipped-cone support at price (xi_i, q_i) is the same edge term)
 and the brute force of ``fees``, which values every activation pattern
 at one price by subset sums of the edge terms of one evaluation.  It
-runs over a program of ``(kernel, nodes, fee, unique)`` entries built
-once per instance, where ``kernel`` is the edge set's float support
-oracle (``FlowSet.kernel``) and ``unique`` its
-``FlowSet.unique_maximizer`` flag, read only by the quadratic branch.
+runs over a program of ``(kernel, nodes, fee, unique)`` entries, where
+``kernel`` is the edge set's float support oracle (``FlowSet.kernel``)
+and ``unique`` its ``FlowSet.unique_maximizer`` flag, read only by the
+quadratic branch.
+
+The program is compiled once per instance: ``_compiled`` builds it with
+``_program`` on the instance's first solve and keeps it in the
+instance's private cache (``Instance._compiled``), where ``solve``,
+``solve_conic`` (through ``conic.base``), ``minimize_dual``,
+``dual_value_and_gradient`` and brute force all find it; a threshold
+instance's unit-price supplies (``_kept_supplies``) are kept beside it.
+So the edges must not change after a solve: a ``MarketColumns`` block
+holds views of the columns' arrays, which must not be mutated.  A new
+instance, such as one of ``dataclasses.replace``, compiles its own.
 
 The evaluator and the minimizers run on Python floats end to end: prices,
 maximizers, the conjugate (``utility.conjugate``), the gradient, the
@@ -328,6 +338,17 @@ def _program(edges: Sequence[Edge]) -> Program:
             for edge in edges]
 
 
+def _compiled(instance: Instance) -> Program:
+    """The program of ``instance``: ``_program`` of its edges, built on
+    first use and kept in its private cache.  Threads that race to build
+    it all take the one ``setdefault`` stores first."""
+    kept = instance._compiled
+    program = kept.get("program")
+    if program is None:
+        program = kept.setdefault("program", _program(instance.edges))
+    return program
+
+
 def _evaluate(utility: Utility, program: Program, prices: list[float]) -> DualState:
     """g and a supergradient at ``prices``, a list of nonnegative floats,
     over the edges of ``program``.  The state's ``nu`` is ``prices`` and
@@ -440,7 +461,7 @@ def _clamped(prices: list[float]) -> list[float]:
 def dual_value_and_gradient(instance: Instance, nu) -> tuple[float, np.ndarray | None, DualState]:
     """Evaluate the dual function and a supergradient at nu (clamped to >= 0)."""
     prices = _clamped(as_vector(nu, instance.n).tolist())
-    state = _with_arrays(_evaluate(instance.utility, _program(instance.edges), prices))
+    state = _with_arrays(_evaluate(instance.utility, _compiled(instance), prices))
     return state.g, state.gradient, state
 
 
@@ -688,11 +709,24 @@ def _unit_supplies(program: Program) -> list[tuple[float, float]]:
     return kept
 
 
-def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualState:
+def _kept_supplies(instance: Instance) -> list[tuple[float, float]]:
+    """``_unit_supplies`` of a threshold instance's program, computed on
+    first use and kept beside the program."""
+    kept = instance._compiled
+    supplies = kept.get("unit_supplies")
+    if supplies is None:
+        supplies = kept.setdefault("unit_supplies", _unit_supplies(_compiled(instance)))
+    return supplies
+
+
+def _minimize_threshold(utility: ThresholdUtility, program: Program,
+                        supplies: list[tuple[float, float]] | None = None) -> DualState:
     """Exact minimizer of the 1-D piecewise-linear threshold dual.
 
     g(nu) = -b * nu + sum_i max(h_i * nu - q_i, 0) with h_i the edge
-    supply at unit price; the slope only changes at nu = q_i / h_i.
+    supply at unit price; the slope only changes at nu = q_i / h_i.  The
+    pairs (h_i, q_i) are ``supplies`` when given, else ``_unit_supplies``
+    of ``program``.
 
     At a minimizer of 0 a set's maximizer may be 0 (a half line's is), so
     recovery would leave the demand unmet; each active edge there takes
@@ -700,7 +734,9 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualStat
     line its cap, and the gradient follows.
     """
     b = utility.b
-    supplying = [(h, q) for h, q in _unit_supplies(program) if h > 0.0]
+    if supplies is None:
+        supplies = _unit_supplies(program)
+    supplying = [(h, q) for h, q in supplies if h > 0.0]
     # the first breakpoint after which the slope is >= 0
     for minimizer in sorted({0.0} | {q / h for h, q in supplying}):
         if -b + sum(h for h, q in supplying if q < h * minimizer + 1e-15 * max(1.0, q)) >= 0.0:
@@ -722,13 +758,17 @@ def _minimize_threshold(utility: ThresholdUtility, program: Program) -> DualStat
 
 def minimize_dual(instance: Instance, opts: SolverOptions | None = None) -> DualState:
     """Minimize the dual over nu >= 0 and return the final dual state."""
-    return _with_arrays(_minimize(instance.utility, _program(instance.edges), opts))
+    utility = instance.utility
+    supplies = _kept_supplies(instance) if isinstance(utility, ThresholdUtility) else None
+    return _with_arrays(_minimize(utility, _compiled(instance), opts, supplies))
 
 
-def _minimize(utility: Utility, program: Program, opts: SolverOptions | None) -> DualState:
+def _minimize(utility: Utility, program: Program, opts: SolverOptions | None,
+              supplies: list[tuple[float, float]] | None = None) -> DualState:
     """``minimize_dual`` over ``program``.  Only the L-BFGS reads ``opts``
-    (the defaults when None).  The state stays on floats; callers that
-    hand it out convert it with ``_with_arrays``."""
+    (the defaults when None), and only the threshold scan ``supplies``.
+    The state stays on floats; callers that hand it out convert it with
+    ``_with_arrays``."""
     if isinstance(utility, LinearUtility):
         state = _evaluate(utility, program, _clamped(utility._c))
         if not math.isfinite(state.g):
@@ -737,7 +777,7 @@ def _minimize(utility: Utility, program: Program, opts: SolverOptions | None) ->
                 "problem is unbounded above")
         state.iterations = 1
     elif isinstance(utility, ThresholdUtility):
-        state = _minimize_threshold(utility, program)
+        state = _minimize_threshold(utility, program, supplies)
     elif isinstance(utility, QuadraticUtility):
         state = _minimize_projected_lbfgs(utility, program, opts or SolverOptions())
     else:
@@ -887,11 +927,12 @@ def solve_conic(conic: ConicInstance, opts: SolverOptions | None = None) -> Solv
     max(f_i(xi_i) - q_i, 0): the evaluator's edge term with the fee as the
     cone's last price coordinate, read from the kernel of the cone's base
     set, which is the edge's flow set.  ``ClippedCone.support`` is the
-    per-edge reference for it.
+    per-edge reference for it.  The base instance's compiled program is
+    the one ``solve`` uses.
     """
     instance = conic.base
     started = time.perf_counter()
-    state = _with_arrays(_minimize(instance.utility, _program(instance.edges), opts))
+    state = minimize_dual(instance, opts)
     report = recover_primal(state, instance)
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report

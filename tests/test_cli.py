@@ -54,6 +54,28 @@ class TestSolveCommand:
         assert {"objective_dual", "objective_primal", "gap", "nu", "edges"} <= set(doc)
         assert len(doc["edges"]) == 4
 
+    def test_open_bracket_is_exit_3(self, tmp_path, capsys):
+        # converged on a gap stop, but the integral bracket is still open
+        # (rel_gap 1.1e-5): written, and exit 3 as bench's uncertified:gap
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        run(["generate", "--n", "10", "--mu", "0.01", "--q0", "0.01", "--seed", "0",
+             "--out", str(inst)])
+        capsys.readouterr()
+        assert run(["solve", "--input", str(inst), "--out", str(sol)]) == 3
+        report = solve(model.loads(inst.read_text()))
+        assert report.converged and solver.verify_optimality(report).status != "optimal"
+        assert json.loads(sol.read_text()) == report_to_document(report)
+        assert capsys.readouterr().err == (
+            f"not certified optimal: stop gap, rel_gap {report.rel_gap:.3g}\n")
+
+    def test_nonconvergence_is_exit_3(self, tmp_path, capsys):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        run(["generate", "--n", "6", "--mu", "0.01", "--q0", "0.01", "--out", str(inst)])
+        capsys.readouterr()
+        assert run(["solve", "--input", str(inst), "--max-iter", "1", "--out", str(sol)]) == 3
+        assert len(json.loads(sol.read_text())["edges"]) == 9
+        assert capsys.readouterr().err.startswith("not certified optimal: stop max_iter, rel_gap ")
+
     def test_missing_file_is_exit_2(self, capsys):
         assert run(["solve", "--input", "/does/not/exist.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -826,3 +826,18 @@ def test_market_columns_take_what_the_edge_loader_takes():
        key=st.none() | st.sampled_from(_SCHEMA_WORDS))
 def test_market_columns_never_raise(path, value, key):
     _loads_as_edge_by_edge(_edit(_market_document(), path, key, value))
+
+
+@pytest.mark.parametrize("q0", [0.0, 0.01, 1.0])
+def test_max_fee_of_columns_builds_no_edge(q0):
+    from convexflow.fees import gap_bounds
+    from convexflow.solver import solve
+
+    built, loaded = _built_and_loaded(28, q0)
+    report = solve(loaded)  # the block reads the columns, building no edge
+    with mock.patch.object(model, "Edge", side_effect=AssertionError("an Edge was built")):
+        value = loaded.max_fee()
+        bounds = gap_bounds(report, loaded)
+    assert type(value) is float and value.hex() == built.max_fee().hex()
+    assert bounds.sf_bound == (built.n + 1) * built.max_fee()
+    assert loaded.edges._edges == [None] * 196

@@ -1,17 +1,22 @@
+import copy
 import json
 import math
+import pickle
+import sys
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexflow import solver
+from convexflow import model, solver
 from convexflow.bench import BenchConfig, gen_bench_instance, gen_knapsack_instance
 from convexflow.calculus import (aggregate, intersection, lift, minkowski_sum,
                                  nonneg_matrix_image, scale)
-from convexflow.conic import ClippedCone, FlowCone
+from convexflow.conic import ClippedCone, FlowCone, conic_rewrite
 from convexflow.errors import InfeasibleProblemError, UnboundedProblemError
 from convexflow.fees import brute_force_optimum
 from convexflow.model import (Edge, Instance, LinearUtility, QuadraticUtility,
@@ -22,7 +27,7 @@ from convexflow.solver import (BATCH_MIN, GAP_TOL, MAX_TIE_ENUM, SolveReport, So
                                _evaluate, _minimize, _program, _tie_patterns,
                                dual_value_and_gradient,
                                minimize_dual, recover_primal, report_to_document, solve,
-                               verify_optimality)
+                               solve_conic, verify_optimality)
 
 from conftest import builtin_families, mixed_instance
 from oracles import (central_difference, conjugate_reference, dense_selector,
@@ -1182,3 +1187,133 @@ class TestRecoveryRefusesNonFiniteDual:
             recover_primal(state, inst)
         with pytest.raises(ValueError, match="g = nan"):
             recover_primal(replace(minimize_dual(inst), g=math.nan), inst)
+
+
+# the benchmark's mixed fee instance of one market, one half line and two
+# capped edges
+FEE_KINDS = ("capped_rational", "capped_piecewise", "product_market", "half_line")
+MARKETS_196 = model.dumps(gen_bench_instance(BenchConfig(n=28, mu=0.0, q0=0.01, seed=1)))
+# builders of fresh instances: threshold, quadratic and linear fee
+# instances, and 196 markets as a loaded document's columns and as a tuple
+FRESH = {"knapsack": lambda: gen_knapsack_instance([3, 5, 7, 11, 13], 19),
+         "mixed": lambda: mixed_instance(np.random.default_rng(3), 3, FEE_KINDS),
+         "capped_linear": lambda: capped_instance(0.5),
+         "columns": lambda: model.loads(MARKETS_196),
+         "tuple": lambda: gen_bench_instance(BenchConfig(n=28, mu=0.0, q0=0.01, seed=1))}
+SMALL = ("knapsack", "mixed", "capped_linear")
+
+
+def _counted(name):
+    """A mock that counts the calls of solver's ``name`` and passes them on."""
+    return mock.patch.object(solver, name, wraps=getattr(solver, name))
+
+
+class TestCompiledProgram:
+    """Each instance's program is compiled once, on its first use, and kept
+    on the instance for every later solve, conic solve, dual evaluation and
+    brute force."""
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_one_compile_across_entry_points(self, name):
+        inst = FRESH[name]()
+        with _counted("_program") as compile_, _counted("_unit_supplies") as supplies:
+            solve(inst)
+            solve_conic(conic_rewrite(inst))
+            brute_force_optimum(inst)
+            for price in (0.5, 1.0, 2.0):
+                dual_value_and_gradient(inst, [price] * inst.n)
+            minimize_dual(inst)
+            solve(inst)
+        assert compile_.call_count == 1
+        # the threshold scan's unit supplies are kept with the program
+        assert supplies.call_count == (1 if name == "knapsack" else 0)
+
+    def test_replaced_instance_compiles_anew(self):
+        inst = FRESH["knapsack"]()
+        solve(inst)
+        kept = inst._compiled["program"]
+        for changes, fresh in (
+                ({"utility": ThresholdUtility(25.0)},
+                 gen_knapsack_instance([3, 5, 7, 11, 13], 25)),
+                ({"edges": inst.edges[1:]}, gen_knapsack_instance([5, 7, 11, 13], 19))):
+            other = replace(inst, **changes)
+            assert other._compiled == {}
+            with _counted("_program") as compile_:
+                report = solve(other)
+            assert compile_.call_count == 1 and other._compiled["program"] is not kept
+            assert_reports_bit_equal(report, solve(fresh))
+        assert inst._compiled["program"] is kept
+
+    @pytest.mark.parametrize("name", sorted(FRESH))
+    def test_reports_equal_a_fresh_instances(self, name):
+        inst = FRESH[name]()
+        for _ in range(3):
+            assert_reports_bit_equal(solve(inst), solve(FRESH[name]()))
+            assert_reports_bit_equal(solve_conic(conic_rewrite(inst)),
+                                     solve_conic(conic_rewrite(FRESH[name]())))
+            # at c, where a linear utility's dual is finite
+            nu = getattr(inst.utility, "c", np.ones(inst.n))
+            got, expected = (dual_value_and_gradient(instance, nu)[2]
+                             for instance in (inst, FRESH[name]()))
+            for field_name in ("g", "values", "points", "active", "tied"):
+                assert _bits(getattr(got, field_name)) == _bits(getattr(expected, field_name))
+            assert got.gradient.tobytes() == expected.gradient.tobytes()
+            if name in SMALL:
+                got, expected = brute_force_optimum(inst), brute_force_optimum(FRESH[name]())
+                assert ((got.value.hex(), got.pattern, got.evaluated)
+                        == (expected.value.hex(), expected.pattern, expected.evaluated))
+
+    @pytest.mark.parametrize("name", ["knapsack", "columns"])
+    def test_solved_instance_pickles_and_copies(self, name):
+        inst = FRESH[name]()
+        report = solve(inst)
+        kept = inst._compiled["program"]
+        for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+            assert copied._compiled == {} and type(copied.edges) is type(inst.edges)
+            assert model.dumps(copied) == model.dumps(inst)
+            assert_reports_bit_equal(solve(copied), report)
+            assert copied._compiled["program"] is not kept
+        assert copy.copy(inst) == inst  # the same edges and utility
+        assert inst._compiled["program"] is kept
+
+    def test_threads_share_one_program(self):
+        # 8 threads race to compile and solve each of 20 rounds of two shared
+        # instances, a knapsack and 196 markets: every thread takes the one
+        # program stored first, and every report is the serial solve's
+        rounds = [(FRESH["knapsack"](), FRESH["columns"]()) for _ in range(20)]
+        expected = [solve(FRESH["knapsack"]()), solve(FRESH["columns"]())]
+        optimum = brute_force_optimum(FRESH["knapsack"]())
+        programs, reports, errors = [], [], []
+        together = threading.Barrier(8)
+
+        def work():
+            try:
+                for shared in rounds:
+                    together.wait(timeout=30)  # all 8 meet each first compile
+                    for k, inst in enumerate(shared):
+                        programs.append((inst, solver._compiled(inst)))
+                        reports.append((k, solve(inst)))
+                    reports.append((2, brute_force_optimum(shared[0])))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(programs) == 8 * 20 * 2 and len(reports) == 8 * 20 * 3
+        for inst, program in programs:
+            assert program is inst._compiled["program"]
+        for k, report in reports:
+            if k == 2:
+                assert report == optimum
+            else:
+                assert_reports_bit_equal(report, expected[k])
